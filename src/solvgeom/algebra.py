@@ -33,6 +33,7 @@ __all__ = [
     "serialize",
     "deserialize",
     "orthonormal_frame",
+    "restricted_symmetric",
 ]
 
 
@@ -55,6 +56,19 @@ def orthonormal_frame(gram):
             raise ValueError("gram matrix is not positive definite")
         frame[:, j] = v / math.sqrt(nrm)
     return frame
+
+
+def restricted_symmetric(alg, mats, idx):
+    """Symmetric parts of the blocks m[idx, idx], written in an orthonormal
+    frame of span{e_i : i in idx}."""
+    block = np.ix_(idx, idx)
+    f = orthonormal_frame(alg.gram[block])
+    f_inv = np.linalg.inv(f)
+    ops = []
+    for m in mats:
+        mo = f_inv @ m[block] @ f
+        ops.append(0.5 * (mo + mo.T))
+    return ops
 
 
 @dataclass
@@ -91,7 +105,9 @@ class MetricLieAlgebra:
         self.n_indices = tuple(self.n_indices)
         if not self.roots:
             self.roots = tuple(None for _ in range(n))
-        self.roots = tuple(tuple(r) if r is not None else None for r in self.roots)
+        self.roots = tuple(
+            tuple(int(v) for v in r) if r is not None else None for r in self.roots
+        )
         # cached orthonormal frame; every curvature formula sums over it
         self.frame = orthonormal_frame(self.gram)
         self.frame_inv = np.linalg.inv(self.frame)
@@ -274,14 +290,7 @@ def iwasawa_check(alg, tol=TOL_EXACT):
     min_pos = -np.inf
     witness = np.zeros(alg.dim)
     if a_idx and n_idx:
-        # restrict ad(A) to n in an orthonormal frame of the n-block
-        sub_gram = alg.gram[np.ix_(n_idx, n_idx)]
-        f = orthonormal_frame(sub_gram)
-        sym_ops = []
-        for m in ads:
-            mn = m[np.ix_(n_idx, n_idx)]
-            mo = np.linalg.inv(f) @ mn @ f
-            sym_ops.append(0.5 * (mo + mo.T))
+        sym_ops = restricted_symmetric(alg, ads, n_idx)
         w, min_pos = _best_positive_direction(alg, sym_ops)
         cond_iii = min_pos > tol
         for wi, i in zip(w, a_idx):
@@ -343,6 +352,16 @@ def serialize(alg):
     return "\n".join(lines) + "\n"
 
 
+def _sized(doc, key, dim):
+    """Optional per-basis-vector list: absent, or exactly dim entries."""
+    values = doc.get(key)
+    if not values:
+        return ()
+    if not isinstance(values, list) or len(values) != dim:
+        raise ValueError(f"'{key}' must list one entry per basis vector (dim {dim})")
+    return tuple(values)
+
+
 def deserialize(text):
     try:
         doc = json.loads(text)
@@ -350,10 +369,17 @@ def deserialize(text):
         raise ValueError(f"malformed algebra document: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ValueError("malformed algebra document: missing 'dim'")
+    try:
+        return _from_document(doc)
+    except TypeError as exc:
+        raise ValueError(f"malformed algebra document: {exc}") from exc
+
+
+def _from_document(doc):
     dim = int(doc["dim"])
     if dim <= 0:
         raise ValueError("dim must be positive")
-    labels = tuple(doc.get("labels") or ())
+    labels = _sized(doc, "labels", dim)
     gram_spec = doc.get("gram", "identity")
     if gram_spec == "identity":
         gram = np.eye(dim)
@@ -361,18 +387,21 @@ def deserialize(text):
         gram = np.asarray(gram_spec, dtype=float).reshape(dim, dim)
     entries = []
     for row in doc.get("structure", []):
+        if not isinstance(row, list) or len(row) != 4:
+            raise ValueError(f"structure entry {row!r} is not [i, j, k, value]")
         i, j, k, v = int(row[0]), int(row[1]), int(row[2]), float(row[3])
         if not (0 <= i < j < dim):
             raise ValueError(f"structure entry ({i},{j},{k}) violates i<j canonical order")
+        if not 0 <= k < dim:
+            raise ValueError(f"structure entry ({i},{j},{k}) has k outside 0..{dim - 1}")
         if not math.isfinite(v):
             raise ValueError("non-finite structure constant")
         entries.append((i, j, k, v))
     if not np.all(np.isfinite(gram)):
         raise ValueError("non-finite gram entry")
     dec = doc.get("decoration") or {}
-    roots = ()
-    if dec.get("roots"):
-        roots = tuple(tuple(r) if r is not None else None for r in dec["roots"])
+    if not isinstance(dec, dict):
+        raise ValueError("'decoration' must be an object")
     alg = from_sparse(
         dim,
         entries,
@@ -380,7 +409,7 @@ def deserialize(text):
         labels=labels,
         a_indices=tuple(dec.get("a_indices", ())),
         n_indices=tuple(dec.get("n_indices", ())),
-        roots=roots,
+        roots=_sized(dec, "roots", dim),
     )
     rep = validate(alg)
     if rep.gram_min_eig <= 0:

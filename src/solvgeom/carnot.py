@@ -15,13 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, from_sparse
+from .algebra import from_sparse, orthonormal_frame
 
 __all__ = [
     "DataTriple",
     "EinsteinConditions",
     "UniformSubspaceCandidate",
     "so_inner",
+    "so_gram",
     "so_basis",
     "build_solvmanifold",
     "brackets_from_j",
@@ -32,6 +33,7 @@ __all__ = [
     "so4_split_basis",
     "so4_criterion",
     "search_uniform",
+    "centralizer",
     "equivalence_invariants",
     "classify_uniform_so4",
     "random_triple",
@@ -44,6 +46,12 @@ def so_inner(a, b):
     """(a, b) = -tr(ab)/r on so(r)."""
     a = np.asarray(a, dtype=float)
     return -float(np.trace(a @ b)) / a.shape[0]
+
+
+def so_gram(a, b):
+    """Matrix of (a_i, b_j) for two stacks of r x r matrices."""
+    a = np.asarray(a, dtype=float)
+    return -np.einsum("iuv,jvu->ij", a, b) / a.shape[1]
 
 
 def so_basis(r):
@@ -191,8 +199,7 @@ def complement_uniform(mats, tol=1e-8):
     mats = np.asarray(mats, dtype=float)
     s, r = mats.shape[0], mats.shape[1]
     basis = so_basis(r)
-    d = basis.shape[0]
-    coords = np.array([[so_inner(m, b) for b in basis] for m in mats])  # (s, d)
+    coords = so_gram(mats, basis)  # (s, d)
     _, sing, vt = np.linalg.svd(coords, full_matrices=True)
     rank = int(np.sum(sing > tol))
     comp = vt[rank:]  # (d - rank, d) orthonormal rows
@@ -225,9 +232,7 @@ def so4_criterion(mats, tol=1e-8):
     if mats.shape[1:] != (4, 4):
         raise ValueError("so4_criterion expects 4 x 4 matrices")
     left, right = so4_split_basis()
-    q = np.array([[so_inner(m, b) for b in left] for m in mats])
-    p = np.array([[so_inner(m, b) for b in right] for m in mats])
-    m = q.T @ p
+    m = so_gram(mats, left).T @ so_gram(mats, right)
     res = float(np.max(np.abs(m)))
     return res, res <= tol
 
@@ -327,29 +332,36 @@ def search_uniform(r, s, restarts=200, seed=0, rng=None):
 # --- equivalence invariants ---------------------------------------------------
 
 
-def _orthonormalize_family(mats, tol=1e-10):
-    """Orthonormal basis of span(mats) w.r.t. (,), via Gram eigendecomposition."""
+def _orthonormalize_family(mats):
+    """Orthonormal basis of span(mats) w.r.t. (,), by Gram-Schmidt on the
+    so(r) Gram matrix of a linearly independent family."""
     mats = np.asarray(mats, dtype=float)
-    s, r = mats.shape[0], mats.shape[1]
-    gram = np.array([[so_inner(a, b) for b in mats] for a in mats])
-    vals, vecs = np.linalg.eigh(gram)
-    keep = vals > tol
-    coeff = vecs[:, keep] / np.sqrt(vals[keep])
-    return np.einsum("ak,aij->kij", coeff, mats)
+    frame = orthonormal_frame(so_gram(mats, mats))
+    return np.einsum("ak,aij->kij", frame, mats)
+
+
+def centralizer(mats, tol):
+    """(dimension, basis matrices) of {b in so(r): [b, a_i] = 0 for all i}.
+
+    A singular value counts as zero below tol times the largest one.
+    """
+    mats = np.asarray(mats, dtype=float)
+    basis = so_basis(mats.shape[1])
+    d = basis.shape[0]
+    rows = []
+    for a in mats:
+        block = np.einsum("uij,jk->uik", basis, a) - np.einsum("ij,ujk->uik", a, basis)
+        rows.append(block.reshape(d, -1))
+    # s r^2 columns against d = r(r-1)/2 rows, so u is square
+    stacked = np.concatenate(rows, axis=1)
+    u, sing, _ = np.linalg.svd(stacked, full_matrices=False)
+    nullity = int(np.sum(sing <= tol * max(1.0, float(sing[0]))))
+    return nullity, np.einsum("uc,uij->cij", u[:, d - nullity:], basis)
 
 
 def centralizer_dimension(mats, tol=1e-8):
     """dim of {b in so(r): [b, a_i] = 0 for all i}."""
-    mats = np.asarray(mats, dtype=float)
-    r = mats.shape[1]
-    basis = so_basis(r)
-    rows = []
-    for a in mats:
-        block = np.einsum("uij,jk->uik", basis, a) - np.einsum("ij,ujk->uik", a, basis)
-        rows.append(block.reshape(basis.shape[0], -1))
-    stacked = np.concatenate(rows, axis=1)
-    sing = np.linalg.svd(stacked, compute_uv=False)
-    return int(np.sum(sing <= tol * max(1.0, sing[0])))
+    return centralizer(mats, tol)[0]
 
 
 def equivalence_invariants(mats):

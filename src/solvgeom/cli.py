@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import deserialize, iwasawa_check, validate
+from .algebra import TOL_EXACT, deserialize, iwasawa_check, validate
 from .carnot import (
     DataTriple,
     _orthonormalize_family,
@@ -70,8 +70,7 @@ from .symtwist import (
 )
 
 DEFAULT_SEED = 0xE15731  # 14767921
-TOL_EXACT = 1e-10
-TOL_OPT = 1e-8
+SEARCH_TOL = 1e-8   # residual below which a uniform-subspace search counts as found
 
 _SO4_EXPECTED_COUNTS = {1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1}
 
@@ -287,7 +286,6 @@ def _build_space(args):
 
 def cmd_verify(args):
     rep = Report(_echo(args), args.seed)
-    tol = args.tol if args.tol is not None else TOL_EXACT
     target = args.target
     if target == "complex-hyperbolic":
         n = args.n if args.n is not None else 2
@@ -298,11 +296,10 @@ def cmd_verify(args):
     elif target == "carnot":
         if args.r is None or args.s is None:
             raise ValueError("builtin carnot needs --r and --s")
-        trials = args.trials if args.trials is not None else 200
-        cand = search_uniform(args.r, args.s, restarts=trials, seed=args.seed)
-        found = cand.residual <= TOL_OPT
+        cand = search_uniform(args.r, args.s, restarts=args.trials, seed=args.seed)
+        found = cand.residual <= SEARCH_TOL
         rep.add("uniform-search", "pass" if found else "evidence",
-                cand.residual, TOL_OPT, "uniform-subspace")
+                cand.residual, SEARCH_TOL, "uniform-subspace")
         mats = _orthonormalize_family(cand.matrices)
         triple = DataTriple(r=args.r, s=args.s, j_mats=mats)
         cond = einstein_conditions(triple)
@@ -312,15 +309,14 @@ def cmd_verify(args):
     else:
         with open(target) as fh:
             alg = deserialize(fh.read())
-    _algebra_records(rep, alg, tol)
+    _algebra_records(rep, alg, args.tol)
     return rep.emit(args.out)
 
 
 def cmd_carnot_search(args):
     rep = Report(_echo(args), args.seed)
-    trials = args.trials if args.trials is not None else 200
-    tol = args.tol if args.tol is not None else TOL_OPT
-    cand = search_uniform(args.r, args.s, restarts=trials, seed=args.seed)
+    tol = args.tol
+    cand = search_uniform(args.r, args.s, restarts=args.trials, seed=args.seed)
     found = cand.residual <= tol
     rep.add("best-residual", "pass" if found else "evidence",
             cand.residual, tol, "uniform-subspace" if found
@@ -342,10 +338,9 @@ def cmd_carnot_search(args):
 
 def cmd_classify_so4(args):
     rep = Report(_echo(args), args.seed)
-    trials = args.trials if args.trials is not None else 200
     wanted = [args.s] if args.s is not None else list(range(1, 7))
     for s in wanted:
-        classes = classify_uniform_so4(s, trials=trials, seed=args.seed)
+        classes = classify_uniform_so4(s, trials=args.trials, seed=args.seed)
         expected = _SO4_EXPECTED_COUNTS[s]
         rep.check(f"so4-classes-s{s}", len(classes) == expected,
                   len(classes), expected, "so4-class-counts")
@@ -358,8 +353,7 @@ def cmd_family_report(args):
         points = family_grid(n_lat=args.grid, n_az=4 * args.grid)
     else:
         points = family_grid()
-    samples = args.samples if args.samples is not None else 200
-    rows = family_report(points=points, samples=samples, seed=args.seed)
+    rows = family_report(points=points, samples=args.samples, seed=args.seed)
 
     rep.add("grid-points", "pass", len(rows), None, "plumbing")
     eres = max(r.einstein_residual for r in rows)
@@ -406,17 +400,15 @@ def cmd_family_report(args):
 def cmd_family_margin(args):
     rep = Report(_echo(args), args.seed)
     triple = induced_triple(args.r, args.s, args.t)
-    samples = args.samples if args.samples is not None else 10000
-    descents = args.descents if args.descents is not None else 100
-    margin = negative_curvature_margin(triple, samples=samples,
-                                       descents=descents, seed=args.seed)
+    margin = negative_curvature_margin(triple, samples=args.samples,
+                                       descents=args.descents, seed=args.seed)
     rep.add("min-margin", "evidence", margin, None, "curvature-margin")
     return rep.emit(args.out)
 
 
 def cmd_symmetric_build(args):
     rep = Report(_echo(args), args.seed)
-    tol = args.tol if args.tol is not None else TOL_EXACT
+    tol = args.tol
     rda = _build_space(args)
     rep.add("space", "pass", rda.tag, None, "plumbing")
     rep.add("dim", "pass", rda.dim, None, "plumbing")
@@ -443,7 +435,7 @@ def cmd_symmetric_build(args):
 
 def cmd_symmetric_twist(args):
     rep = Report(_echo(args), args.seed)
-    tol = args.tol if args.tol is not None else TOL_EXACT
+    tol = args.tol
     rda = _build_space(args)
     rep.add("space", "pass", rda.tag, None, "plumbing")
     assignment = _resolve_twist(rda, args.twist or "paper")
@@ -487,9 +479,9 @@ def _echo(args):
     return " ".join(args._argv)
 
 
-def _add_common(p):
+def _add_common(p, tol=TOL_EXACT):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=None)
+    p.add_argument("--tol", type=float, default=tol)
     p.add_argument("--out", default=None, help="also write the report/output here")
 
 
@@ -509,7 +501,7 @@ def build_parser():
     pv.add_argument("--dim", type=int, default=None)
     pv.add_argument("--r", type=int, default=None)
     pv.add_argument("--s", type=int, default=None)
-    pv.add_argument("--trials", type=int, default=None)
+    pv.add_argument("--trials", type=int, default=200)
     _add_common(pv)
     pv.set_defaults(func=cmd_verify)
 
@@ -518,34 +510,34 @@ def build_parser():
     ps = csub.add_parser("search")
     ps.add_argument("--r", type=int, required=True)
     ps.add_argument("--s", type=int, required=True)
-    ps.add_argument("--trials", type=int, default=None)
-    _add_common(ps)
+    ps.add_argument("--trials", type=int, default=200)
+    _add_common(ps, tol=SEARCH_TOL)
     ps.set_defaults(func=cmd_carnot_search)
     pk = csub.add_parser("classify-so4")
     pk.add_argument("--s", type=int, default=None, choices=range(1, 7))
-    pk.add_argument("--trials", type=int, default=None)
+    pk.add_argument("--trials", type=int, default=200)
     _add_common(pk)
     pk.set_defaults(func=cmd_classify_so4)
     pcv = csub.add_parser("verify")
     pcv.add_argument("--r", type=int, required=True)
     pcv.add_argument("--s", type=int, required=True)
-    pcv.add_argument("--trials", type=int, default=None)
+    pcv.add_argument("--trials", type=int, default=200)
     _add_common(pcv)
-    pcv.set_defaults(func=lambda a: cmd_verify(_as_verify(a)))
+    pcv.set_defaults(func=cmd_verify, target="carnot", n=None, dim=None)
 
     pf = sub.add_parser("family", help="the so(6) two-parameter family")
     fsub = pf.add_subparsers(dest="subcommand", required=True)
     pr = fsub.add_parser("report")
     pr.add_argument("--grid", type=int, default=None)
-    pr.add_argument("--samples", type=int, default=None)
+    pr.add_argument("--samples", type=int, default=200)
     _add_common(pr)
     pr.set_defaults(func=cmd_family_report)
     pm = fsub.add_parser("margin")
     pm.add_argument("--r", type=float, default=1.0)
     pm.add_argument("--s", type=float, default=0.0)
     pm.add_argument("--t", type=float, default=0.0)
-    pm.add_argument("--samples", type=int, default=None)
-    pm.add_argument("--descents", type=int, default=None)
+    pm.add_argument("--samples", type=int, default=10000)
+    pm.add_argument("--descents", type=int, default=100)
     _add_common(pm)
     pm.set_defaults(func=cmd_family_margin)
 
@@ -580,26 +572,13 @@ def build_parser():
     return parser
 
 
-class _Shim:
-    pass
-
-
-def _as_verify(args):
-    shim = _Shim()
-    shim._argv = args._argv
-    shim.target = "carnot"
-    shim.n = None
-    shim.dim = None
-    for field in ("r", "s", "trials", "seed", "tol", "out"):
-        setattr(shim, field, getattr(args, field))
-    return shim
+PARSER = build_parser()
 
 
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = PARSER.parse_args(argv)
     args._argv = list(argv)
     try:
         return args.func(args)

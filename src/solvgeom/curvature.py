@@ -13,7 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import TOL_EXACT, ad_matrix, orthonormal_frame
+from .algebra import MetricLieAlgebra, ad_matrix, restricted_symmetric
 
 __all__ = [
     "EinsteinVerdict",
@@ -122,11 +122,9 @@ def eigenvalue_type(alg, direction=None, tol=1e-8):
     if direction is None:
         h = mean_curvature(alg)
         direction = h / alg.norm(h)
-    n_idx = list(alg.n_indices)
-    m = ad_matrix(alg, np.asarray(direction, dtype=float))[np.ix_(n_idx, n_idx)]
-    f = orthonormal_frame(alg.gram[np.ix_(n_idx, n_idx)])
-    mo = np.linalg.inv(f) @ m @ f
-    vals = np.sort(np.linalg.eigvalsh(0.5 * (mo + mo.T)))
+    m = ad_matrix(alg, np.asarray(direction, dtype=float))
+    (sym,) = restricted_symmetric(alg, [m], list(alg.n_indices))
+    vals = np.sort(np.linalg.eigvalsh(sym))
 
     reps, mults = [], []
     for v in vals:
@@ -160,12 +158,9 @@ def rank_one_reduction(alg):
     Returns a decorated algebra on basis {H/|H|} + n-basis.  For a standard
     Einstein algebra the reduction is Einstein with the same constant.
     """
-    from .algebra import MetricLieAlgebra
-
     if not alg.decorated:
         raise ValueError("rank_one_reduction needs an Iwasawa decoration")
     h = mean_curvature(alg)
-    a_idx = list(alg.a_indices)
     n_idx = list(alg.n_indices)
     off = [abs(h[i]) for i in n_idx]
     if off and max(off) > 1e-9:
@@ -177,17 +172,10 @@ def rank_one_reduction(alg):
 
     dim = 1 + len(n_idx)
     c = np.zeros((dim, dim, dim))
-    adh = ad_matrix(alg, hu)
-    for a, i in enumerate(n_idx):
-        img = adh[:, i]
-        for b, j in enumerate(n_idx):
-            c[0, 1 + a, 1 + b] = img[j]
-            c[1 + a, 0, 1 + b] = -img[j]
-    for a, i in enumerate(n_idx):
-        for b, j in enumerate(n_idx):
-            br = alg.c[i, j, :]
-            for k, l in enumerate(n_idx):
-                c[1 + a, 1 + b, 1 + k] = br[l]
+    adh_n = ad_matrix(alg, hu)[np.ix_(n_idx, n_idx)].T
+    c[0, 1:, 1:] = adh_n
+    c[1:, 0, 1:] = -adh_n
+    c[1:, 1:, 1:] = alg.c[np.ix_(n_idx, n_idx, n_idx)]
 
     gram = np.zeros((dim, dim))
     gram[0, 0] = 1.0

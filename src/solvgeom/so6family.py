@@ -12,7 +12,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .carnot import DataTriple, build_solvmanifold, einstein_conditions, so_basis, so_inner
+from .carnot import (
+    DataTriple,
+    _orthonormalize_family,
+    build_solvmanifold,
+    centralizer,
+    einstein_conditions,
+    so_gram,
+)
 from .curvature import sectional
 
 __all__ = [
@@ -80,45 +87,17 @@ def induced_triple(r, s, t, signs=None):
     return DataTriple(r=6, s=3, j_mats=W_of(r, s, t, signs))
 
 
-def _coords(mats, basis):
-    mats = np.asarray(mats, dtype=float)
-    if mats.ndim == 2:
-        mats = mats[None]
-    return np.array([[so_inner(m, b) for b in basis] for m in mats])
-
-
-def _orthonormal_rows(coords, tol=1e-12):
-    gram = coords @ coords.T
-    vals, vecs = np.linalg.eigh(gram)
-    keep = vals > tol
-    return (vecs[:, keep] / np.sqrt(vals[keep])).T @ coords
-
-
 def centralizer_in_so6(mats, tol=1e-10):
     """(dimension, basis matrices) of {P in so(6): [P, D_i] = 0 for all i}."""
-    basis = so_basis(6)
-    rows = []
-    for d in mats:
-        block = np.einsum("uij,jk->uik", basis, d) - np.einsum("ij,ujk->uik", d, basis)
-        rows.append(block.reshape(basis.shape[0], -1))
-    stacked = np.concatenate(rows, axis=1)
-    u, sing, _ = np.linalg.svd(stacked, full_matrices=True)
-    null = sing <= tol * max(1.0, float(sing[0]) if sing.size else 1.0)
-    nullity = int(np.sum(null)) + (basis.shape[0] - len(sing))
-    if nullity == 0:
-        return 0, np.zeros((0, 6, 6))
-    vecs = u[:, basis.shape[0] - nullity:]
-    return nullity, np.einsum("uc,uij->cij", vecs, basis)
+    return centralizer(mats, tol)
 
 
 def _principal_cos(mats_a, mats_b):
     """Largest cosine of a principal angle between the two spans."""
-    basis = so_basis(6)
-    ca = _orthonormal_rows(_coords(mats_a, basis))
-    cb = _orthonormal_rows(_coords(mats_b, basis))
-    if ca.shape[0] == 0 or cb.shape[0] == 0:
+    if len(mats_a) == 0 or len(mats_b) == 0:
         return float("nan")
-    sing = np.linalg.svd(ca @ cb.T, compute_uv=False)
+    cos = so_gram(_orthonormalize_family(mats_a), _orthonormalize_family(mats_b))
+    sing = np.linalg.svd(cos, compute_uv=False)
     return float(min(sing[0], 1.0))
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, from_sparse
+from .algebra import MetricLieAlgebra, ad_matrix, from_sparse, orthonormal_frame
 from .curvature import einstein_verdict
 
 __all__ = [
@@ -87,9 +87,11 @@ class TwistAssignment:
 # --- generic assembly from matrices -----------------------------------------
 
 
-def _flat(m):
-    m = np.asarray(m, dtype=complex)
-    return np.concatenate([m.real.ravel(), m.imag.ravel()])
+def _flat(stack):
+    """Rows of real coordinates (real parts, then imaginary parts) of a stack
+    of complex matrices."""
+    rows = np.asarray(stack, dtype=complex).reshape(len(stack), -1)
+    return np.concatenate([rows.real, rows.imag], axis=1)
 
 
 def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
@@ -97,11 +99,11 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
     """Orthonormality is asserted, structure constants are computed by exact
     expansion of matrix commutators, and the root decoration is validated
     against the actual ad(a) eigenvalues."""
-    mats = list(a_mats) + list(n_mats)
-    la, dim = len(a_mats), len(a_mats) + len(n_mats)
+    mats = np.asarray(list(a_mats) + list(n_mats), dtype=complex)
+    la, dim = len(a_mats), len(mats)
     names = tuple(a_names) + tuple(n_names)
 
-    basis_flat = np.stack([_flat(m) for m in mats])        # (dim, 2 s^2)
+    basis_flat = _flat(mats)        # (dim, 2 s^2)
     # in every family the shipped inner product is a block-constant multiple of
     # the Frobenius form, so orthonormality of the basis reduces to the flat
     # gram being diagonal with the norms the builders already fixed
@@ -109,21 +111,23 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
     if float(np.max(np.abs(gmat - np.diag(np.diag(gmat))))) > 1e-10:
         raise ValueError(f"{tag}: basis is not orthogonal")
 
-    entries = []
-    pinv = np.linalg.pinv(basis_flat.T)
-    for i in range(dim):
-        for j in range(i + 1, dim):
-            com = mats[i] @ mats[j] - mats[j] @ mats[i]
-            target = _flat(com)
-            coeff = pinv @ target
-            resid = float(np.max(np.abs(basis_flat.T @ coeff - target)))
-            if resid > tol:
-                raise ValueError(
-                    f"{tag}: [{names[i]}, {names[j]}] leaves the span (residual {resid:.2e})"
-                )
-            for k in range(dim):
-                if abs(coeff[k]) > 1e-12:
-                    entries.append((i, j, k, float(coeff[k])))
+    # project every commutator [e_i, e_j], i < j, onto the orthogonal basis
+    pairs = np.triu_indices(dim, 1)
+    left, right = mats[pairs[0]], mats[pairs[1]]
+    targets = _flat(left @ right - right @ left)
+    coeffs = (targets @ basis_flat.T) / np.diag(gmat)
+    resid = np.max(np.abs(coeffs @ basis_flat - targets), axis=1, initial=0.0)
+    bad = np.flatnonzero(resid > tol)
+    if bad.size:
+        t = bad[0]
+        i, j = pairs[0][t], pairs[1][t]
+        raise ValueError(
+            f"{tag}: [{names[i]}, {names[j]}] leaves the span (residual {resid[t]:.2e})"
+        )
+    entries = [
+        (int(pairs[0][t]), int(pairs[1][t]), int(k), float(coeffs[t, k]))
+        for t, k in zip(*np.nonzero(np.abs(coeffs) > 1e-12))
+    ]
 
     roots = tuple([None] * la) + tuple(tuple(r) for r in n_roots)
     alg = from_sparse(
@@ -139,7 +143,7 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
     # ad(a) must act diagonally on the n-basis, linearly in the root tuples
     root_mat = np.array([list(r) for r in n_roots], dtype=float)  # (nn, rank)
     for ai in range(la):
-        adm = np.einsum("ijk,i->kj", alg.c, alg.basis_vector(ai))
+        adm = ad_matrix(alg, alg.basis_vector(ai))
         block = adm[la:, la:]
         off = block - np.diag(np.diag(block))
         if float(np.max(np.abs(off))) > tol:
@@ -161,14 +165,11 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
     )
 
 
-def _orthonormalize_rows(vectors):
-    """Modified Gram-Schmidt on rows of a real matrix."""
-    v = np.array(vectors, dtype=float)
-    for i in range(v.shape[0]):
-        for j in range(i):
-            v[i] -= (v[i] @ v[j]) * v[j]
-        v[i] /= np.linalg.norm(v[i])
-    return v
+def _trace_free_diagonals(n):
+    """Orthonormal rows spanning the trace-free diagonals of gl(n): the simple
+    coroots e_l - e_(l+1), orthonormalized in order."""
+    v = np.eye(n)[:-1] - np.eye(n)[1:]
+    return orthonormal_frame(v @ v.T).T @ v
 
 
 # --- sign twists -------------------------------------------------------------
@@ -779,9 +780,7 @@ def build_sl_nH(n):
         m[i - 1, j - 1] = 1.0
         return m
 
-    diag_basis = _orthonormalize_rows(
-        [np.eye(n)[l] - np.eye(n)[l + 1] for l in range(n - 1)]
-    )
+    diag_basis = _trace_free_diagonals(n)
     a_mats, a_names = [], []
     for l, v in enumerate(diag_basis):
         h = np.zeros((size, size), dtype=complex)
@@ -832,9 +831,7 @@ def build_type_iv_sl(n):
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    diag_basis = _orthonormalize_rows(
-        [np.eye(n)[l] - np.eye(n)[l + 1] for l in range(n - 1)]
-    )
+    diag_basis = _trace_free_diagonals(n)
     # a-norm is Re tr(XY); rescale rows so diag matrices are unit
     a_mats = [np.diag(v).astype(complex) for v in diag_basis]
     a_names = [f"a{l+1}" for l in range(n - 1)]
@@ -867,10 +864,8 @@ def build_sl_nR(n):
     spaces, so every closed twist is a restricted-height twist."""
     if n < 2:
         raise ValueError("need n >= 2")
-    diag_basis = _orthonormalize_rows(
-        [np.eye(n)[l] - np.eye(n)[l + 1] for l in range(n - 1)]
-    )
-    a_mats = [np.diag(v).astype(complex) for l, v in enumerate(diag_basis)]
+    diag_basis = _trace_free_diagonals(n)
+    a_mats = [np.diag(v).astype(complex) for v in diag_basis]
     a_names = [f"a{l+1}" for l in range(n - 1)]
 
     n_mats, n_names, n_roots, n_groups = [], [], [], []

@@ -20,7 +20,22 @@ from solvgeom.algebra import (
     serialize,
     validate,
 )
-from solvgeom.carnot import build_solvmanifold, complex_hyperbolic_triple
+from solvgeom.carnot import (
+    build_solvmanifold,
+    complex_hyperbolic_triple,
+    real_hyperbolic_triple,
+)
+from solvgeom.symtwist import (
+    build_sl_nH,
+    build_sl_nR,
+    build_so_nH,
+    build_so_pq,
+    build_sp_pq,
+    build_su_pq,
+    build_type_iv_sl,
+    restricted_height_twist,
+    twist,
+)
 
 
 def so3():
@@ -205,14 +220,35 @@ def test_iwasawa_nonsymmetric_ad_fails_cond_ii():
     assert rep.symmetry_residual > 0.1
 
 
+def _round_trip_algebras():
+    """Every builder, untwisted and twisted, plus a decorated algebra with a
+    non-identity Gram matrix."""
+    algs = [
+        build_solvmanifold(complex_hyperbolic_triple(2)),
+        build_solvmanifold(real_hyperbolic_triple(3)),
+    ]
+    for rda in (build_so_pq(2, 3), build_su_pq(2, 2), build_sp_pq(1, 2),
+                build_so_nH(4), build_sl_nH(2), build_type_iv_sl(3), build_sl_nR(3)):
+        algs.append(rda.base)
+        algs.append(twist(rda, restricted_height_twist(rda, [0])).base)
+    base = algs[0]
+    g = np.random.default_rng(5).standard_normal((base.dim, base.dim))
+    algs.append(MetricLieAlgebra(
+        c=base.c, gram=g @ g.T + 2.0 * np.eye(base.dim), labels=base.labels,
+        a_indices=base.a_indices, n_indices=base.n_indices,
+    ))
+    return algs
+
+
 def test_serialize_round_trip_identity_gram():
-    alg = build_solvmanifold(complex_hyperbolic_triple(2))
-    back = deserialize(serialize(alg))
-    assert np.array_equal(back.c, alg.c)
-    assert np.array_equal(back.gram, alg.gram)
-    assert back.labels == alg.labels
-    assert back.a_indices == alg.a_indices
-    assert back.n_indices == alg.n_indices
+    for alg in _round_trip_algebras():
+        back = deserialize(serialize(alg))
+        assert np.array_equal(back.c, alg.c)
+        assert np.array_equal(back.gram, alg.gram)
+        assert back.labels == alg.labels
+        assert back.a_indices == alg.a_indices
+        assert back.n_indices == alg.n_indices
+        assert back.roots == alg.roots
 
 
 def test_serialize_round_trip_general_gram():
@@ -251,15 +287,30 @@ def test_deserialize_rejects_malformed():
         deserialize("[1, 2, 3]")
     with pytest.raises(ValueError):
         deserialize('{"labels": []}')
-    with pytest.raises(ValueError):
-        deserialize('{"dim": 0}')
+    for doc in (
+        '{"dim": 0}',
+        '{"dim": null}',
+        '{"dim": 3, "labels": ["A", "B"]}',
+        '{"dim": 2, "labels": "AB"}',
+        '{"dim": 2, "decoration": [0]}',
+        '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": [null]}}',
+    ):
+        with pytest.raises(ValueError):
+            deserialize(doc)
 
 
 def test_deserialize_rejects_bad_structure_rows():
-    with pytest.raises(ValueError):
-        deserialize('{"dim": 2, "structure": [[1, 0, 0, 1.0]]}')
-    with pytest.raises(ValueError):
-        deserialize('{"dim": 2, "structure": [[0, 1, 0, NaN]]}')
+    for rows in (
+        "[[1, 0, 0, 1.0]]",
+        "[[0, 1, 0, NaN]]",
+        "[[0, 1, 2]]",
+        "[[0, 1, 0, 1.0, 5]]",
+        "[[0, 1, 2, 1.0]]",
+        "[[0, 1, null, 1.0]]",
+        "7",
+    ):
+        with pytest.raises(ValueError):
+            deserialize('{"dim": 2, "structure": ' + rows + "}")
 
 
 def test_deserialize_rejects_indefinite_gram():

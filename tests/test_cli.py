@@ -82,11 +82,20 @@ def test_verify_non_einstein_file_exits_1(tmp_path):
 
 def test_verify_corrupted_file_exits_2(tmp_path):
     path = tmp_path / "broken.json"
-    path.write_text("{this is not json")
-    code, out, err = run(["verify", str(path)])
-    assert code == 2
-    assert out == ""
-    assert err.startswith("error:")
+    for text in (
+        "{this is not json",
+        '{"dim": 3, "structure": [[0, 1, 2]]}',               # three fields
+        '{"dim": 3, "structure": [[0, 1, 3, 1.0]]}',          # k outside the basis
+        '{"dim": 3, "labels": ["A", "B"], "structure": []}',  # labels too short
+        '{"dim": 3, "structure": [], "decoration": {"a_indices": [0], '
+        '"n_indices": [1, 2], "roots": [null, [1]]}}',        # roots too short
+    ):
+        path.write_text(text)
+        code, out, err = run(["verify", str(path)])
+        assert code == 2, text
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
 
 
 def test_verify_missing_file_exits_2(tmp_path):
@@ -111,6 +120,16 @@ def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def test_carnot_verify_matches_verify_carnot():
+    flags = ["--r", "4", "--s", "2", "--trials", "10", "--seed", "3"]
+    code_a, out_a, _ = run(["carnot", "verify"] + flags)
+    code_b, out_b, _ = run(["verify", "carnot"] + flags)
+    assert code_a == code_b == 0
+    assert out_a.startswith("# command: carnot verify ")
+    assert out_a.splitlines()[1:] == out_b.splitlines()[1:]
+    assert records(out_a)["einstein"][0] == "pass"
 
 
 def test_carnot_search_finds_uniform_pair():

@@ -6,6 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
+from solvgeom import symtwist
 from solvgeom.algebra import validate
 from solvgeom.curvature import einstein_verdict, ricci, sectional
 from solvgeom.symtwist import (
@@ -371,3 +372,37 @@ def test_twisted_algebra_still_valid_but_curvature_changes():
     assert rep.ok and rep.jacobi_residual <= 1e-10
     # structure constants differ from the original on the odd-odd block
     assert np.max(np.abs(tw.base.c - rda.base.c)) > 0.1
+
+
+def so24_assembly_inputs(monkeypatch):
+    """The matrices and decoration build_so_pq(2, 4) hands to _assemble."""
+    captured = {}
+    assemble = symtwist._assemble
+
+    def capture(*args, **kwargs):
+        captured["args"], captured["kwargs"] = list(args), kwargs
+        return assemble(*args, **kwargs)
+
+    monkeypatch.setattr(symtwist, "_assemble", capture)
+    build_so_pq(2, 4)
+    return captured["args"], captured["kwargs"]
+
+
+def test_assemble_rejects_non_orthogonal_basis(monkeypatch):
+    args, kwargs = so24_assembly_inputs(monkeypatch)
+    n_mats = list(args[3])
+    n_mats[1] = n_mats[0] + n_mats[1]
+    args[3] = n_mats
+    with pytest.raises(ValueError, match="basis is not orthogonal"):
+        symtwist._assemble(*args, **kwargs)
+
+
+def test_assemble_rejects_bracket_leaving_the_span(monkeypatch):
+    args, kwargs = so24_assembly_inputs(monkeypatch)
+    tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups = args
+    drop = n_names.index("p21")     # [w1c1, w2c1] lands on p21
+    keep = [t for t in range(len(n_names)) if t != drop]
+    pick = lambda seq: [seq[t] for t in keep]
+    with pytest.raises(ValueError, match=r"\[w1c1, w2c1\] leaves the span"):
+        symtwist._assemble(tag, a_mats, a_names, pick(n_mats), pick(n_names),
+                           pick(n_roots), pick(n_cols), pick(n_groups), **kwargs)
