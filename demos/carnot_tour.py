@@ -17,7 +17,7 @@ from solvgeom.carnot import (
     real_hyperbolic_triple,
     search_uniform,
 )
-from solvgeom.curvature import eigenvalue_type, einstein_verdict, sectional
+from solvgeom.curvature import eigenvalue_type, einstein_verdict, sectionals
 
 SEED = 0xE15731
 
@@ -40,7 +40,8 @@ for n in (2, 3, 4):
 # constant curvature spot check on RH^4
 alg = build_solvmanifold(real_hyperbolic_triple(4))
 rng = np.random.default_rng(SEED)
-ks = [sectional(alg, rng.standard_normal(4), rng.standard_normal(4)) for _ in range(6)]
+xy = rng.standard_normal((6, 2, 4))
+ks = sectionals(alg, xy[:, 0], xy[:, 1])
 print("RH^4 sectional curvatures:", np.round(ks, 12))
 
 print()

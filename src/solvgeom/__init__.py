@@ -40,6 +40,7 @@ from .curvature import (
     ricci,
     einstein_verdict,
     sectional,
+    sectionals,
     eigenvalue_type,
     rank_one_reduction,
 )

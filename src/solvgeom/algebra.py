@@ -86,9 +86,9 @@ class MetricLieAlgebra:
     a_indices: tuple = ()
     n_indices: tuple = ()
     roots: tuple = ()
-    frame: np.ndarray = field(default=None, repr=False)
-    frame_inv: np.ndarray = field(default=None, repr=False)
-    c_frame: np.ndarray = field(default=None, repr=False)
+    frame: np.ndarray = field(init=False, repr=False)
+    frame_inv: np.ndarray = field(init=False, repr=False)
+    c_frame: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         self.c = np.asarray(self.c, dtype=float)

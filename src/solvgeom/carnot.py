@@ -312,6 +312,8 @@ def search_uniform(r, s, restarts=200, seed=0, rng=None):
     d = r * (r - 1) // 2
     if not 0 < s <= d:
         raise ValueError(f"need 0 < s <= dim so({r}) = {d}")
+    if restarts < 1:
+        raise ValueError(f"need at least one restart (--trials >= 1), got {restarts}")
     basis = so_basis(r)
     if rng is None:
         rng = np.random.default_rng(seed)

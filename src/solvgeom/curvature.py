@@ -1,8 +1,8 @@
 """Curvature of left-invariant metrics from structure constants.
 
-Everything is computed in the cached orthonormal frame of the algebra and
-mapped back to the original basis, so non-identity Gram matrices cost one
-congruence transform and nothing else.
+Every formula runs in the orthonormal frame cached by `MetricLieAlgebra`
+(`frame`, `frame_inv`, `c_frame`), so a non-identity Gram matrix costs no
+linear solve; `einstein_verdict` alone solves once, for the Einstein constant.
 """
 
 from __future__ import annotations
@@ -23,27 +23,27 @@ __all__ = [
     "ricci",
     "einstein_verdict",
     "sectional",
+    "sectionals",
     "eigenvalue_type",
     "rank_one_reduction",
 ]
 
 
+def _u_frame(c_frame, x, y):
+    """U(x, y) in frame coordinates, for vectors or row stacks x, y."""
+    u = np.einsum("zjk,...j,...k->...z", c_frame, x, y)
+    return 0.5 * (u + np.einsum("zjk,...j,...k->...z", c_frame, y, x))
+
+
 def U_map(alg, x, y):
     """Symmetric bilinear U with 2<U(x,y),z> = <[z,x],y> + <[z,y],x> for all z."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    g = alg.gram
-    u = 0.5 * (
-        np.einsum("zjk,j,kl,l->z", alg.c, x, g, y)
-        + np.einsum("zjk,j,kl,l->z", alg.c, y, g, x)
-    )
-    return np.linalg.solve(g, u)
+    x, y = np.asarray([x, y], dtype=float) @ alg.frame_inv.T
+    return alg.frame @ _u_frame(alg.c_frame, x, y)
 
 
 def mean_curvature(alg):
     """H with <H, x> = tr ad(x); equals sum_i U(f_i, f_i) over any orthonormal frame."""
-    t = np.einsum("zkk->z", alg.c)
-    return np.linalg.solve(alg.gram, t)
+    return alg.frame @ np.einsum("zkk->z", alg.c_frame)
 
 
 def ricci(alg):
@@ -82,26 +82,36 @@ def einstein_verdict(alg, tol=1e-9):
 
 def sectional(alg, x, y):
     """Sectional curvature of span{x, y}; inputs need not be orthonormal."""
-    x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    nx = alg.norm(x)
-    if nx <= 1e-14:
-        raise ValueError("x is numerically zero")
-    u = x / nx
-    w = y - alg.inner(y, u) * u
-    nw = alg.norm(w)
-    if nw <= 1e-12 * max(1.0, alg.norm(y)):
-        raise ValueError("x and y are linearly dependent")
-    w = w / nw
+    return float(sectionals(alg, np.asarray(x)[None], np.asarray(y)[None])[0])
 
-    br = alg.bracket(u, w)
-    term = -0.75 * alg.inner(br, br)
-    term -= 0.5 * alg.inner(alg.bracket(u, br), w)
-    term -= 0.5 * alg.inner(alg.bracket(w, alg.bracket(w, u)), u)
-    uxy = U_map(alg, u, w)
-    term += alg.inner(uxy, uxy)
-    term -= alg.inner(U_map(alg, u, u), U_map(alg, w, w))
-    return float(term)
+
+def sectionals(alg, xs, ys):
+    """Sectional curvatures of the planes span{xs[n], ys[n]} for (N, dim) stacks.
+
+    With (u, w) the Gram-Schmidt pair of each row in frame coordinates,
+    K = -3/4 |[u,w]|^2 - 1/2 <[u,[u,w]],w> - 1/2 <[w,[w,u]],u>
+        + |U(u,w)|^2 - <U(u,u),U(w,w)>.
+    """
+    xs = np.asarray(xs, dtype=float) @ alg.frame_inv.T
+    ys = np.asarray(ys, dtype=float) @ alg.frame_inv.T
+    nx = np.linalg.norm(xs, axis=1)
+    if np.any(nx <= 1e-14):
+        raise ValueError("x is numerically zero")
+    u = xs / nx[:, None]
+    w = ys - np.sum(ys * u, axis=1)[:, None] * u
+    nw = np.linalg.norm(w, axis=1)
+    if np.any(nw <= 1e-12 * np.maximum(1.0, np.linalg.norm(ys, axis=1))):
+        raise ValueError("x and y are linearly dependent")
+    w = w / nw[:, None]
+
+    c = alg.c_frame
+    uw = np.einsum("ijk,ni,nj->nk", c, u, w)
+    u_uw = np.einsum("ijk,ni,nj->nk", c, u, uw)
+    w_uw = np.einsum("ijk,ni,nj->nk", c, w, uw)  # -[w,[w,u]]
+    uxy = _u_frame(c, u, w)
+    terms = (-0.75 * uw * uw - 0.5 * u_uw * w + 0.5 * w_uw * u + uxy * uxy
+             - _u_frame(c, u, u) * _u_frame(c, w, w))
+    return terms.sum(axis=1)
 
 
 @dataclass
@@ -138,13 +148,9 @@ def eigenvalue_type(alg, direction=None, tol=1e-8):
         raise ValueError("ad(A)|n has a non-positive eigenvalue; not of Iwasawa type")
 
     fracs = [Fraction(r / reps[0]).limit_denominator(64) for r in reps]
-    lcm = 1
-    for fr in fracs:
-        lcm = lcm * fr.denominator // math.gcd(lcm, fr.denominator)
+    lcm = math.lcm(*(fr.denominator for fr in fracs))
     ints = [int(fr * lcm) for fr in fracs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
+    g = math.gcd(*ints)
     ints = [v // g for v in ints]
     scale = reps[0] / ints[0]
     return EigenvalueType(

@@ -20,7 +20,7 @@ from .carnot import (
     einstein_conditions,
     so_gram,
 )
-from .curvature import sectional
+from .curvature import sectionals
 
 __all__ = [
     "FamilyPoint",
@@ -212,6 +212,8 @@ def negative_curvature_margin(triple, samples=10000, descents=100, seed=0):
 
 def family_grid(n_lat=7, n_az=24):
     """Deterministic grid on the hemisphere t >= 0 (half equator: s >= 0 at t = 0)."""
+    if n_lat < 2:
+        raise ValueError(f"the grid needs at least 2 latitudes (--grid >= 2), got {n_lat}")
     pts = []
     for i in range(n_lat):
         phi = 0.5 * math.pi * i / (n_lat - 1)
@@ -255,24 +257,16 @@ def family_report(points=None, samples=200, seed=0, signs=None):
         cos_c = angle_to_centralizer(r, s, t, signs)
         cos_b = bracket_angle(r, s, t, signs)
         alg = build_solvmanifold(triple)
-        kmin, kmax = math.inf, -math.inf
-        for _ in range(samples):
-            x = rng.standard_normal(alg.dim)
-            y = rng.standard_normal(alg.dim)
-            try:
-                k = sectional(alg, x, y)
-            except ValueError:
-                continue
-            kmin = min(kmin, k)
-            kmax = max(kmax, k)
+        xy = rng.standard_normal((samples, 2, alg.dim))
+        ks = sectionals(alg, xy[:, 0], xy[:, 1])
         rows.append(
             FamilyPoint(
                 r=r, s=s, t=t,
                 einstein_residual=res,
                 cos_angle_centralizer=cos_c,
                 cos_angle_bracket=cos_b,
-                min_sectional=kmin,
-                max_sectional=kmax,
+                min_sectional=float(np.min(ks, initial=math.inf)),
+                max_sectional=float(np.max(ks, initial=-math.inf)),
             )
         )
     return rows

@@ -588,6 +588,8 @@ def _build_grassmannian(field_, p, q):
     expected = d * p * (p - 1) + d * m * p + (d - 1) * p
     if len(n_mats) != expected:
         raise ValueError(f"{tag}: expected dim n = {expected}, built {len(n_mats)}")
+    if not n_mats:
+        raise ValueError(f"{tag} has no restricted roots; need q >= 2")
 
     if m == 0:
         simple = [tuple(ids[k] - ids[k - 1]) for k in range(1, p)]

@@ -67,6 +67,15 @@ def test_shape_checks():
         MetricLieAlgebra(c=np.zeros((2, 2, 2)), gram=np.eye(3))
 
 
+def test_frame_is_derived_not_a_parameter():
+    # frame, frame_inv and c_frame always come from gram in __post_init__
+    with pytest.raises(TypeError):
+        MetricLieAlgebra(c=np.zeros((2, 2, 2)), gram=np.eye(2), frame=np.eye(2))
+    alg = MetricLieAlgebra(c=np.zeros((2, 2, 2)), gram=4.0 * np.eye(2))
+    assert np.allclose(alg.frame, 0.5 * np.eye(2))
+    assert "frame" not in repr(alg)
+
+
 def test_bracket_matches_ad_matrix():
     alg = so3()
     rng = np.random.default_rng(0)

@@ -238,6 +238,11 @@ def test_search_uniform_rejects_bad_dimensions():
         search_uniform(3, 0)
 
 
+def test_search_uniform_needs_a_restart():
+    with pytest.raises(ValueError, match="restart"):
+        search_uniform(4, 2, restarts=0)
+
+
 def test_search_uniform_deterministic_given_seed():
     a = search_uniform(4, 2, restarts=4, seed=123)
     b = search_uniform(4, 2, restarts=4, seed=123)

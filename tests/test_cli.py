@@ -312,6 +312,27 @@ def test_invalid_wa_index_exits_2():
     assert "error:" in err
 
 
+@pytest.mark.parametrize("argv", [
+    ["symmetric", "build", "--space", "so_pq", "--p", "1", "--q", "1"],
+    ["carnot", "search", "--r", "4", "--s", "2", "--trials", "0"],
+    ["carnot", "verify", "--r", "4", "--s", "2", "--trials", "0"],
+    ["verify", "carnot", "--r", "4", "--s", "2", "--trials", "0"],
+    ["family", "report", "--grid", "1"],
+    ["family", "report", "--grid", "0"],
+])
+def test_bad_parameters_exit_2_with_one_error_line(argv):
+    code, _, err = run(argv)
+    assert code == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:")
+
+
+def test_family_report_without_samples_prints_empty_range():
+    code, out, _ = run(["family", "report", "--grid", "2", "--samples", "0"])
+    assert code == 0
+    assert records(out)["sectional-range"][:2] == ("evidence", "inf:-inf")
+
+
 def test_out_file_matches_stdout(tmp_path):
     path = tmp_path / "report.txt"
     code, out, _ = run(

@@ -8,7 +8,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvgeom.algebra import MetricLieAlgebra, from_sparse
+from solvgeom.algebra import (
+    MetricLieAlgebra,
+    ad_matrix,
+    bracket,
+    from_sparse,
+    metric_adjoint,
+)
 from solvgeom.carnot import (
     DataTriple,
     build_solvmanifold,
@@ -24,6 +30,7 @@ from solvgeom.curvature import (
     rank_one_reduction,
     ricci,
     sectional,
+    sectionals,
 )
 from solvgeom.symtwist import build_so_pq
 
@@ -89,6 +96,71 @@ def test_sectional_rejects_degenerate_input():
         sectional(alg, x, 2.0 * x)
     with pytest.raises(ValueError):
         sectional(alg, np.zeros(3), x)
+
+
+def _levi_civita_sectional(alg, x, y):
+    """K(x, y) from the Levi-Civita connection in the original basis,
+    nabla_x y = 1/2 ([x,y] - ad*_x y - ad*_y x), with no orthonormal frame."""
+    def nabla(a, b):
+        return 0.5 * (
+            bracket(alg, a, b)
+            - metric_adjoint(alg, ad_matrix(alg, a)) @ b
+            - metric_adjoint(alg, ad_matrix(alg, b)) @ a
+        )
+
+    r_xyy = nabla(x, nabla(y, y)) - nabla(y, nabla(x, y)) - nabla(bracket(alg, x, y), y)
+    g = alg.inner
+    return g(r_xyy, x) / (g(x, x) * g(y, y) - g(x, y) ** 2)
+
+
+def _random_metric_algebra(rng):
+    """A random two-step extension under a random positive-definite Gram matrix."""
+    r, s = int(rng.integers(2, 6)), int(rng.integers(1, 4))
+    base = build_solvmanifold(random_triple(r, s, rng))
+    g = rng.standard_normal((base.dim, base.dim))
+    return MetricLieAlgebra(c=base.c, gram=g @ g.T + base.dim * np.eye(base.dim))
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_sectionals_match_levi_civita_reference(seed):
+    rng = np.random.default_rng(seed)
+    alg = _random_metric_algebra(rng)
+    xs, ys = rng.standard_normal((2, 6, alg.dim))
+    ks = sectionals(alg, xs, ys)
+    assert ks.shape == (6,)
+    for k, x, y in zip(ks, xs, ys):
+        ref = _levi_civita_sectional(alg, x, y)
+        assert abs(k - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+def test_sectionals_rows_equal_sectional():
+    rng = np.random.default_rng(9)
+    ch3 = build_solvmanifold(complex_hyperbolic_triple(3))
+    for alg in (ch3, _random_metric_algebra(rng)):
+        xs, ys = rng.standard_normal((2, 40, alg.dim))
+        ks = sectionals(alg, xs, ys)
+        for k, x, y in zip(ks, xs, ys):
+            assert abs(k - sectional(alg, x, y)) <= 1e-12
+
+
+def test_sectionals_reject_a_degenerate_row():
+    alg = build_solvmanifold(real_hyperbolic_triple(3))
+    xs, ys = np.random.default_rng(10).standard_normal((2, 5, alg.dim))
+    dependent = ys.copy()
+    dependent[2] = -3.0 * xs[2]
+    with pytest.raises(ValueError, match="linearly dependent"):
+        sectionals(alg, xs, dependent)
+    zero = xs.copy()
+    zero[4] = 0.0
+    with pytest.raises(ValueError, match="numerically zero"):
+        sectionals(alg, zero, ys)
+
+
+def test_sectionals_empty_batch():
+    alg = build_solvmanifold(real_hyperbolic_triple(3))
+    empty = np.empty((0, alg.dim))
+    assert sectionals(alg, empty, empty).shape == (0,)
 
 
 def test_u_map_adjunction_identity():

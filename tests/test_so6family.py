@@ -281,6 +281,13 @@ def test_margin_negative_at_pole():
     assert m < -0.2
 
 
+def test_family_grid_needs_two_latitudes():
+    assert len(family_grid(n_lat=2, n_az=8)) == 9
+    for n_lat in (1, 0):
+        with pytest.raises(ValueError, match="--grid >= 2"):
+            family_grid(n_lat=n_lat)
+
+
 def test_family_grid_shape():
     pts = family_grid()
     assert pts[-1] == (0.0, 0.0, 1.0)

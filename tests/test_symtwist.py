@@ -126,6 +126,8 @@ def test_builder_argument_validation():
         build_so_pq(0, 3)
     with pytest.raises(ValueError):
         build_so_pq(3, 2)
+    with pytest.raises(ValueError, match="no restricted roots"):
+        build_so_pq(1, 1)
     with pytest.raises(ValueError):
         build_so_nH(3)
     with pytest.raises(ValueError):
