@@ -111,9 +111,9 @@ class MetricLieAlgebra:
         # cached orthonormal frame; every curvature formula sums over it
         self.frame = orthonormal_frame(self.gram)
         self.frame_inv = np.linalg.inv(self.frame)
-        self.c_frame = np.einsum(
-            "ia,jb,ijk,lk->abl", self.frame, self.frame, self.c, self.frame_inv
-        )
+        t = np.tensordot(np.tensordot(self.frame, self.c, (0, 0)), self.frame, (1, 0))
+        # frame_inv leads: (l, a, b) strides, the order that ricci's einsums sum in
+        self.c_frame = np.tensordot(self.frame_inv, t, (1, 1)).transpose(1, 2, 0)
 
     @property
     def dim(self):

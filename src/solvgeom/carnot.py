@@ -401,6 +401,8 @@ def classify_uniform_so4(s, trials=200, seed=0, tol=1e-8, cluster_tol=1e-6):
 
     Returns a list of (fingerprint, count, representative matrices).
     """
+    if trials < 1:
+        raise ValueError(f"need at least one trial (--trials >= 1), got {trials}")
     rng = np.random.default_rng(seed)
     classes = []
     found = 0

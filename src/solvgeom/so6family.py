@@ -178,6 +178,9 @@ def negative_curvature_margin(triple, samples=10000, descents=100, seed=0):
     with x _|_ y in R^r, z _|_ w in R^s, unit mixed norms.  A positive
     minimum certifies negative sectional curvature of the extension.
     """
+    if samples < 0 or descents < 0 or samples + descents < 1:
+        raise ValueError("need samples >= 0, descents >= 0 and at least one of them "
+                         f"positive, got samples={samples}, descents={descents}")
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)

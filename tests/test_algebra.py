@@ -1,6 +1,7 @@
 """Core tensor machinery: construction, validation, Iwasawa checks, serialization."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from solvgeom.algebra import (
 from solvgeom.carnot import (
     build_solvmanifold,
     complex_hyperbolic_triple,
+    random_triple,
     real_hyperbolic_triple,
 )
 from solvgeom.symtwist import (
@@ -33,6 +35,7 @@ from solvgeom.symtwist import (
     build_sp_pq,
     build_su_pq,
     build_type_iv_sl,
+    paper_twist_so_nH,
     restricted_height_twist,
     twist,
 )
@@ -187,6 +190,39 @@ def test_cached_frame_transports_structure_constants():
             br = bracket(alg, alg.frame[:, a], alg.frame[:, b])
             back = alg.frame @ alg.c_frame[a, b, :]
             assert np.allclose(br, back, atol=1e-10)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_c_frame_matches_unoptimised_einsum(seed):
+    rng = np.random.default_rng(seed)
+    r, s = int(rng.integers(2, 7)), int(rng.integers(1, 4))
+    base = build_solvmanifold(random_triple(r, s, rng))
+    g = rng.standard_normal((base.dim, base.dim))
+    alg = MetricLieAlgebra(c=base.c, gram=g @ g.T + base.dim * np.eye(base.dim))
+    ref = np.einsum("ia,jb,ijk,lk->abl", alg.frame, alg.frame, alg.c, alg.frame_inv,
+                    optimize=False)
+    assert np.max(np.abs(alg.c_frame - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+
+def test_identity_gram_builders_keep_c_frame_exact():
+    algs = _round_trip_algebras()[:-1]
+    rda = build_so_nH(6)
+    algs += [rda.base, twist(rda, paper_twist_so_nH(rda)).base]
+    for alg in algs:
+        assert np.array_equal(alg.gram, np.eye(alg.dim))
+        assert np.array_equal(alg.c_frame, alg.c)
+        # stored (l, a, b)-contiguous: ricci's einsum sums run in that order
+        assert alg.c_frame.transpose(2, 0, 1).flags.c_contiguous
+
+
+def test_so6H_and_paper_twist_construct_within_one_second():
+    start = time.perf_counter()
+    rda = build_so_nH(6)
+    tw = twist(rda, paper_twist_so_nH(rda))
+    elapsed = time.perf_counter() - start
+    assert tw.base.dim == 30
+    assert elapsed < 1.0, f"so(6,H) build and paper twist took {elapsed:.2f} s"
 
 
 def test_iwasawa_check_on_hyperbolic_build():

@@ -243,6 +243,12 @@ def test_search_uniform_needs_a_restart():
         search_uniform(4, 2, restarts=0)
 
 
+def test_classify_so4_needs_a_trial():
+    for trials in (0, -1):
+        with pytest.raises(ValueError, match="--trials >= 1"):
+            classify_uniform_so4(1, trials=trials)
+
+
 def test_search_uniform_deterministic_given_seed():
     a = search_uniform(4, 2, restarts=4, seed=123)
     b = search_uniform(4, 2, restarts=4, seed=123)

@@ -319,6 +319,10 @@ def test_invalid_wa_index_exits_2():
     ["verify", "carnot", "--r", "4", "--s", "2", "--trials", "0"],
     ["family", "report", "--grid", "1"],
     ["family", "report", "--grid", "0"],
+    ["carnot", "classify-so4", "--trials", "0"],
+    ["family", "margin", "--samples", "0", "--descents", "0"],
+    ["family", "margin", "--samples", "-1", "--descents", "5"],
+    ["family", "margin", "--samples", "5", "--descents", "-1"],
 ])
 def test_bad_parameters_exit_2_with_one_error_line(argv):
     code, _, err = run(argv)

@@ -281,6 +281,15 @@ def test_margin_negative_at_pole():
     assert m < -0.2
 
 
+def test_margin_needs_a_sample_or_a_descent():
+    triple = induced_triple(1.0, 0.0, 0.0)
+    for samples, descents in ((0, 0), (-1, 5), (5, -1)):
+        with pytest.raises(ValueError, match="samples"):
+            negative_curvature_margin(triple, samples=samples, descents=descents)
+    assert negative_curvature_margin(triple, samples=0, descents=1) < math.inf
+    assert negative_curvature_margin(triple, samples=1, descents=0) < math.inf
+
+
 def test_family_grid_needs_two_latitudes():
     assert len(family_grid(n_lat=2, n_az=8)) == 9
     for n_lat in (1, 0):
