@@ -8,6 +8,7 @@ only needs to worry about Jacobi and the metric.
 
 from __future__ import annotations
 
+import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -59,16 +60,12 @@ def orthonormal_frame(gram):
 
 
 def restricted_symmetric(alg, mats, idx):
-    """Symmetric parts of the blocks m[idx, idx], written in an orthonormal
-    frame of span{e_i : i in idx}."""
+    """Symmetric parts of the blocks m[idx, idx] of a stack of matrices,
+    written in an orthonormal frame of span{e_i : i in idx}."""
     block = np.ix_(idx, idx)
     f = orthonormal_frame(alg.gram[block])
-    f_inv = np.linalg.inv(f)
-    ops = []
-    for m in mats:
-        mo = f_inv @ m[block] @ f
-        ops.append(0.5 * (mo + mo.T))
-    return ops
+    mo = np.linalg.inv(f) @ np.asarray(mats)[:, block[0], block[1]] @ f
+    return 0.5 * (mo + mo.transpose(0, 2, 1))
 
 
 @dataclass
@@ -187,21 +184,25 @@ class ValidationReport:
     jacobi_residual: float
     antisym_residual: float
     gram_min_eig: float
+    gram_symmetry_defect: float
     ok: bool
 
 
 def validate(alg, tol=TOL_EXACT):
-    """Check antisymmetry, Jacobi, and positive-definiteness of the metric."""
+    """Check antisymmetry, Jacobi, and symmetry and positive-definiteness of the
+    metric.  A residual that overflows double precision is reported as inf or NaN."""
     c = alg.c
     antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))))) if alg.dim else 0.0
-    cc = np.einsum("ijm,mkl->ijkl", c, c)
-    jacobi = cc + np.transpose(cc, (1, 2, 0, 3)) + np.transpose(cc, (2, 0, 1, 3))
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = np.einsum("ijm,mkl->ijkl", c, c)
+        jacobi = cc + np.transpose(cc, (1, 2, 0, 3)) + np.transpose(cc, (2, 0, 1, 3))
     jac = float(np.max(np.abs(jacobi))) if alg.dim else 0.0
     sym_defect = float(np.max(np.abs(alg.gram - alg.gram.T)))
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (alg.gram + alg.gram.T))))
     ok = antisym <= tol and jac <= tol and sym_defect <= tol and min_eig > 0
     return ValidationReport(
-        jacobi_residual=jac, antisym_residual=antisym, gram_min_eig=min_eig, ok=ok
+        jacobi_residual=jac, antisym_residual=antisym, gram_min_eig=min_eig,
+        gram_symmetry_defect=sym_defect, ok=ok,
     )
 
 
@@ -216,36 +217,103 @@ class IwasawaReport:
     witness: np.ndarray
 
 
-def _best_positive_direction(alg, sym_ops):
-    """Maximize the least eigenvalue of sum w_a S_a over unit w (subgradient ascent)."""
-    k = len(sym_ops)
-    rng = np.random.default_rng(0)
-    candidates = [np.ones(k)]
-    candidates += list(np.eye(k))
-    candidates += list(-np.eye(k))
-    candidates += list(rng.standard_normal((16, k)))
+def _min_norm_point(pts):
+    """Wolfe's algorithm: the point of least norm in the convex hull of the rows
+    of pts.  Each major step adds the row that most decreases <x, row>; each
+    minor step moves to the min-norm point of the affine hull of the active rows,
+    stopping at the hull's boundary and dropping a row when it would leave it."""
+    sq = np.einsum("ij,ij->i", pts, pts)
+    eps = 1e-15 * np.max(sq)
+    act, lam = [int(np.argmin(sq))], np.ones(1)
+    x = pts[act[0]]
+    for _ in range(10 * len(pts)):
+        j = int(np.argmin(pts @ x))
+        if x @ x - pts[j] @ x <= eps or j in act:
+            break
+        act, lam = act + [j], np.append(lam, 0.0)
+        while True:
+            q = pts[act]
+            c = np.linalg.lstsq((q[1:] - q[0]).T, -q[0], rcond=None)[0]
+            mu = np.concatenate([[1.0 - c.sum()], c])
+            if np.all(mu > 0):
+                lam = mu
+                break
+            neg = np.flatnonzero(mu <= 0)
+            ratios = lam[neg] / (lam[neg] - mu[neg])
+            lam = lam + np.min(ratios) * (mu - lam)
+            lam[neg[np.argmin(ratios)]] = 0.0
+            act, lam = [a for a, l in zip(act, lam) if l > 0], lam[lam > 0]
+        x = lam @ pts[act]
+    return x
+
+
+# subsets of roots scored per batch: bounds memory, which grows as C(roots, rank)
+_SUBSET_BLOCK = 4096
+
+
+def _best_direction_by_subsets(roots):
+    """argmax over unit w of min_j roots[j] . w, by enumerating candidates.
+
+    The maximum is attained at +-p/|p| for p the min-norm point of the affine
+    hull of some at most k roots, or, where that hull passes through 0, at a
+    unit normal of it; every such direction is scored and the best kept.
+    """
+    k = roots.shape[1]
+    # roots equal to 9 digits relative to the largest count as one root
+    scale = np.max(np.abs(roots), initial=0.0) or 1.0
+    _, first = np.unique(np.round(roots / scale, 9), axis=0, return_index=True)
+    roots = roots[np.sort(first)]
+    # each subset padded to k indices by repeating its first: same affine hull
+    subsets = (c + c[:1] * (k - s) for s in range(1, k + 1)
+               for c in itertools.combinations(range(len(roots)), s))
     best_w, best_val = None, -np.inf
-    for w0 in candidates:
-        w = w0 / np.linalg.norm(w0)
-        for _ in range(80):
-            s = sum(wi * si for wi, si in zip(w, sym_ops))
-            vals, vecs = np.linalg.eigh(s)
-            v0 = vecs[:, 0]
-            grad = np.array([v0 @ si @ v0 for si in sym_ops])
-            w_new = w + 0.5 * grad
-            nrm = np.linalg.norm(w_new)
-            if nrm == 0:
-                break
-            w_new /= nrm
-            if np.linalg.norm(w_new - w) < 1e-14:
-                w = w_new
-                break
-            w = w_new
-        s = sum(wi * si for wi, si in zip(w, sym_ops))
-        val = float(np.min(np.linalg.eigvalsh(s)))
-        if val > best_val:
-            best_val, best_w = val, w
-    return best_w, best_val
+    while block := list(itertools.islice(subsets, _SUBSET_BLOCK)):
+        pts = roots[np.array(block)]
+        diffs = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
+        # projector onto the normals of each hull, and the hull's min-norm point
+        proj = np.eye(k) - diffs @ np.linalg.pinv(diffs)
+        p = np.einsum("nab,nb->na", proj, pts[:, 0])
+        widest = np.argmax(np.einsum("naa->na", proj), axis=1)
+        normal = proj[np.arange(len(block)), :, widest]
+        dirs = np.concatenate([p, normal])
+        lengths = np.linalg.norm(dirs, axis=1)
+        dirs = dirs[lengths > 0] / lengths[lengths > 0, None]
+        dirs = np.concatenate([dirs, -dirs])
+        vals = np.min(dirs @ roots.T, axis=1)
+        best = int(np.argmax(vals))
+        if vals[best] > best_val:
+            best_w, best_val = dirs[best], vals[best]
+    return best_w
+
+
+def _best_positive_direction(sym_ops):
+    """Maximize the least eigenvalue of sum_a w_a S_a over unit w.
+
+    The maximum is exact when the S_a commute, as they do when conditions (i)
+    and (ii) hold.  One eigh of a fixed generic combination diagonalizes the
+    family; the diagonals of V^T S_a V are the roots alpha_j, and the least
+    eigenvalue at w is min_j alpha_j . w.  When 0 is outside the convex hull of
+    the roots, the maximum is positive and attained at p/|p| for p the hull's
+    min-norm point (Wolfe's algorithm, polynomial in the rank).  Otherwise no
+    direction is positive, and the maximum, at most 0, is found by enumerating
+    subsets of at most k roots.  The value returned is the least eigenvalue at
+    the returned w, so it is attained there for any input.  Non-finite
+    operators give w = 0 and a NaN value.
+    """
+    ops = np.asarray(sym_ops, dtype=float)
+    k = len(ops)
+    if not np.all(np.isfinite(ops)):
+        return np.zeros(k), math.nan
+    weights = np.random.default_rng(0).standard_normal(k)
+    _, v = np.linalg.eigh(np.einsum("a,aij->ij", weights, ops))
+    roots = np.einsum("ij,aik,kj->ja", v, ops, v)
+    p = _min_norm_point(roots)
+    length = np.linalg.norm(p)
+    if length > 1e-9 * np.max(np.abs(roots)):
+        w = p / length
+    else:
+        w = _best_direction_by_subsets(roots)
+    return w, float(np.min(np.linalg.eigvalsh(np.einsum("a,aij->ij", w, ops))))
 
 
 def iwasawa_check(alg, tol=TOL_EXACT):
@@ -268,21 +336,14 @@ def iwasawa_check(alg, tol=TOL_EXACT):
         if leak > tol:
             raise ValueError(f"n_indices do not span an ideal (leak {leak:.2e})")
 
-    abelian = 0.0
-    for i in a_idx:
-        for j in a_idx:
-            abelian = max(abelian, float(np.max(np.abs(alg.c[i, j, :]))))
+    abelian = float(np.max(np.abs(alg.c[np.ix_(a_idx, a_idx)]), initial=0.0))
 
     g = alg.gram
-    sym_res = 0.0
-    ads = []
-    for i in a_idx:
-        m = ad_matrix(alg, alg.basis_vector(i))
-        ads.append(m)
-        sym_res = max(sym_res, float(np.max(np.abs(g @ m - m.T @ g))))
+    # ads[a] = ad_matrix(alg, e_a) for each a-index, stacked
+    ads = np.ascontiguousarray(alg.c[a_idx].transpose(0, 2, 1))
+    sym_res = float(np.max(np.abs(g @ ads - ads.transpose(0, 2, 1) @ g), initial=0.0))
     if a_idx:
-        stacked = np.stack([m.ravel() for m in ads])
-        injective = np.linalg.matrix_rank(stacked, tol=1e-8) == len(a_idx)
+        injective = np.linalg.matrix_rank(ads.reshape(len(a_idx), -1), tol=1e-8) == len(a_idx)
     else:
         injective = True
 
@@ -291,7 +352,7 @@ def iwasawa_check(alg, tol=TOL_EXACT):
     witness = np.zeros(alg.dim)
     if a_idx and n_idx:
         sym_ops = restricted_symmetric(alg, ads, n_idx)
-        w, min_pos = _best_positive_direction(alg, sym_ops)
+        w, min_pos = _best_positive_direction(sym_ops)
         cond_iii = min_pos > tol
         for wi, i in zip(w, a_idx):
             witness[i] = wi
@@ -362,6 +423,15 @@ def _sized(doc, key, dim):
     return tuple(values)
 
 
+def _is_int(value):
+    """A JSON integer: never a float to truncate, nor a bool."""
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_int_list(values):
+    return isinstance(values, list) and all(map(_is_int, values))
+
+
 def deserialize(text):
     try:
         doc = json.loads(text)
@@ -376,9 +446,9 @@ def deserialize(text):
 
 
 def _from_document(doc):
-    dim = int(doc["dim"])
-    if dim <= 0:
-        raise ValueError("dim must be positive")
+    dim = doc["dim"]
+    if not _is_int(dim) or dim <= 0:
+        raise ValueError(f"dim must be a positive integer, got {dim!r}")
     labels = _sized(doc, "labels", dim)
     gram_spec = doc.get("gram", "identity")
     if gram_spec == "identity":
@@ -387,9 +457,10 @@ def _from_document(doc):
         gram = np.asarray(gram_spec, dtype=float).reshape(dim, dim)
     entries = []
     for row in doc.get("structure", []):
-        if not isinstance(row, list) or len(row) != 4:
-            raise ValueError(f"structure entry {row!r} is not [i, j, k, value]")
-        i, j, k, v = int(row[0]), int(row[1]), int(row[2]), float(row[3])
+        if not (isinstance(row, list) and len(row) == 4 and _is_int_list(row[:3])):
+            raise ValueError(f"structure entry {row!r} is not [i, j, k, value] "
+                             "with integer i, j, k")
+        i, j, k, v = row[0], row[1], row[2], float(row[3])
         if not (0 <= i < j < dim):
             raise ValueError(f"structure entry ({i},{j},{k}) violates i<j canonical order")
         if not 0 <= k < dim:
@@ -402,16 +473,24 @@ def _from_document(doc):
     dec = doc.get("decoration") or {}
     if not isinstance(dec, dict):
         raise ValueError("'decoration' must be an object")
+    a_idx, n_idx = dec.get("a_indices", []), dec.get("n_indices", [])
+    if not (_is_int_list(a_idx) and _is_int_list(n_idx)):
+        raise ValueError(f"'a_indices' and 'n_indices' must be lists of integers, "
+                         f"got {a_idx!r} and {n_idx!r}")
+    roots = _sized(dec, "roots", dim)
+    if not all(r is None or _is_int_list(r) for r in roots):
+        raise ValueError("'roots' entries must be null or lists of integers")
     alg = from_sparse(
-        dim,
-        entries,
-        gram=gram,
-        labels=labels,
-        a_indices=tuple(dec.get("a_indices", ())),
-        n_indices=tuple(dec.get("n_indices", ())),
-        roots=_sized(dec, "roots", dim),
+        dim, entries, gram=gram, labels=labels, a_indices=a_idx, n_indices=n_idx,
+        roots=roots,
     )
     rep = validate(alg)
+    residuals = (rep.antisym_residual, rep.jacobi_residual, rep.gram_min_eig)
+    if not all(map(math.isfinite, residuals)):
+        raise ValueError("a validation residual is not finite: the document "
+                         "overflows double precision")
     if rep.gram_min_eig <= 0:
         raise ValueError(f"gram is not positive definite (min eig {rep.gram_min_eig:.3e})")
+    if rep.gram_symmetry_defect > TOL_EXACT:
+        raise ValueError(f"gram is not symmetric (defect {rep.gram_symmetry_defect:.3e})")
     return alg

@@ -129,9 +129,14 @@ def eigenvalue_type(alg, direction=None, tol=1e-8):
     """
     if not alg.decorated:
         raise ValueError("eigenvalue_type needs an Iwasawa decoration")
+    if not alg.n_indices:
+        raise ValueError("eigenvalue_type needs a non-empty nilradical (n_indices)")
     if direction is None:
         h = mean_curvature(alg)
-        direction = h / alg.norm(h)
+        nh = alg.norm(h)
+        if nh <= 1e-14:
+            raise ValueError("mean curvature vanishes; no direction in a to take")
+        direction = h / nh
     m = ad_matrix(alg, np.asarray(direction, dtype=float))
     (sym,) = restricted_symmetric(alg, [m], list(alg.n_indices))
     vals = np.sort(np.linalg.eigvalsh(sym))

@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from solvgeom.algebra import (
     MetricLieAlgebra,
+    _best_positive_direction,
     ad_matrix,
     bracket,
     deserialize,
@@ -265,6 +266,110 @@ def test_iwasawa_nonsymmetric_ad_fails_cond_ii():
     assert rep.symmetry_residual > 0.1
 
 
+@pytest.mark.parametrize("builder, args, expected", [
+    (build_so_pq, (2, 2), math.sqrt(1 / 2)),
+    (build_sl_nR, (3,), math.sqrt(1 / 2)),
+    (build_type_iv_sl, (3,), math.sqrt(1 / 2)),   # sl(3,C)
+    (build_sl_nH, (3,), math.sqrt(1 / 2)),
+    (build_su_pq, (2, 2), 1 / math.sqrt(5)),
+    (build_so_nH, (4,), 1 / math.sqrt(5)),
+    (build_sl_nR, (4,), 1 / math.sqrt(5)),
+    (build_sl_nH, (4,), 1 / math.sqrt(5)),
+    (build_so_pq, (2, 3), 1 / math.sqrt(10)),
+    (build_so_pq, (2, 4), 1 / math.sqrt(10)),
+    (build_su_pq, (2, 3), 1 / math.sqrt(10)),
+    (build_so_pq, (3, 3), 1 / math.sqrt(10)),
+    (build_so_pq, (3, 4), 1 / math.sqrt(28)),
+    (build_so_nH, (6,), math.sqrt(2 / 35)),
+    # sl(n,R) up to rank 7: sqrt(12 / (n^3 - n))
+    (build_sl_nR, (5,), math.sqrt(12 / 120)),
+    (build_sl_nR, (6,), math.sqrt(12 / 210)),
+    (build_sl_nR, (7,), math.sqrt(12 / 336)),
+    (build_sl_nR, (8,), math.sqrt(12 / 504)),
+])
+def test_iwasawa_positive_direction_closed_forms(builder, args, expected):
+    alg = builder(*args).base
+    start = time.perf_counter()
+    rep = iwasawa_check(alg)
+    elapsed = time.perf_counter() - start
+    assert rep.cond_iii
+    assert abs(rep.min_positive_eig - expected) <= 1e-12
+    assert abs(alg.norm(rep.witness) - 1.0) <= 1e-12
+    assert elapsed < 1.0, f"iwasawa_check took {elapsed:.2f} s"
+
+
+def _commuting_extension(d, q):
+    """a = R^k acting on an abelian n = R^m by S_a = q diag(d[a]) q^T."""
+    k, m = d.shape
+    ops = np.einsum("ij,aj,lj->ail", q, d, q)
+    c = np.zeros((k + m, k + m, k + m))
+    c[:k, k:, k:] = ops.transpose(0, 2, 1)
+    c[k:, :k, k:] = -ops.transpose(2, 0, 1)
+    alg = MetricLieAlgebra(c=c, gram=np.eye(k + m), a_indices=range(k),
+                           n_indices=range(k, k + m))
+    return alg, ops
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 3), st.integers(1, 6),
+       st.sampled_from(["normal", "shifted", "integer"]))
+@settings(max_examples=60, deadline=None)
+def test_iwasawa_positive_direction_beats_dense_scan(seed, k, m, kind):
+    rng = np.random.default_rng(seed)
+    d = rng.standard_normal((k, m))
+    if kind == "shifted":      # usually a positive direction exists
+        d = np.abs(d) + 0.1
+    elif kind == "integer":    # repeated and zero roots
+        d = np.round(2 * d)
+    q = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    alg, ops = _commuting_extension(d, q)
+    rep = iwasawa_check(alg)
+    w = rep.witness[:k]
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    least = np.min(np.linalg.eigvalsh(np.tensordot(w, ops, 1)))
+    assert abs(rep.min_positive_eig - least) <= 1e-12 * max(1.0, np.max(np.abs(d)))
+    scan = rng.standard_normal((4000, k))
+    scan /= np.linalg.norm(scan, axis=1)[:, None]
+    best_scanned = np.max(np.min(scan @ d, axis=1))
+    assert rep.min_positive_eig >= best_scanned - 1e-9 * max(1.0, np.max(np.abs(d)))
+    assert rep.cond_iii == (rep.min_positive_eig > 1e-10)
+
+
+@pytest.mark.parametrize("roots, expected", [
+    ([[1, 0], [0, 1]], math.sqrt(1 / 2)),                     # a positive direction
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], -math.sqrt(1 / 2)),  # 0 inside the hull
+    ([[1, 0], [-1, 0], [0, 1]], 0.0),                         # 0 on an edge of it
+    ([[0, 0], [1, 0]], 0.0),                                  # a zero root
+    ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], 0.0),    # roots span a plane
+    ([[0, 0, 0]], 0.0),                                       # ad(a) vanishes on n
+])
+def test_best_positive_direction_exact_on_degenerate_roots(roots, expected):
+    d = np.array(roots, dtype=float).T
+    ops = [np.diag(row) for row in d]
+    w, value = _best_positive_direction(ops)
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    assert abs(value - expected) <= 1e-12
+
+
+def test_best_positive_direction_rank_one_is_the_better_end_of_the_spectrum():
+    rng = np.random.default_rng(6)
+    for shift in (-3.0, 0.0, 3.0):
+        g = rng.standard_normal((5, 5))
+        s = g + g.T + shift * np.eye(5)
+        lo, hi = np.linalg.eigvalsh(s)[[0, -1]]
+        w, value = _best_positive_direction([s])
+        assert abs(w[0]) == 1.0
+        assert abs(value - max(lo, -hi)) <= 1e-12
+
+
+def test_best_positive_direction_tolerates_non_finite_operators():
+    for bad in (np.nan, np.inf):
+        s = np.eye(3)
+        s[0, 1] = s[1, 0] = bad
+        w, value = _best_positive_direction([s, np.eye(3)])
+        assert math.isnan(value)
+        assert w.shape == (2,)
+
+
 def _round_trip_algebras():
     """Every builder, untwisted and twisted, plus a decorated algebra with a
     non-identity Gram matrix."""
@@ -339,6 +444,15 @@ def test_deserialize_rejects_malformed():
         '{"dim": 2, "labels": "AB"}',
         '{"dim": 2, "decoration": [0]}',
         '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": [null]}}',
+        '{"dim": 2.0}',
+        '{"dim": "2"}',
+        '{"dim": 2, "gram": [1, 0.5, 0, 1]}',                       # not symmetric
+        '{"dim": 2, "decoration": {"a_indices": ["x"], "n_indices": [1]}}',
+        '{"dim": 2, "decoration": {"a_indices": [0.0], "n_indices": [1]}}',
+        '{"dim": 2, "decoration": {"a_indices": 0, "n_indices": [1]}}',
+        '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": [null, [1.5]]}}',
+        '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": [null, "1"]}}',
+        '{"dim": 2, "structure": [[0, 1, 1, 1e200]]}',              # Jacobi overflows
     ):
         with pytest.raises(ValueError):
             deserialize(doc)
@@ -352,6 +466,8 @@ def test_deserialize_rejects_bad_structure_rows():
         "[[0, 1, 0, 1.0, 5]]",
         "[[0, 1, 2, 1.0]]",
         "[[0, 1, null, 1.0]]",
+        "[[0.5, 1, 1, 1.0]]",
+        "[[0, true, 1, 1.0]]",
         "7",
     ):
         with pytest.raises(ValueError):
@@ -362,6 +478,16 @@ def test_deserialize_rejects_indefinite_gram():
     doc = '{"dim": 2, "gram": [1.0, 0.0, 0.0, -1.0], "structure": []}'
     with pytest.raises(ValueError):
         deserialize(doc)
+
+
+def test_validate_reports_gram_symmetry_defect_and_overflow():
+    alg = MetricLieAlgebra(c=np.zeros((2, 2, 2)), gram=np.array([[1.0, 0.5], [0.0, 1.0]]))
+    assert validate(alg).gram_symmetry_defect == 0.5
+    assert not validate(alg).ok
+    big = from_sparse(2, [(0, 1, 1, 1e200)])
+    rep = validate(big)
+    assert not math.isfinite(rep.jacobi_residual)
+    assert not rep.ok
 
 
 def test_serialize_is_deterministic():

@@ -2,10 +2,13 @@
 
 import io
 import contextlib
+import json
 from importlib import resources
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from solvgeom.algebra import serialize
 from solvgeom.carnot import build_solvmanifold, complex_hyperbolic_triple, random_triple
@@ -96,6 +99,82 @@ def test_verify_corrupted_file_exits_2(tmp_path):
         assert out == ""
         assert err.startswith("error:")
         assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    # decoration indices that are not JSON integers, or an empty nilradical
+    '{"dim": 2, "structure": [[0, 1, 1, 1.0]], '
+    '"decoration": {"a_indices": ["x"], "n_indices": [1]}}',
+    '{"dim": 2, "structure": [[0, 1, 1, 1.0]], '
+    '"decoration": {"a_indices": [0.0], "n_indices": [1]}}',
+    '{"dim": 2, "structure": [], "decoration": {"a_indices": [0, 1], "n_indices": []}}',
+    # structure constants that overflow, and ad(A) = 0
+    '{"dim": 2, "structure": [[0, 1, 1, 1e308]], '
+    '"decoration": {"a_indices": [0], "n_indices": [1]}}',
+    '{"dim": 2, "structure": [[0, 1, 1, 1e200]], '
+    '"decoration": {"a_indices": [0], "n_indices": [1]}}',
+    '{"dim": 2, "structure": [], "decoration": {"a_indices": [0], "n_indices": [1]}}',
+    # a non-symmetric Gram matrix and a fractional structure index
+    '{"dim": 2, "gram": [1, 0.5, 0, 1], "structure": []}',
+    '{"dim": 3, "structure": [[0.5, 1, 2, 1.0]]}',
+], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "ad-zero",
+        "gram-nonsymmetric", "row-float"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
+def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    code, out, err = run(["verify", str(path)])
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:")
+    assert len(err.splitlines()) == 1
+
+
+def _fuzz_base_document():
+    doc = json.loads(serialize(build_solvmanifold(complex_hyperbolic_triple(2))))
+    doc["gram"] = np.eye(doc["dim"]).ravel().tolist()
+    return doc
+
+
+_FUZZ_PATHS = [
+    ("dim",), ("labels",), ("labels", 0), ("gram",), ("gram", 0), ("structure",),
+    ("structure", 0), ("structure", 0, 0), ("structure", 0, 1), ("structure", 0, 2),
+    ("structure", 0, 3), ("decoration",), ("decoration", "a_indices"),
+    ("decoration", "a_indices", 0), ("decoration", "n_indices"),
+    ("decoration", "n_indices", 0), ("decoration", "roots"),
+]
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 6) | st.text(max_size=3)
+    | st.floats(allow_nan=True, allow_infinity=True),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=8,
+)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@given(st.sampled_from(_FUZZ_PATHS), _JSON_VALUES)
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_fuzzed_document_exits_cleanly(tmp_path, where, value):
+    """A document with one field replaced by an arbitrary JSON value is either
+    verified with a report and no stderr, or refused with exit 2 and one line."""
+    doc = _fuzz_base_document()
+    target = doc
+    for key in where[:-1]:
+        target = target[key]
+    target[where[-1]] = value
+    path = tmp_path / "fuzzed.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path)])
+    if code == 2:
+        assert out == ""
+        assert err.startswith("error:")
+        assert len(err.splitlines()) == 1
+    else:
+        assert code in (0, 1)
+        assert err == ""
+        assert out.startswith("# command: verify ")
 
 
 def test_verify_missing_file_exits_2(tmp_path):
