@@ -17,10 +17,14 @@ import numpy as np
 
 TOL_EXACT = 1e-10   # identities among closed-form constants entered as doubles
 TOL_OPT = 1e-6      # optimizer-derived quantities
+# largest dim accepted from a document or a size parameter; each dim^4 array in
+# validate is then about 42 MB, and so(6,H), the largest builder output, has dim 30
+MAX_DIM = 48
 
 __all__ = [
     "TOL_EXACT",
     "TOL_OPT",
+    "MAX_DIM",
     "MetricLieAlgebra",
     "ValidationReport",
     "IwasawaReport",
@@ -38,33 +42,32 @@ __all__ = [
 ]
 
 
-def orthonormal_frame(gram):
-    """Modified Gram-Schmidt on the standard basis w.r.t. the given Gram matrix.
+def _cholesky_frame(gram):
+    """(F, F^-1) for gram = L L^T: F = (L^T)^-1 is upper triangular with a
+    positive diagonal and F^T gram F = Id, and F^-1 = L^T is the factor itself."""
+    try:
+        upper = np.linalg.cholesky(np.asarray(gram, dtype=float)).T
+    except np.linalg.LinAlgError:
+        raise ValueError("gram matrix is not positive definite") from None
+    return np.linalg.inv(upper), upper
 
-    Returns F with F^T gram F = Id; column j holds the coordinates of the
-    j-th orthonormal frame vector in the original basis.
+
+def orthonormal_frame(gram):
+    """Gram-Schmidt on the standard basis w.r.t. the given Gram matrix.
+
+    Returns F with F^T gram F = Id, upper triangular with a positive diagonal;
+    column j holds the coordinates of the j-th orthonormal frame vector in the
+    original basis.
     """
-    gram = np.asarray(gram, dtype=float)
-    n = gram.shape[0]
-    frame = np.eye(n)
-    for j in range(n):
-        v = frame[:, j]
-        for i in range(j):
-            u = frame[:, i]
-            v = v - (u @ gram @ v) * u
-        nrm = float(v @ gram @ v)
-        if nrm <= 0:
-            raise ValueError("gram matrix is not positive definite")
-        frame[:, j] = v / math.sqrt(nrm)
-    return frame
+    return _cholesky_frame(gram)[0]
 
 
 def restricted_symmetric(alg, mats, idx):
     """Symmetric parts of the blocks m[idx, idx] of a stack of matrices,
     written in an orthonormal frame of span{e_i : i in idx}."""
     block = np.ix_(idx, idx)
-    f = orthonormal_frame(alg.gram[block])
-    mo = np.linalg.inv(f) @ np.asarray(mats)[:, block[0], block[1]] @ f
+    f, f_inv = _cholesky_frame(alg.gram[block])
+    mo = f_inv @ np.asarray(mats)[:, block[0], block[1]] @ f
     return 0.5 * (mo + mo.transpose(0, 2, 1))
 
 
@@ -106,8 +109,7 @@ class MetricLieAlgebra:
             tuple(int(v) for v in r) if r is not None else None for r in self.roots
         )
         # cached orthonormal frame; every curvature formula sums over it
-        self.frame = orthonormal_frame(self.gram)
-        self.frame_inv = np.linalg.inv(self.frame)
+        self.frame, self.frame_inv = _cholesky_frame(self.gram)
         t = np.tensordot(np.tensordot(self.frame, self.c, (0, 0)), self.frame, (1, 0))
         # frame_inv leads: (l, a, b) strides, the order that ricci's einsums sum in
         self.c_frame = np.tensordot(self.frame_inv, t, (1, 1)).transpose(1, 2, 0)
@@ -449,6 +451,8 @@ def _from_document(doc):
     dim = doc["dim"]
     if not _is_int(dim) or dim <= 0:
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
+    if dim > MAX_DIM:
+        raise ValueError(f"dim {dim} is above the largest supported dim {MAX_DIM}")
     labels = _sized(doc, "labels", dim)
     gram_spec = doc.get("gram", "identity")
     if gram_spec == "identity":

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import from_sparse, orthonormal_frame
+from .algebra import MAX_DIM, from_sparse, orthonormal_frame
 
 __all__ = [
     "DataTriple",
@@ -75,6 +75,8 @@ class DataTriple:
 
     def __post_init__(self):
         self.j_mats = np.asarray(self.j_mats, dtype=float).reshape(self.s, self.r, self.r)
+        if not np.all(np.isfinite(self.j_mats)):
+            raise ValueError("j matrices must be finite")
         skew = np.max(np.abs(self.j_mats + np.transpose(self.j_mats, (0, 2, 1)))) if self.s else 0.0
         if skew > 1e-12:
             raise ValueError(f"j matrices must be skew-symmetric (defect {skew:.2e})")
@@ -117,8 +119,8 @@ def build_solvmanifold(triple):
 
 def real_hyperbolic_triple(dim):
     """Data triple (dim - 1, 0); the extension has constant curvature -1/4."""
-    if dim < 2:
-        raise ValueError("need dim >= 2")
+    if not 2 <= dim <= MAX_DIM:
+        raise ValueError(f"need 2 <= dim <= {MAX_DIM}, got {dim}")
     r = dim - 1
     return DataTriple(r, 0, np.zeros((0, r, r)))
 
@@ -126,8 +128,8 @@ def real_hyperbolic_triple(dim):
 def complex_hyperbolic_triple(n):
     """Data triple (2(n-1), 1) whose extension is the complex hyperbolic
     n-space with sectional curvature in [-1, -1/4]."""
-    if n < 2:
-        raise ValueError("need n >= 2")
+    if not 2 <= n <= MAX_DIM // 2:
+        raise ValueError(f"need 2 <= n <= {MAX_DIM // 2} (dim 2n <= {MAX_DIM}), got {n}")
     h = n - 1
     j = np.zeros((2 * h, 2 * h))
     j[:h, h:] = -np.eye(h)
@@ -309,9 +311,14 @@ def search_uniform(r, s, restarts=200, seed=0, rng=None):
     Minimizes |sum a_i^2 + s Id|_F^2 over orthonormal s-frames; returns the
     best candidate found.  Certify with einstein_conditions / is_uniform.
     """
+    if r < 2:
+        raise ValueError(f"need --r >= 2, got {r}")
     d = r * (r - 1) // 2
     if not 0 < s <= d:
         raise ValueError(f"need 0 < s <= dim so({r}) = {d}")
+    if 1 + r + s > MAX_DIM:
+        raise ValueError(f"the extension would have dim 1 + r + s = {1 + r + s}, "
+                         f"above {MAX_DIM}")
     if restarts < 1:
         raise ValueError(f"need at least one restart (--trials >= 1), got {restarts}")
     basis = so_basis(r)

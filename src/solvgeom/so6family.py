@@ -75,6 +75,8 @@ def W_of(r, s, t, signs=None):
     (r, s, t) is renormalized to the unit sphere, where the D_i are
     orthonormal under -(1/6) tr.
     """
+    if not all(map(math.isfinite, (r, s, t))):
+        raise ValueError(f"need finite (r, s, t), got ({r}, {s}, {t})")
     nrm = math.sqrt(r * r + s * s + t * t)
     if nrm <= 1e-12:
         raise ValueError("need (r, s, t) != 0")

@@ -2,6 +2,7 @@
 
 import math
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,10 +20,12 @@ from solvgeom.algebra import (
     killing_form,
     metric_adjoint,
     orthonormal_frame,
+    restricted_symmetric,
     serialize,
     validate,
 )
 from solvgeom.carnot import (
+    _orthonormalize_family,
     build_solvmanifold,
     complex_hyperbolic_triple,
     random_triple,
@@ -166,6 +169,61 @@ def test_orthonormal_frame_property():
 def test_orthonormal_frame_rejects_indefinite():
     with pytest.raises(ValueError):
         orthonormal_frame(np.diag([1.0, 0.0]))
+
+
+def gram_schmidt_reference(gram):
+    """Modified Gram-Schmidt on the standard basis w.r.t. gram, one vector at a
+    time: the frame the Cholesky factor must reproduce."""
+    gram = np.asarray(gram, dtype=float)
+    n = gram.shape[0]
+    frame = np.eye(n)
+    for j in range(n):
+        v = frame[:, j]
+        for i in range(j):
+            u = frame[:, i]
+            v = v - (u @ gram @ v) * u
+        nrm = float(v @ gram @ v)
+        if nrm <= 0:
+            raise ValueError("gram matrix is not positive definite")
+        frame[:, j] = v / math.sqrt(nrm)
+    return frame
+
+
+@given(st.integers(1, 30), st.integers(0, 2**32 - 1), st.floats(0.0, 5.0),
+       st.floats(0.0, 1.5))
+@settings(max_examples=60, deadline=None)
+def test_cholesky_frame_is_gram_schmidt(n, seed, spread, scale):
+    rng = np.random.default_rng(seed)
+    # eigenvalues over `spread` decades, then basis vectors rescaled over
+    # 2 * `scale` decades: badly conditioned and badly scaled Gram matrices
+    q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+    d = 10.0 ** rng.uniform(-scale, scale, n)
+    gram = q @ np.diag(10.0 ** rng.uniform(-spread, 0.0, n)) @ q.T
+    gram = d[:, None] * (0.5 * (gram + gram.T)) * d[None, :]
+    cond = np.linalg.cond(gram)
+    f = orthonormal_frame(gram)
+    ref = gram_schmidt_reference(gram)
+    assert np.max(np.abs(f - ref)) <= 1e-14 * cond * np.max(np.abs(ref))
+    # orthonormalized in order: vector j lies in span(e_0 .. e_j)
+    assert np.all(np.tril(f, -1) == 0.0)
+    assert np.all(np.diag(f) > 0.0)
+    alg = MetricLieAlgebra(c=np.zeros((n, n, n)), gram=gram)
+    assert np.array_equal(alg.frame, f)
+    assert np.array_equal(alg.frame_inv, np.linalg.cholesky(gram).T)
+    assert np.max(np.abs(alg.frame @ alg.frame_inv - np.eye(n))) <= 1e-14 * cond
+
+
+@pytest.mark.parametrize("gram", [[[1.0, 0.0], [0.0, 0.0]], [[1.0, 2.0], [2.0, 1.0]]],
+                         ids=["singular", "indefinite"])
+def test_non_positive_gram_raises_value_error(gram):
+    with pytest.raises(ValueError, match="not positive definite"):
+        MetricLieAlgebra(c=np.zeros((2, 2, 2)), gram=gram)
+    # only alg.gram is read
+    with pytest.raises(ValueError, match="not positive definite"):
+        restricted_symmetric(SimpleNamespace(gram=np.asarray(gram)), np.zeros((1, 2, 2)), [0, 1])
+    rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
+    with pytest.raises(ValueError, match="not positive definite"):
+        _orthonormalize_family([rot, rot])
 
 
 def test_metric_adjoint_property():

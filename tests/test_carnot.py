@@ -1,6 +1,8 @@
 """Uniform subspaces of so(r): search, the so(4) criterion and classification,
 equivalence invariants, and the Einstein conditions on data triples."""
 
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -49,6 +51,14 @@ def test_so_basis_sums_to_multiple_of_identity():
 def test_data_triple_rejects_non_skew():
     with pytest.raises(ValueError):
         DataTriple(2, 1, np.ones((1, 2, 2)))
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_data_triple_rejects_non_finite(bad):
+    # a NaN skew defect compares False against the skew tolerance
+    j = np.array([[[0.0, bad], [-bad, 0.0]]])
+    with pytest.raises(ValueError, match="finite"):
+        DataTriple(2, 1, j)
 
 
 def test_j_of_is_linear_combination():
@@ -236,6 +246,12 @@ def test_search_uniform_rejects_bad_dimensions():
         search_uniform(3, 4)
     with pytest.raises(ValueError):
         search_uniform(3, 0)
+    # d = r(r-1)/2 is positive for negative r, so the s check alone lets r < 2 through
+    for r in (1, 0, -1, -2):
+        with pytest.raises(ValueError, match="--r >= 2"):
+            search_uniform(r, 1)
+    with pytest.raises(ValueError, match="above"):
+        search_uniform(40, 8)
 
 
 def test_search_uniform_needs_a_restart():

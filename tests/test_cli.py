@@ -114,11 +114,14 @@ def test_verify_corrupted_file_exits_2(tmp_path):
     '{"dim": 2, "structure": [[0, 1, 1, 1e200]], '
     '"decoration": {"a_indices": [0], "n_indices": [1]}}',
     '{"dim": 2, "structure": [], "decoration": {"a_indices": [0], "n_indices": [1]}}',
-    # a non-symmetric Gram matrix and a fractional structure index
+    # a non-symmetric and an indefinite Gram matrix, and a fractional structure index
     '{"dim": 2, "gram": [1, 0.5, 0, 1], "structure": []}',
+    '{"dim": 2, "gram": [1, 2, 2, 1], "structure": []}',
     '{"dim": 3, "structure": [[0.5, 1, 2, 1.0]]}',
+    # refused before anything of size dim is allocated
+    '{"dim": 100000}',
 ], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "ad-zero",
-        "gram-nonsymmetric", "row-float"])
+        "gram-nonsymmetric", "gram-indefinite", "row-float", "dim-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -402,6 +405,12 @@ def test_invalid_wa_index_exits_2():
     ["family", "margin", "--samples", "0", "--descents", "0"],
     ["family", "margin", "--samples", "-1", "--descents", "5"],
     ["family", "margin", "--samples", "5", "--descents", "-1"],
+    ["family", "margin", "--r", "nan"],
+    ["family", "margin", "--r", "inf"],
+    ["verify", "carnot", "--r", "-1", "--s", "1"],
+    ["carnot", "search", "--r", "-2", "--s", "1"],
+    ["verify", "real-hyperbolic", "--dim", "200000"],
+    ["verify", "complex-hyperbolic", "--n", "200000"],
 ])
 def test_bad_parameters_exit_2_with_one_error_line(argv):
     code, _, err = run(argv)

@@ -107,6 +107,13 @@ def test_w_of_renormalizes_and_rejects_zero():
         W_of(0.0, 0.0, 0.0)
 
 
+@pytest.mark.parametrize("rst", [(math.nan, 0.0, 0.0), (math.inf, 0.0, 0.0),
+                                 (1.0, -math.inf, 0.0), (0.0, 0.0, math.nan)])
+def test_w_of_rejects_non_finite(rst):
+    with pytest.raises(ValueError, match="finite"):
+        W_of(*rst)
+
+
 def test_angle_to_centralizer_equals_abs_t():
     rng = np.random.default_rng(2)
     for _ in range(15):
