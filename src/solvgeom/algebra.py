@@ -44,9 +44,10 @@ __all__ = [
 
 def _cholesky_frame(gram):
     """(F, F^-1) for gram = L L^T: F = (L^T)^-1 is upper triangular with a
-    positive diagonal and F^T gram F = Id, and F^-1 = L^T is the factor itself."""
+    positive diagonal and F^T gram F = Id, and F^-1 = L^T is the factor itself.
+    A stack of Gram matrices gives a stack of frames."""
     try:
-        upper = np.linalg.cholesky(np.asarray(gram, dtype=float)).T
+        upper = np.linalg.cholesky(np.asarray(gram, dtype=float)).swapaxes(-1, -2)
     except np.linalg.LinAlgError:
         raise ValueError("gram matrix is not positive definite") from None
     return np.linalg.inv(upper), upper

@@ -49,9 +49,10 @@ def so_inner(a, b):
 
 
 def so_gram(a, b):
-    """Matrix of (a_i, b_j) for two stacks of r x r matrices."""
+    """Matrix of (a_i, b_j) for two stacks of r x r matrices (with leading
+    batch axes, one such matrix per batch entry)."""
     a = np.asarray(a, dtype=float)
-    return -np.einsum("iuv,jvu->ij", a, b) / a.shape[1]
+    return -np.einsum("...iuv,...jvu->...ij", a, b) / a.shape[-1]
 
 
 def so_basis(r):
@@ -150,11 +151,8 @@ def j_from_brackets(alg):
     if len(x_idx) + len(z_idx) != alg.dim - 1 or x_idx + z_idx != list(range(1, alg.dim)):
         raise ValueError("ad(A) spectrum is not the canonical (1/2, 1) layout")
     r, s = len(x_idx), len(z_idx)
-    j = np.zeros((s, r, r))
-    for a in range(s):
-        for i in range(r):
-            for k in range(r):
-                j[a, k, i] = alg.c[1 + i, 1 + k, 1 + r + a]
+    # j[a, k, i] = c[1 + i, 1 + k, 1 + r + a]
+    j = alg.c[1:1 + r, 1:1 + r, 1 + r:].transpose(2, 1, 0).copy()
     return DataTriple(r=r, s=s, j_mats=j)
 
 
@@ -252,65 +250,98 @@ class UniformSubspaceCandidate:
     objective: float       # squared Frobenius norm of the same defect
 
 
-def _descend(basis, x, s, max_iter=4000):
-    """Projected gradient descent on the Stiefel manifold of s-frames.
+# Starts per lockstep batch: a fixed cap, so the memory of one descent does
+# not grow with the number of restarts or trials.
+_LOCKSTEP = 512
+_HIT = 1e-26
 
-    Trial step by the Barzilai-Borwein rule (plain 1/L-style first step),
-    then Armijo halving; retraction by QR.
+
+def _defect(basis, x, target):
+    """(alpha, sum_i alpha_i^2 + s Id) for a stack of frames x (n, d, s)."""
+    alpha = np.einsum("nui,uab->niab", x, basis)
+    return alpha, np.einsum("niab,nibc->nac", alpha, alpha) + target
+
+
+def _riemannian_grad(basis, x, alpha, dft):
+    w = np.einsum("nab,nibc->niac", dft, alpha) + np.einsum("niab,nbc->niac", alpha, dft)
+    egrad = 2.0 * np.einsum("niab,uba->nui", w, basis)
+    xtg = x.swapaxes(-1, -2) @ egrad
+    return egrad - x @ (0.5 * (xtg + xtg.swapaxes(-1, -2)))
+
+
+def _dots(a, b):
+    """Frobenius inner product of each pair of matrices of two (n, d, s) stacks.
+
+    One BLAS dot product per pair, as np.linalg.norm and `@` on one raveled
+    start sum it, so no start's result depends on the stack it runs in.
     """
-    r = basis.shape[1]
+    size = a.shape[1] * a.shape[2]
+    return np.vecdot(a.reshape(-1, size), b.reshape(-1, size))
+
+
+def _descend(basis, x, s, max_iter=4000, until_hit=False):
+    """Projected gradient descent on the Stiefel manifold of s-frames, for a
+    stack of starts x (n, d, s) run in lockstep.
+
+    Every start keeps its own trial step by the Barzilai-Borwein rule (plain
+    1/L-style first step), its own Armijo halving (at most 60 per step), its
+    own max_iter and stop tests; one batched QR retracts the trial points of
+    all running starts.  With until_hit, a start that reaches objective
+    < 1e-26 stops every later start of the stack.  Returns the stacks
+    (x, alpha, defect, objective).
+    """
+    n, r = x.shape[0], basis.shape[1]
     target = s * np.eye(r)
+    out_x, out_h = np.empty_like(x), np.empty(n)
+    alpha, dft = _defect(basis, x, target)
+    h = np.sum(dft * dft, axis=(1, 2))
+    rgrad = _riemannian_grad(basis, x, alpha, dft)
+    ids, step, gnorm = np.arange(n), np.ones(n), np.zeros(n)
+    prev_x, prev_g = x, rgrad  # read only once a step was taken
+    has_prev, stop = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+    fresh = np.ones(n, dtype=bool)  # at the top of an outer iteration
+    iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    while ids.size:
+        gnorm = np.where(fresh, np.sqrt(_dots(rgrad, rgrad)), gnorm)
+        stop |= fresh & ((iters == max_iter) | (gnorm < 1e-13) | (h < _HIT))
+        if stop.any():
+            out_x[ids[stop]], out_h[ids[stop]] = x[stop], h[stop]
+            keep = ~stop
+            (ids, x, h, rgrad, step, gnorm, prev_x, prev_g, has_prev, fresh, iters,
+             halvings) = (a[keep] for a in (ids, x, h, rgrad, step, gnorm, prev_x, prev_g,
+                                            has_prev, fresh, iters, halvings))
+            stop = stop[keep]
+        iters += fresh
+        halvings[fresh] = 0
+        bb = fresh & has_prev
+        dx, dg = x - prev_x, rgrad - prev_g
+        dxdg = _dots(dx, dg)
+        np.divide(_dots(dx, dx), dxdg, out=step, where=bb & (dxdg > 1e-30))
+        step = np.where(bb, np.minimum(np.maximum(step, 1e-6), 1e6), step)
+        q, rr = np.linalg.qr(x - step[:, None, None] * rgrad)
+        diag = np.diagonal(rr, axis1=1, axis2=2)
+        q = q * np.sign(np.where(diag == 0, 1.0, diag))[:, None, :]
+        alpha, dft = _defect(basis, q, target)
+        h_new = np.sum(dft * dft, axis=(1, 2))
+        # the products in the order one start alone takes them, so the bits agree
+        fresh = h_new < h - 1e-4 * step * gnorm * gnorm
+        has_prev |= fresh
+        ok = fresh[:, None, None]
+        prev_x, prev_g = np.where(ok, x, prev_x), np.where(ok, rgrad, prev_g)
+        x, h = np.where(ok, q, x), np.where(fresh, h_new, h)
+        rgrad = np.where(ok, _riemannian_grad(basis, q, alpha, dft), rgrad)
+        step = np.where(fresh, step, 0.5 * step)
+        halvings += ~fresh
+        stop = halvings == 60
+        hit = fresh & (h < _HIT)
+        if until_hit and hit.any():
+            stop |= ids > ids[hit][0]
+    # alpha and the defect of each final frame, recomputed as they were on acceptance
+    alpha, dft = _defect(basis, out_x, target)
+    return out_x, alpha, dft, out_h
 
-    def defect(xm):
-        alpha = np.einsum("ui,uab->iab", xm, basis)
-        return alpha, np.einsum("iab,ibc->ac", alpha, alpha) + target
 
-    def riemannian_grad(xm, alpha, dft):
-        w = np.einsum("ab,ibc->iac", dft, alpha) + np.einsum("iab,bc->iac", alpha, dft)
-        egrad = 2.0 * np.einsum("iab,uba->ui", w, basis)
-        xtg = xm.T @ egrad
-        return egrad - xm @ (0.5 * (xtg + xtg.T))
-
-    alpha, dft = defect(x)
-    h = float(np.sum(dft * dft))
-    rgrad = riemannian_grad(x, alpha, dft)
-    step = 1.0
-    prev_x = prev_g = None
-    for _ in range(max_iter):
-        gnorm = float(np.linalg.norm(rgrad))
-        if gnorm < 1e-13 or h < 1e-26:
-            break
-        if prev_x is not None:
-            dx = (x - prev_x).ravel()
-            dg = (rgrad - prev_g).ravel()
-            dxdg = float(dx @ dg)
-            if dxdg > 1e-30:
-                step = float(dx @ dx) / dxdg
-            step = min(max(step, 1e-6), 1e6)
-        improved = False
-        for _ in range(60):
-            q, rr = np.linalg.qr(x - step * rgrad)
-            q = q * np.sign(np.where(np.diag(rr) == 0, 1.0, np.diag(rr)))
-            alpha_new, dft_new = defect(q)
-            h_new = float(np.sum(dft_new * dft_new))
-            if h_new < h - 1e-4 * step * gnorm * gnorm:
-                prev_x, prev_g = x, rgrad
-                x, alpha, dft, h = q, alpha_new, dft_new, h_new
-                rgrad = riemannian_grad(x, alpha, dft)
-                improved = True
-                break
-            step *= 0.5
-        if not improved:
-            break
-    return x, alpha, dft, h
-
-
-def search_uniform(r, s, restarts=200, seed=0, rng=None):
-    """Search for a uniform s-dimensional subspace of so(r).
-
-    Minimizes |sum a_i^2 + s Id|_F^2 over orthonormal s-frames; returns the
-    best candidate found.  Certify with einstein_conditions / is_uniform.
-    """
+def _check_search(r, s):
     if r < 2:
         raise ValueError(f"need --r >= 2, got {r}")
     d = r * (r - 1) // 2
@@ -319,22 +350,48 @@ def search_uniform(r, s, restarts=200, seed=0, rng=None):
     if 1 + r + s > MAX_DIM:
         raise ValueError(f"the extension would have dim 1 + r + s = {1 + r + s}, "
                          f"above {MAX_DIM}")
+    return d
+
+
+def _starts(rng, n, d, s):
+    x0, _ = np.linalg.qr(rng.standard_normal((n, d, s)))
+    return x0
+
+
+def search_uniform(r, s, restarts=200, seed=0, rng=None):
+    """Search for a uniform s-dimensional subspace of so(r).
+
+    Minimizes |sum a_i^2 + s Id|_F^2 over orthonormal s-frames; returns the
+    best candidate found.  Certify with einstein_conditions / is_uniform.
+
+    The restarts run in lockstep chunks of 1, 2, 4, ... starts, and the
+    search ends with the first chunk that holds a hit (objective < 1e-26).
+    The result is that of running the restarts one by one and stopping at
+    the first hit; a shared rng, though, advances to the end of the chunk
+    that holds the hit, not to the hit itself.
+    """
+    d = _check_search(r, s)
     if restarts < 1:
         raise ValueError(f"need at least one restart (--trials >= 1), got {restarts}")
     basis = so_basis(r)
     if rng is None:
         rng = np.random.default_rng(seed)
     best = None
-    for _ in range(restarts):
-        x0, _ = np.linalg.qr(rng.standard_normal((d, s)))
-        x, alpha, dft, h = _descend(basis, x0, s)
-        res = float(np.max(np.abs(dft)))
-        if best is None or h < best.objective:
+    size = 1
+    while restarts > 0:
+        n = min(size, restarts, _LOCKSTEP)
+        x, alpha, dft, h = _descend(basis, _starts(rng, n, d, s), s, until_hit=True)
+        hits = np.flatnonzero(h < _HIT)
+        i = int(np.argmin(h[:hits[0] + 1] if hits.size else h))
+        if best is None or h[i] < best.objective:
             best = UniformSubspaceCandidate(
-                r=r, s=s, coords=x, matrices=alpha, residual=res, objective=h
+                r=r, s=s, coords=x[i], matrices=alpha[i],
+                residual=float(np.max(np.abs(dft[i]))), objective=float(h[i]),
             )
-            if best.objective < 1e-26:
-                break
+        if hits.size:
+            break
+        restarts -= n
+        size *= 2
     return best
 
 
@@ -343,10 +400,27 @@ def search_uniform(r, s, restarts=200, seed=0, rng=None):
 
 def _orthonormalize_family(mats):
     """Orthonormal basis of span(mats) w.r.t. (,), by Gram-Schmidt on the
-    so(r) Gram matrix of a linearly independent family."""
+    so(r) Gram matrix of a linearly independent family (s, r, r), or of each
+    family of a stack (..., s, r, r)."""
     mats = np.asarray(mats, dtype=float)
     frame = orthonormal_frame(so_gram(mats, mats))
-    return np.einsum("ak,aij->kij", frame, mats)
+    return np.einsum("...ak,...aij->...kij", frame, mats)
+
+
+def _commutator_map(mats, basis):
+    """The map b -> ([b, a_i])_i on so(r) as a (d, s r^2) matrix with rows in
+    the coordinates of basis, for one family (s, r, r) or for each family of
+    a stack (..., s, r, r)."""
+    s, r = mats.shape[-3], mats.shape[-1]
+    com = np.einsum("uij,...ajk->...uaik", basis, mats)
+    for a in range(s):  # one block at a time: no second map-sized temporary
+        com[..., a, :, :] -= np.einsum("...ij,ujk->...uik", mats[..., a, :, :], basis)
+    return com.reshape(mats.shape[:-3] + (basis.shape[0], s * r * r))
+
+
+def _nullity(sing, tol):
+    """Singular values (..., k) below tol times the largest one count as zero."""
+    return np.sum(sing <= tol * np.maximum(1.0, sing[..., :1]), axis=-1)
 
 
 def centralizer(mats, tol):
@@ -356,21 +430,32 @@ def centralizer(mats, tol):
     """
     mats = np.asarray(mats, dtype=float)
     basis = so_basis(mats.shape[1])
-    d = basis.shape[0]
-    rows = []
-    for a in mats:
-        block = np.einsum("uij,jk->uik", basis, a) - np.einsum("ij,ujk->uik", a, basis)
-        rows.append(block.reshape(d, -1))
     # s r^2 columns against d = r(r-1)/2 rows, so u is square
-    stacked = np.concatenate(rows, axis=1)
-    u, sing, _ = np.linalg.svd(stacked, full_matrices=False)
-    nullity = int(np.sum(sing <= tol * max(1.0, float(sing[0]))))
-    return nullity, np.einsum("uc,uij->cij", u[:, d - nullity:], basis)
+    u, sing, _ = np.linalg.svd(_commutator_map(mats, basis), full_matrices=False)
+    nullity = int(_nullity(sing, tol))
+    return nullity, np.einsum("uc,uij->cij", u[:, basis.shape[0] - nullity:], basis)
 
 
 def centralizer_dimension(mats, tol=1e-8):
     """dim of {b in so(r): [b, a_i] = 0 for all i}."""
     return centralizer(mats, tol)[0]
+
+
+def _equivalence_invariants(families):
+    """equivalence_invariants of each family of a stack (F, s, r, r), as the
+    arrays (F, r), (F, r) and (F,)."""
+    onb = _orthonormalize_family(families)
+    s, r = onb.shape[1], onb.shape[3]
+    ss = np.einsum("faij,fajk->fik", onb, onb)
+    t = np.zeros((onb.shape[0], r, r))
+    for i in range(s):
+        for j in range(i + 1, s):
+            com = onb[:, i] @ onb[:, j] - onb[:, j] @ onb[:, i]
+            t += com.swapaxes(-1, -2) @ com
+    eig1 = np.sort(np.linalg.eigvalsh(0.5 * (ss + ss.swapaxes(-1, -2))), axis=-1)
+    eig2 = np.sort(np.linalg.eigvalsh(t), axis=-1)
+    sing = np.linalg.svd(_commutator_map(onb, so_basis(r)), compute_uv=False)
+    return eig1, eig2, _nullity(sing, 1e-8)
 
 
 def equivalence_invariants(mats):
@@ -379,18 +464,8 @@ def equivalence_invariants(mats):
     Returns (eigs of sum a_i^2, eigs of sum_{i<j} [a_i,a_j]^T [a_i,a_j],
     centralizer dimension) computed from an orthonormal basis of the span.
     """
-    onb = _orthonormalize_family(mats)
-    s, r = onb.shape[0], onb.shape[1]
-    ss = np.einsum("aij,ajk->ik", onb, onb)
-    t = np.zeros((r, r))
-    for i in range(s):
-        for j in range(i + 1, s):
-            com = onb[i] @ onb[j] - onb[j] @ onb[i]
-            t += com.T @ com
-    eig1 = np.sort(np.linalg.eigvalsh(0.5 * (ss + ss.T)))
-    eig2 = np.sort(np.linalg.eigvalsh(t))
-    cdim = centralizer_dimension(onb)
-    return tuple(eig1), tuple(eig2), cdim
+    eig1, eig2, cdim = _equivalence_invariants(np.asarray(mats, dtype=float)[None])
+    return tuple(eig1[0]), tuple(eig2[0]), int(cdim[0])
 
 
 def _fingerprints_match(fa, fb, tol=1e-6):
@@ -406,27 +481,30 @@ def classify_uniform_so4(s, trials=200, seed=0, tol=1e-8, cluster_tol=1e-6):
     """Collect uniform s-subspaces of so(4) by repeated search and cluster
     their invariant fingerprints.
 
-    Returns a list of (fingerprint, count, representative matrices).
+    Each trial is one descent from a random start; the trials run in
+    lockstep batches.  Returns a list of (fingerprint, count, representative
+    matrices).
     """
     if trials < 1:
         raise ValueError(f"need at least one trial (--trials >= 1), got {trials}")
+    d = _check_search(4, s)
+    basis = so_basis(4)
     rng = np.random.default_rng(seed)
+    hits = []
+    for start in range(0, trials, _LOCKSTEP):
+        _, alpha, dft, _ = _descend(basis, _starts(rng, min(_LOCKSTEP, trials - start), d, s), s)
+        hits.append(alpha[np.max(np.abs(dft), axis=(1, 2)) <= tol])
+    hits = np.concatenate(hits)
+    eig1, eig2, cdim = _equivalence_invariants(hits)
     classes = []
-    found = 0
-    for _ in range(trials):
-        cand = search_uniform(4, s, restarts=1, rng=rng)
-        if cand.residual > tol:
-            continue
-        found += 1
-        fp = equivalence_invariants(cand.matrices)
+    for k, mats in enumerate(hits):
+        fp = (tuple(eig1[k]), tuple(eig2[k]), int(cdim[k]))
         for entry in classes:
             if _fingerprints_match(entry[0], fp, cluster_tol):
                 entry[1] += 1
                 break
         else:
-            classes.append([fp, 1, cand.matrices])
-    if found == 0:
-        return []
+            classes.append([fp, 1, mats])
     return [(fp, count, rep) for fp, count, rep in classes]
 
 

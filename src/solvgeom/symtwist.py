@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, ad_matrix, from_sparse, orthonormal_frame
+from .algebra import MAX_DIM, MetricLieAlgebra, ad_matrix, from_sparse, orthonormal_frame
 from .curvature import einstein_verdict
 
 __all__ = [
@@ -506,6 +506,14 @@ def _grassmannian_membership(field_, p, m, mat, tol=1e-12):
             raise ValueError("matrix is not traceless")
 
 
+def _check_dim(tag, dim):
+    """Refuse a build whose Iwasawa algebra exceeds MAX_DIM, before any
+    matrix is allocated."""
+    if dim > MAX_DIM:
+        raise ValueError(f"{tag} would have dim {dim}, above the largest supported "
+                         f"dim {MAX_DIM}")
+
+
 def _build_grassmannian(field_, p, q):
     if q < p or p < 1:
         raise ValueError("need 1 <= p <= q")
@@ -515,6 +523,8 @@ def _build_grassmannian(field_, p, q):
     d = len(units)
     fam = {"R": "so_pq", "C": "su_pq", "H": "sp_pq"}[field_]
     tag = {"R": f"so({p},{q})", "C": f"su({p},{q})", "H": f"sp({p},{q})"}[field_]
+    # a has dim p, n has dim d p (q - 1) + (d - 1) p
+    _check_dim(tag, d * p * q)
 
     def emb(entries):
         mat = _materialize(field_, size, entries)
@@ -657,6 +667,8 @@ def build_so_nH(n):
     if n < 4:
         raise ValueError("need n >= 4 for a rank >= 2 algebra")
     m = n // 2
+    # restricted roots C_m (n even) or BC_m (n odd); e_i +- e_j have multiplicity 4
+    _check_dim(f"so({n},H)", 4 * m * m - 2 * m if n % 2 == 0 else 4 * m * m + 2 * m)
     size = 2 * n
     E = lambda i, j: _skew_unit(i, j, size)
 
@@ -775,6 +787,7 @@ def build_sl_nH(n):
     """Iwasawa algebra of the quaternion special-linear family in gl(2n, C)."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_dim(f"sl({n},H)", (n - 1) + 4 * n * (n - 1) // 2)
     size = 2 * n
 
     def F(i, j):
@@ -833,6 +846,7 @@ def build_type_iv_sl(n):
     """
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_dim(f"sl({n},C) real", (n - 1) + 2 * n * (n - 1) // 2)
     diag_basis = _trace_free_diagonals(n)
     # a-norm is Re tr(XY); rescale rows so diag matrices are unit
     a_mats = [np.diag(v).astype(complex) for v in diag_basis]
@@ -866,6 +880,7 @@ def build_sl_nR(n):
     spaces, so every closed twist is a restricted-height twist."""
     if n < 2:
         raise ValueError("need n >= 2")
+    _check_dim(f"sl({n},R)", (n - 1) + n * (n - 1) // 2)
     diag_basis = _trace_free_diagonals(n)
     a_mats = [np.diag(v).astype(complex) for v in diag_basis]
     a_names = [f"a{l+1}" for l in range(n - 1)]

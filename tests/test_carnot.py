@@ -8,8 +8,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvgeom import carnot
 from solvgeom.carnot import (
     DataTriple,
+    UniformSubspaceCandidate,
     build_solvmanifold,
     centralizer_dimension,
     classify_uniform_so4,
@@ -24,8 +26,10 @@ from solvgeom.carnot import (
     so4_criterion,
     so4_split_basis,
     so_basis,
+    so_gram,
     so_inner,
 )
+from solvgeom.carnot import _descend, _equivalence_invariants, _fingerprints_match
 from solvgeom.curvature import einstein_verdict
 
 from conftest import SEED
@@ -306,3 +310,222 @@ def test_random_triple_einstein_flag():
     triple = random_triple(4, 2, rng)
     skew = triple.j_mats + np.transpose(triple.j_mats, (0, 2, 1))
     assert np.max(np.abs(skew)) <= 1e-12
+
+
+# --- the lockstep descent against the one-start-at-a-time loop ----------------
+
+
+def descend_reference(basis, x, s, max_iter=4000):
+    """The descent one start at a time, as it ran before the lockstep batch."""
+    r = basis.shape[1]
+    target = s * np.eye(r)
+
+    def defect(xm):
+        alpha = np.einsum("ui,uab->iab", xm, basis)
+        return alpha, np.einsum("iab,ibc->ac", alpha, alpha) + target
+
+    def riemannian_grad(xm, alpha, dft):
+        w = np.einsum("ab,ibc->iac", dft, alpha) + np.einsum("iab,bc->iac", alpha, dft)
+        egrad = 2.0 * np.einsum("iab,uba->ui", w, basis)
+        xtg = xm.T @ egrad
+        return egrad - xm @ (0.5 * (xtg + xtg.T))
+
+    alpha, dft = defect(x)
+    h = float(np.sum(dft * dft))
+    rgrad = riemannian_grad(x, alpha, dft)
+    step = 1.0
+    prev_x = prev_g = None
+    for _ in range(max_iter):
+        gnorm = float(np.linalg.norm(rgrad))
+        if gnorm < 1e-13 or h < 1e-26:
+            break
+        if prev_x is not None:
+            dx = (x - prev_x).ravel()
+            dg = (rgrad - prev_g).ravel()
+            dxdg = float(dx @ dg)
+            if dxdg > 1e-30:
+                step = float(dx @ dx) / dxdg
+            step = min(max(step, 1e-6), 1e6)
+        improved = False
+        for _ in range(60):
+            q, rr = np.linalg.qr(x - step * rgrad)
+            q = q * np.sign(np.where(np.diag(rr) == 0, 1.0, np.diag(rr)))
+            alpha_new, dft_new = defect(q)
+            h_new = float(np.sum(dft_new * dft_new))
+            if h_new < h - 1e-4 * step * gnorm * gnorm:
+                prev_x, prev_g = x, rgrad
+                x, alpha, dft, h = q, alpha_new, dft_new, h_new
+                rgrad = riemannian_grad(x, alpha, dft)
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+    return x, alpha, dft, h
+
+
+def search_reference(r, s, restarts=200, seed=0, rng=None):
+    """The restart loop one start at a time; also returns how many restarts ran."""
+    d = r * (r - 1) // 2
+    basis = so_basis(r)
+    if rng is None:
+        rng = np.random.default_rng(seed)
+    best = None
+    used = 0
+    for _ in range(restarts):
+        used += 1
+        x0, _ = np.linalg.qr(rng.standard_normal((d, s)))
+        x, alpha, dft, h = descend_reference(basis, x0, s)
+        res = float(np.max(np.abs(dft)))
+        if best is None or h < best.objective:
+            best = UniformSubspaceCandidate(
+                r=r, s=s, coords=x, matrices=alpha, residual=res, objective=h
+            )
+            if best.objective < 1e-26:
+                break
+    return best, used
+
+
+def classify_reference(s, trials, seed):
+    """Classes from one single-restart search per trial, clustered in order."""
+    rng = np.random.default_rng(seed)
+    classes = []
+    for _ in range(trials):
+        cand, _ = search_reference(4, s, restarts=1, rng=rng)
+        if cand.residual > 1e-8:
+            continue
+        fp = equivalence_invariants(cand.matrices)
+        for entry in classes:
+            if _fingerprints_match(entry[0], fp):
+                entry[1] += 1
+                break
+        else:
+            classes.append([fp, 1, cand.matrices])
+    return classes
+
+
+LOCKSTEP_PAIRS = [(3, 1), (3, 2), (5, 1), (5, 2), (4, 2), (6, 3), (3, 3)]
+
+
+@pytest.mark.parametrize("r, s", LOCKSTEP_PAIRS)
+def test_lockstep_descent_matches_reference_per_start(r, s):
+    # every start of a stack ends bit for bit where it ends alone, whatever
+    # the stack size
+    d = r * (r - 1) // 2
+    basis = so_basis(r)
+    x0, _ = np.linalg.qr(np.random.default_rng(SEED + r * s).standard_normal((9, d, s)))
+    ref = [descend_reference(basis, x, s) for x in x0]
+    for n in (1, 4, 9):
+        got = _descend(basis, x0[:n], s)
+        for i in range(n):
+            for k in range(3):
+                assert np.array_equal(got[k][i], ref[i][k])
+            assert got[3][i] == ref[i][3]
+
+
+def test_lockstep_descent_respects_max_iter():
+    basis = so_basis(5)
+    x0, _ = np.linalg.qr(np.random.default_rng(SEED).standard_normal((6, 10, 2)))
+    for max_iter in (0, 1, 7):
+        got = _descend(basis, x0, 2, max_iter=max_iter)
+        for i, x in enumerate(x0):
+            ref = descend_reference(basis, x, 2, max_iter=max_iter)
+            assert np.array_equal(got[0][i], ref[0]) and got[3][i] == ref[3]
+
+
+def test_a_hit_stops_the_later_starts_of_its_stack():
+    # start 0 lies next to the uniform pair L(i), L(j) and hits first; the
+    # random starts after it would hit too if they ran on
+    left, _ = so4_split_basis()
+    basis = so_basis(4)
+    rng = np.random.default_rng(0)
+    near, _ = np.linalg.qr(so_gram(left[:2], basis).T + 1e-3 * rng.standard_normal((6, 2)))
+    rand, _ = np.linalg.qr(rng.standard_normal((5, 6, 2)))
+    x0 = np.concatenate([near[None], rand])
+    cut = _descend(basis, x0, 2, until_hit=True)
+    full = _descend(basis, x0, 2)
+    assert np.array_equal(cut[0][0], full[0][0]) and cut[3][0] < 1e-26
+    assert np.all(full[3][1:] < 1e-26)
+    assert np.all(cut[3][1:] >= 1e-26)
+
+
+@pytest.mark.parametrize("r, s", LOCKSTEP_PAIRS)
+@pytest.mark.parametrize("seed", [0, 1, SEED])
+def test_search_uniform_matches_reference(r, s, seed):
+    got = search_uniform(r, s, restarts=30, seed=seed)
+    ref, _ = search_reference(r, s, restarts=30, seed=seed)
+    assert np.array_equal(got.coords, ref.coords)
+    assert np.array_equal(got.matrices, ref.matrices)
+    assert got.residual == ref.residual
+    assert got.objective == ref.objective
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_classify_so4_matches_reference(s):
+    got = classify_uniform_so4(s, trials=40, seed=SEED)
+    ref = classify_reference(s, trials=40, seed=SEED)
+    assert [count for _, count, _ in got] == [count for _, count, _ in ref]
+    for (fp, _, rep), (fp_ref, _, rep_ref) in zip(got, ref):
+        assert fp == fp_ref
+        assert np.array_equal(rep, rep_ref)
+
+
+def test_batched_fingerprints_equal_per_family():
+    rng = np.random.default_rng(SEED)
+    left, right = so4_split_basis()
+    for s in range(1, 7):
+        raw = rng.standard_normal((5, s, 4, 4))
+        fams = raw - np.transpose(raw, (0, 1, 3, 2))
+        if s == 2:
+            fams = np.concatenate([fams, [left[:2], [left[0], right[0]]]])
+        eig1, eig2, cdim = _equivalence_invariants(fams)
+        for k, mats in enumerate(fams):
+            assert equivalence_invariants(mats) == (tuple(eig1[k]), tuple(eig2[k]), cdim[k])
+
+
+# --- counted work ---------------------------------------------------------------
+
+
+@pytest.fixture
+def descend_sizes(monkeypatch):
+    """Records the number of starts of every _descend call."""
+    sizes = []
+
+    def recording(basis, x, s, **kwargs):
+        sizes.append(x.shape[0])
+        return _descend(basis, x, s, **kwargs)
+
+    monkeypatch.setattr(carnot, "_descend", recording)
+    return sizes
+
+
+def test_early_hit_bounds_the_starts_descended(descend_sizes):
+    # chunks of 1, 2, 4, ... starts: a hit at reference index k costs at most
+    # 2(k + 1) descents, not all the restarts
+    ref, used = search_reference(6, 3, restarts=200, seed=0)
+    got = search_uniform(6, 3, restarts=200, seed=0)
+    assert ref.objective < 1e-26 and used < 200
+    assert np.array_equal(got.coords, ref.coords)
+    assert sum(descend_sizes) <= 2 * used
+    assert descend_sizes == [2 ** k for k in range(len(descend_sizes))]
+
+
+def test_shared_rng_advances_to_the_end_of_the_hit_chunk(descend_sizes):
+    rng = np.random.default_rng(0)
+    search_uniform(6, 3, restarts=200, rng=rng)
+    drawn = np.random.default_rng(0)
+    drawn.standard_normal((sum(descend_sizes), 15, 3))
+    assert rng.standard_normal() == drawn.standard_normal()
+
+
+def test_nonexistence_search_descends_every_restart_once(descend_sizes):
+    search_uniform(3, 1, restarts=50, seed=SEED)
+    assert descend_sizes == [1, 2, 4, 8, 16, 19]
+
+
+def test_classify_batches_are_capped(descend_sizes):
+    # memory of one lockstep batch does not grow with the number of trials
+    classes = classify_uniform_so4(1, trials=5000, seed=SEED)
+    assert len(classes) == 1
+    assert sum(descend_sizes) == 5000
+    assert max(descend_sizes) == carnot._LOCKSTEP

@@ -10,11 +10,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from solvgeom import symtwist
 from solvgeom.algebra import serialize
 from solvgeom.carnot import build_solvmanifold, complex_hyperbolic_triple, random_triple
 from solvgeom.cli import DEFAULT_SEED, main
 
-from conftest import SEED
+from conftest import SEED, NoNumpy
 
 
 def run(argv):
@@ -417,6 +418,27 @@ def test_bad_parameters_exit_2_with_one_error_line(argv):
     assert code == 2
     assert len(err.splitlines()) == 1
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["build", "twist", "table"])
+@pytest.mark.parametrize("space", [
+    ["--space", "sl_nR", "--n", "40"],
+    ["--space", "sl_nR", "--n", "10"],
+    ["--space", "so_nH", "--n", "8"],
+    ["--space", "sl_nH", "--n", "6"],
+    ["--space", "type4_sl", "--n", "8"],
+    ["--space", "so_pq", "--p", "7", "--q", "7"],
+    ["--space", "su_pq", "--p", "2", "--q", "13"],
+    ["--space", "sp_pq", "--p", "3", "--q", "5"],
+])
+def test_oversized_symmetric_space_exits_2(monkeypatch, command, space):
+    # the refusal comes before the builder touches numpy
+    monkeypatch.setattr(symtwist, "np", NoNumpy())
+    code, out, err = run(["symmetric", command] + space)
+    assert code == 2
+    assert out == ""
+    assert len(err.splitlines()) == 1
+    assert err.startswith("error:") and "above the largest supported dim" in err
 
 
 def test_family_report_without_samples_prints_empty_range():

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from solvgeom import symtwist
-from solvgeom.algebra import validate
+from solvgeom.algebra import MAX_DIM, validate
 from solvgeom.curvature import einstein_verdict, ricci, sectional
 from solvgeom.symtwist import (
     TwistAssignment,
@@ -29,6 +29,8 @@ from solvgeom.symtwist import (
     type_iv_twist,
     wa_twist,
 )
+
+from conftest import NoNumpy
 
 _CACHE = {}
 
@@ -136,6 +138,39 @@ def test_builder_argument_validation():
         build_type_iv_sl(1)
     with pytest.raises(ValueError):
         build_sl_nR(1)
+
+
+# (builder, largest in-bound arguments, their dim, smallest refused arguments)
+LARGEST_IN_BOUND = [
+    (build_so_pq, (6, 8), 48, (7, 7)),
+    (build_su_pq, (4, 6), 48, (5, 5)),
+    (build_sp_pq, (3, 4), 48, (1, 13)),
+    (build_so_nH, (7,), 42, (8,)),
+    (build_sl_nH, (5,), 44, (6,)),
+    (build_type_iv_sl, (7,), 48, (8,)),
+    (build_sl_nR, (9,), 44, (10,)),
+]
+
+
+@pytest.mark.parametrize("builder, args, dim, refused", LARGEST_IN_BOUND,
+                         ids=[b.__name__ for b, *_ in LARGEST_IN_BOUND])
+def test_builders_bounded_by_max_dim(builder, args, dim, refused):
+    assert dim <= MAX_DIM
+    assert builder(*args).dim == dim
+    with pytest.raises(ValueError, match=f"above the largest supported dim {MAX_DIM}"):
+        builder(*refused)
+
+
+def test_builder_bound_refuses_before_allocating(monkeypatch):
+    # a huge size is refused by arithmetic alone, before numpy is touched
+    monkeypatch.setattr(symtwist, "np", NoNumpy())
+    big = 10 ** 6
+    for builder, args in ((build_sl_nR, (big,)), (build_so_nH, (big,)),
+                          (build_sl_nH, (big,)), (build_type_iv_sl, (big,)),
+                          (build_so_pq, (big, big)), (build_su_pq, (3, big)),
+                          (build_sp_pq, (1, big))):
+        with pytest.raises(ValueError, match="above the largest supported dim"):
+            builder(*args)
 
 
 def test_rank_one_families_still_build():
