@@ -55,7 +55,7 @@ class RootDecoratedAlgebra:
     base: MetricLieAlgebra
     tag: str
     simple_roots: tuple          # base of the positive root system, omega-coords
-    meta: tuple                  # per-index dict: name, root, col, group
+    meta: tuple                  # per-index dict: col (wa_twist), group (paper twists)
     params: dict = field(default_factory=dict)
 
     def root_of(self, i):
@@ -94,11 +94,17 @@ def _flat(stack):
     return np.concatenate([rows.real, rows.imag], axis=1)
 
 
+# commutator pairs projected at once: bounds _assemble's memory to a few
+# blocks of matrices whatever the number of pairs
+_PAIR_BLOCK = 256
+
+
 def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
               simple_roots, params, tol=1e-10):
-    """Orthonormality is asserted, structure constants are computed by exact
-    expansion of matrix commutators, and the root decoration is validated
-    against the actual ad(a) eigenvalues."""
+    """Orthogonality of the basis is asserted (each builder asserts its own
+    common norm), structure constants are computed by exact expansion of
+    matrix commutators, and the root decoration is validated against the
+    actual ad(a) eigenvalues."""
     mats = np.asarray(list(a_mats) + list(n_mats), dtype=complex)
     la, dim = len(a_mats), len(mats)
     names = tuple(a_names) + tuple(n_names)
@@ -110,24 +116,26 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
     gmat = basis_flat @ basis_flat.T
     if float(np.max(np.abs(gmat - np.diag(np.diag(gmat))))) > 1e-10:
         raise ValueError(f"{tag}: basis is not orthogonal")
+    norms = np.diag(gmat)
 
     # project every commutator [e_i, e_j], i < j, onto the orthogonal basis
-    pairs = np.triu_indices(dim, 1)
-    left, right = mats[pairs[0]], mats[pairs[1]]
-    targets = _flat(left @ right - right @ left)
-    coeffs = (targets @ basis_flat.T) / np.diag(gmat)
-    resid = np.max(np.abs(coeffs @ basis_flat - targets), axis=1, initial=0.0)
-    bad = np.flatnonzero(resid > tol)
-    if bad.size:
-        t = bad[0]
-        i, j = pairs[0][t], pairs[1][t]
-        raise ValueError(
-            f"{tag}: [{names[i]}, {names[j]}] leaves the span (residual {resid[t]:.2e})"
-        )
-    entries = [
-        (int(pairs[0][t]), int(pairs[1][t]), int(k), float(coeffs[t, k]))
-        for t, k in zip(*np.nonzero(np.abs(coeffs) > 1e-12))
-    ]
+    rows, cols = np.triu_indices(dim, 1)
+    entries = []
+    for start in range(0, len(rows), _PAIR_BLOCK):
+        pi, pj = rows[start:start + _PAIR_BLOCK], cols[start:start + _PAIR_BLOCK]
+        left, right = mats[pi], mats[pj]
+        targets = _flat(left @ right - right @ left)
+        coeffs = (targets @ basis_flat.T) / norms
+        resid = np.max(np.abs(coeffs @ basis_flat - targets), axis=1, initial=0.0)
+        bad = np.flatnonzero(resid > tol)
+        if bad.size:
+            t = bad[0]
+            raise ValueError(
+                f"{tag}: [{names[pi[t]]}, {names[pj[t]]}] leaves the span "
+                f"(residual {resid[t]:.2e})"
+            )
+        entries += [(int(pi[t]), int(pj[t]), int(k), float(coeffs[t, k]))
+                    for t, k in zip(*np.nonzero(np.abs(coeffs) > 1e-12))]
 
     roots = tuple([None] * la) + tuple(tuple(r) for r in n_roots)
     alg = from_sparse(
@@ -154,8 +162,7 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
             raise ValueError(f"{tag}: root labels disagree with ad({names[ai]}) spectrum")
 
     meta = tuple(
-        {"name": names[i], "root": roots[i],
-         "col": (n_cols[i - la] if i >= la else None),
+        {"col": (n_cols[i - la] if i >= la else None),
          "group": (n_groups[i - la] if i >= la else "a")}
         for i in range(dim)
     )
@@ -227,13 +234,10 @@ def twist(rda, assignment):
         c=c, gram=alg.gram.copy(), labels=labels,
         a_indices=alg.a_indices, n_indices=alg.n_indices, roots=alg.roots,
     )
-    meta = tuple(
-        dict(m, name=labels[i]) for i, m in enumerate(rda.meta)
-    )
     suffix = f" twisted[{assignment.tag}]" if assignment.tag else " twisted"
     tag = rda.tag[:-len(suffix)] if rda.tag.endswith(suffix) else rda.tag + suffix
     return RootDecoratedAlgebra(
-        base=new, tag=tag, simple_roots=rda.simple_roots, meta=meta,
+        base=new, tag=tag, simple_roots=rda.simple_roots, meta=rda.meta,
         params=dict(rda.params),
     )
 
@@ -769,7 +773,18 @@ def build_so_nH(n):
     )
 
 
-# --- sl(n, H) ----------------------------------------------------------------
+# --- sl(n, F) for F = R, C, H -----------------------------------------------
+#
+# a is the trace-free real diagonal; the root space of e_j - e_k is spanned by
+# sqrt(2) u E_jk over the units u of the field, listed below in basis order as
+# (letter, unit X + Yj as the pair (X, Y)), embedded as for the Grassmannians.
+
+_SL_FAMILIES = {
+    "R": ("sl({},R)", "sl_nR", (("E", (1.0, 0.0)),)),
+    "C": ("sl({},C) real", "type_iv", (("X", (1.0, 0.0)), ("JX", (1j, 0.0)))),
+    "H": ("sl({},H)", "sl_nH", (("A", (1j, 0.0)), ("B", (0.0, 1j)),
+                                ("C", (0.0, 1.0)), ("D", (1.0, 0.0)))),
+}
 
 
 def _sl_nH_membership(n, mat, tol=1e-12):
@@ -783,126 +798,66 @@ def _sl_nH_membership(n, mat, tol=1e-12):
         raise ValueError("tr(X + conj X) != 0")
 
 
-def build_sl_nH(n):
-    """Iwasawa algebra of the quaternion special-linear family in gl(2n, C)."""
+def _build_sl(field_, n):
+    """Iwasawa algebra of sl(n, F).  Every basis vector shares one norm-square:
+    Re tr(XY) on a, Re tr(X Y*)/2 on n, so the shipped metric (that form,
+    scaled) makes the basis exactly orthonormal."""
     if n < 2:
         raise ValueError("need n >= 2")
-    _check_dim(f"sl({n},H)", (n - 1) + 4 * n * (n - 1) // 2)
-    size = 2 * n
+    tag_fmt, fam, units = _SL_FAMILIES[field_]
+    tag = tag_fmt.format(n)
+    _check_dim(tag, (n - 1) + len(units) * n * (n - 1) // 2)
 
-    def F(i, j):
-        m = np.zeros((size, size), dtype=complex)
-        m[i - 1, j - 1] = 1.0
-        return m
+    def emb(entries):
+        mat = _materialize(field_, n, entries)
+        if field_ == "H":
+            _sl_nH_membership(n, mat)
+        return mat
 
-    diag_basis = _trace_free_diagonals(n)
-    a_mats, a_names = [], []
-    for l, v in enumerate(diag_basis):
-        h = np.zeros((size, size), dtype=complex)
-        h[:n, :n] = np.diag(v)
-        h[n:, n:] = np.diag(v)
-        a_mats.append(h)
-        a_names.append(f"a{l+1}")
+    a_mats = [emb({(i, i): (x, 0.0) for i, x in enumerate(v)})
+              for v in _trace_free_diagonals(n)]
+    a_names = [f"a{l+1}" for l in range(n - 1)]
+    common = _norm_a(a_mats[0])
 
     n_mats, n_names, n_roots, n_groups = [], [], [], []
     ids = np.eye(n, dtype=int)
     s2 = math.sqrt(2)
     for j in range(1, n):
         for k in range(j + 1, n + 1):
-            vecs = (
-                ("A", 1j * s2 * (F(j, k) - F(n + j, n + k))),
-                ("B", 1j * s2 * (F(j, n + k) + F(n + j, k))),
-                ("C", s2 * (F(j, n + k) - F(n + j, k))),
-                ("D", s2 * (F(j, k) + F(n + j, n + k))),
-            )
-            for letter, mat in vecs:
-                _sl_nH_membership(n, mat)
-                # common norm-square 2 across a and n, metric halved as for
-                # the quaternion-skew family
+            for letter, u in units:
+                name = f"{letter}_{j}{k}"
+                mat = emb({(j - 1, k - 1): (s2 * u[0], s2 * u[1])})
                 nrm = _norm_n(mat)
-                if abs(nrm - 2.0) > 1e-12:
-                    raise ValueError(f"{letter}_{j}{k}: expected common norm")
+                if abs(nrm - common) > 1e-12:
+                    raise ValueError(f"{name}: expected common norm {common}, got {nrm}")
                 n_mats.append(mat)
-                n_names.append(f"{letter}_{j}{k}")
+                n_names.append(name)
                 n_roots.append(tuple(ids[j - 1] - ids[k - 1]))
                 n_groups.append(letter)
 
     simple = [tuple(ids[j] - ids[j + 1]) for j in range(n - 1)]
     return _assemble(
-        f"sl({n},H)", a_mats, a_names, n_mats, n_names, n_roots,
+        tag, a_mats, a_names, n_mats, n_names, n_roots,
         [None] * len(n_mats), n_groups, simple_roots=simple,
-        params={"family": "sl_nH", "n": n},
+        params={"family": fam, "n": n},
     )
 
 
-# --- type IV (complex simple algebras viewed as real) -------------------------
+def build_sl_nH(n):
+    """Iwasawa algebra of the quaternion special-linear family in gl(2n, C)."""
+    return _build_sl("H", n)
 
 
 def build_type_iv_sl(n):
-    """Iwasawa algebra of sl(n, C) viewed as a real algebra.
-
-    Root spaces are two-dimensional, spanned by X_jk and its rotation
-    JX_jk = i X_jk; the inner product is Re tr on a and Re tr(X Y*)/2 on n.
-    """
-    if n < 2:
-        raise ValueError("need n >= 2")
-    _check_dim(f"sl({n},C) real", (n - 1) + 2 * n * (n - 1) // 2)
-    diag_basis = _trace_free_diagonals(n)
-    # a-norm is Re tr(XY); rescale rows so diag matrices are unit
-    a_mats = [np.diag(v).astype(complex) for v in diag_basis]
-    a_names = [f"a{l+1}" for l in range(n - 1)]
-
-    n_mats, n_names, n_roots, n_groups = [], [], [], []
-    ids = np.eye(n, dtype=int)
-    s2 = math.sqrt(2)
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            e = np.zeros((n, n), dtype=complex)
-            e[j - 1, k - 1] = 1.0
-            for mat, prefix in ((s2 * e, "X"), (1j * s2 * e, "JX")):
-                if abs(_norm_n(mat) - 1.0) > 1e-12:
-                    raise ValueError("root vector is not unit")
-                n_mats.append(mat)
-                n_names.append(f"{prefix}_{j}{k}")
-                n_roots.append(tuple(ids[j - 1] - ids[k - 1]))
-                n_groups.append(prefix)
-
-    simple = [tuple(ids[j] - ids[j + 1]) for j in range(n - 1)]
-    return _assemble(
-        f"sl({n},C) real", a_mats, a_names, n_mats, n_names, n_roots,
-        [None] * len(n_mats), n_groups, simple_roots=simple,
-        params={"family": "type_iv", "n": n},
-    )
+    """Iwasawa algebra of sl(n, C) viewed as a real algebra; root spaces are
+    spanned by X_jk and its rotation JX_jk = i X_jk."""
+    return _build_sl("C", n)
 
 
 def build_sl_nR(n):
     """Iwasawa algebra of the normal real form sl(n, R): one-dimensional root
     spaces, so every closed twist is a restricted-height twist."""
-    if n < 2:
-        raise ValueError("need n >= 2")
-    _check_dim(f"sl({n},R)", (n - 1) + n * (n - 1) // 2)
-    diag_basis = _trace_free_diagonals(n)
-    a_mats = [np.diag(v).astype(complex) for v in diag_basis]
-    a_names = [f"a{l+1}" for l in range(n - 1)]
-
-    n_mats, n_names, n_roots, n_groups = [], [], [], []
-    ids = np.eye(n, dtype=int)
-    s2 = math.sqrt(2)
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            e = np.zeros((n, n), dtype=complex)
-            e[j - 1, k - 1] = 1.0
-            n_mats.append(s2 * e)
-            n_names.append(f"E_{j}{k}")
-            n_roots.append(tuple(ids[j - 1] - ids[k - 1]))
-            n_groups.append("E")
-
-    simple = [tuple(ids[j] - ids[j + 1]) for j in range(n - 1)]
-    return _assemble(
-        f"sl({n},R)", a_mats, a_names, n_mats, n_names, n_roots,
-        [None] * len(n_mats), n_groups, simple_roots=simple,
-        params={"family": "sl_nR", "n": n},
-    )
+    return _build_sl("R", n)
 
 
 # --- bracket tables -----------------------------------------------------------

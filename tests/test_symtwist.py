@@ -2,6 +2,7 @@
 preservation, positive-curvature witnesses, and the GF(2) twist enumeration."""
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -187,6 +188,86 @@ def test_type_iv_n2_twist_is_trivial():
     a = type_iv_twist(rda)
     tw = twist(rda, a)
     assert np.array_equal(tw.base.c, rda.base.c)
+
+
+def test_so_1_48_build_memory_bounded():
+    # dim 48 from 49 x 49 matrices: _assemble projects the 1128 commutators
+    # in blocks, so its memory does not scale with the number of pairs
+    tracemalloc.start()
+    try:
+        build_so_pq(1, 48)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64e6
+
+
+def hamilton(p, q):
+    """Product of quaternions given as (1, i, j, k) coordinates."""
+    a1, b1, c1, d1 = p
+    a2, b2, c2, d2 = q
+    return (a1 * a2 - b1 * b2 - c1 * c2 - d1 * d2,
+            a1 * b2 + b1 * a2 + c1 * d2 - d1 * c2,
+            a1 * c2 - b1 * d2 + c1 * a2 + d1 * b2,
+            a1 * d2 + b1 * c2 - c1 * b2 + d1 * a2)
+
+
+# root-space units of sl(n, F) in basis order: (letter, index of 1, i, j, k)
+SL_UNITS = {
+    "R": (("E", 0),),
+    "C": (("X", 0), ("JX", 1)),
+    "H": (("A", 1), ("B", 3), ("C", 2), ("D", 0)),
+}
+SL_BUILDERS = {"R": build_sl_nR, "C": build_type_iv_sl, "H": build_sl_nH}
+
+
+def sl_closed_form(field_, n):
+    """Labels, roots and structure constants of the Iwasawa algebra of
+    sl(n, F) from the unit multiplication table: [a_l, u_jk] = (v_l[j] -
+    v_l[k]) u_jk and [u_jk, w_kl] = sqrt(2) (uw)_jl."""
+    units = SL_UNITS[field_]
+    v = symtwist._trace_free_diagonals(n)
+    labels = [f"a{l + 1}" for l in range(n - 1)]
+    roots = [None] * (n - 1)
+    index = {}
+    for j, k in itertools.combinations(range(n), 2):
+        for letter, q in units:
+            index[j, k, q] = len(labels)
+            labels.append(f"{letter}_{j + 1}{k + 1}")
+            roots.append(tuple(int(t == j) - int(t == k) for t in range(n)))
+    unit = np.eye(4, dtype=int)
+    c = np.zeros((len(labels),) * 3)
+    for (j, k, q), x in index.items():
+        for l in range(n - 1):
+            c[l, x, x] = v[l, j] - v[l, k]
+            c[x, l, x] = -c[l, x, x]
+        for (k2, m, q2), y in index.items():
+            if k2 != k:
+                continue
+            prod = hamilton(unit[q], unit[q2])
+            r = int(np.flatnonzero(prod)[0])
+            z = index[j, m, r]
+            c[x, y, z] = np.sqrt(2.0) * prod[r]
+            c[y, x, z] = -c[x, y, z]
+    return tuple(labels), tuple(roots), c
+
+
+@pytest.mark.parametrize("field_", sorted(SL_UNITS))
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_sl_brackets_match_unit_table(field_, n):
+    labels, roots, c = sl_closed_form(field_, n)
+    rda = SL_BUILDERS[field_](n)
+    assert rda.labels == labels
+    assert rda.base.roots == roots
+    assert np.max(np.abs(rda.base.c - c)) <= 1e-12
+
+
+def test_sl_builder_checks_common_norm(monkeypatch):
+    # a root vector off the norm of a (here for sl(n,R)) is refused
+    monkeypatch.setitem(symtwist._SL_FAMILIES, "R",
+                        ("sl({},R)", "sl_nR", (("E", (2.0, 0.0)),)))
+    with pytest.raises(ValueError, match="E_12: expected common norm"):
+        build_sl_nR(3)
 
 
 def test_sl3h_bracket_spot_values():
