@@ -77,6 +77,10 @@ def W_of(r, s, t, signs=None):
     """
     if not all(map(math.isfinite, (r, s, t))):
         raise ValueError(f"need finite (r, s, t), got ({r}, {s}, {t})")
+    if not math.isfinite(r * r + s * s + t * t):
+        # the squares overflow: rescale first (in-range points are not touched)
+        big = max(abs(r), abs(s), abs(t))
+        r, s, t = r / big, s / big, t / big
     nrm = math.sqrt(r * r + s * s + t * t)
     if nrm <= 1e-12:
         raise ValueError("need (r, s, t) != 0")
@@ -143,33 +147,94 @@ def bracket_angle_closed_form(r, s, t):
 # --- curvature scan ---------------------------------------------------------
 
 
-def _margin(triple, x, z, y, w):
-    jz_x = triple.j_of(z) @ x
-    jw_y = triple.j_of(w) @ y
-    jz_y = triple.j_of(z) @ y
-    jw_x = triple.j_of(w) @ x
-    t1 = (0.5 * (x @ x) + z @ z) * (0.5 * (y @ y) + w @ w)
-    t2 = float(jz_x @ jw_y)
-    mix = jz_y + jw_x
-    return t1 + t2 - 0.25 * float(mix @ mix)
+# Rows per sampling block: memory stays flat in the number of samples.
+_BLOCK = 4096
 
 
-def _project_pair(raw, r, s):
-    """Map 2(r+s) free parameters onto the constraint set x _|_ y, z _|_ w,
-    |x|^2+|z|^2 = |y|^2+|w|^2 = 1."""
-    x, y = raw[0:r], raw[r:2 * r]
-    z, w = raw[2 * r:2 * r + s], raw[2 * r + s:]
-    nx = x @ x
-    if nx > 1e-16:
-        y = y - (y @ x) / nx * x
-    nz = z @ z
-    if nz > 1e-16:
-        w = w - (w @ z) / nz * z
-    n1 = math.sqrt(x @ x + z @ z)
-    n2 = math.sqrt(y @ y + w @ w)
-    if n1 < 1e-6 or n2 < 1e-6:
-        return None
-    return x / n1, z / n1, y / n2, w / n2
+def _dot(a, b):
+    """Inner products along the last axis."""
+    return np.einsum("...i,...i->...", a, b)
+
+
+def _orthogonalize(pair):
+    """Gram-Schmidt inside each (first, second) pair of an (N, 2, m) stack:
+    second - c first with c = <second, first>/|first|^2, or c = 0 where
+    |first|^2 <= 1e-16.  Returns the new pairs, c and |first|^2 (inf where
+    c = 0)."""
+    first, second = pair[:, 0], pair[:, 1]
+    nn = _dot(first, first)
+    nn = np.where(nn > 1e-16, nn, np.inf)
+    c = _dot(second, first) / nn
+    return np.stack([first, second - c[:, None] * first], axis=1), c, nn
+
+
+def _orthogonalize_grad(pair, g, c, nn):
+    """Carry the gradient g in the output of `_orthogonalize(pair)` back to `pair`."""
+    first, second = pair[:, 0], pair[:, 1]
+    k = (_dot(g[:, 1], first) / nn)[:, None]
+    c = c[:, None]
+    return np.stack([g[:, 0] - k * (second - 2.0 * c * first) - c * g[:, 1],
+                     g[:, 1] - k * first], axis=1)
+
+
+def _project_rows(raw, r, s):
+    """Map each row (x, y, z, w) of an (N, 2(r+s)) stack onto the constraint
+    set x _|_ y, z _|_ w, |x|^2+|z|^2 = |y|^2+|w|^2 = 1.
+
+    Returns the pairs xy = (x, y) as an (N, 2, r) stack and zw = (z, w) as
+    an (N, 2, s) stack, the mask of rows that project (the others are
+    degenerate: finite but meaningless), and what the chain rule reads.
+    """
+    n = len(raw)
+    xy, cy, nx = _orthogonalize(raw[:, :2 * r].reshape(n, 2, r))
+    zw, cw, nz = _orthogonalize(raw[:, 2 * r:].reshape(n, 2, s))
+    norms = np.sqrt(_dot(xy, xy) + _dot(zw, zw))  # (N, 2): |(x, z)|, |(y, w)|
+    ok = np.all(norms >= 1e-6, axis=1)
+    norms = np.where(ok[:, None], norms, 1.0)[:, :, None]
+    return xy / norms, zw / norms, ok, (cy, nx, cw, nz, norms)
+
+
+def _margin_rows(j_mats, xy, zw):
+    """The margin of each row of the pair stacks xy = (x, y), zw = (z, w), and
+    the terms its gradient reads: b = (|x|^2/2 + |z|^2, |y|^2/2 + |w|^2),
+    j(z) and j(w) with j(z) = sum_a z_a J_a, j(z)x, j(w)y and j(z)y + j(w)x."""
+    b = 0.5 * _dot(xy, xy) + _dot(zw, zw)
+    jzw = np.einsum("nka,aij->nkij", zw, j_mats)
+    prod = np.einsum("nkij,nlj->nkli", jzw, xy)  # j(zw[k]) xy[l]
+    p, q = prod[:, 0, 0], prod[:, 1, 1]
+    mix = prod[:, 0, 1] + prod[:, 1, 0]
+    return b[:, 0] * b[:, 1] + _dot(p, q) - 0.25 * _dot(mix, mix), (b, jzw, p, q, mix)
+
+
+def _sample_margins(j_mats, raw, r, s):
+    """Margins of the projected rows of `raw`; 10.0 where the projection degenerates."""
+    xy, zw, ok, _ = _project_rows(raw, r, s)
+    return np.where(ok, _margin_rows(j_mats, xy, zw)[0], 10.0)
+
+
+def _margin_and_grad(j_mats, raw, r, s):
+    """`_sample_margins` of `raw` and its gradient in the raw coordinates.
+
+    The gradient of the margin in (x, z, y, w) is carried back through the
+    two normalisations and the two Gram-Schmidt steps; it is 0 on the rows
+    where the projection degenerates.
+    """
+    n = len(raw)
+    xy, zw, ok, (cy, nx, cw, nz, norms) = _project_rows(raw, r, s)
+    margin, (b, jzw, p, q, mix) = _margin_rows(j_mats, xy, zw)
+    # the margin's derivative is sum over k, l of <a[k, l], d(j(zw[k]) xy[l])>
+    a = np.stack([q, -0.5 * mix, -0.5 * mix, p], axis=1).reshape(n, 2, 2, r)
+    other = b[:, ::-1, None]  # b2 multiplies |x|^2/2 and |z|^2, b1 |y|^2/2 and |w|^2
+    g_xy = other * xy + np.einsum("nkij,nkli->nlj", jzw, a)
+    g_zw = 2.0 * other * zw + np.einsum("aij,nkli,nlj->nka", j_mats, a, xy)
+    # the normalisations (x, z)/|(x, z)| and (y, w)/|(y, w)|
+    d = (_dot(g_xy, xy) + _dot(g_zw, zw))[:, :, None]
+    g_xy, g_zw = (g_xy - d * xy) / norms, (g_zw - d * zw) / norms
+    # the Gram-Schmidt steps y - c x and w - c z
+    g_xy = _orthogonalize_grad(raw[:, :2 * r].reshape(n, 2, r), g_xy, cy, nx)
+    g_zw = _orthogonalize_grad(raw[:, 2 * r:].reshape(n, 2, s), g_zw, cw, nz)
+    grad = np.concatenate([g_xy.reshape(n, 2 * r), g_zw.reshape(n, 2 * s)], axis=1)
+    return np.where(ok, margin, 10.0), grad * ok[:, None]
 
 
 def negative_curvature_margin(triple, samples=10000, descents=100, seed=0):
@@ -179,6 +244,10 @@ def negative_curvature_margin(triple, samples=10000, descents=100, seed=0):
              - |j(z)y + j(w)x|^2 / 4
     with x _|_ y in R^r, z _|_ w in R^s, unit mixed norms.  A positive
     minimum certifies negative sectional curvature of the extension.
+
+    The samples are drawn and evaluated in blocks of `_BLOCK` rows (the
+    same rows as one draw at a time); the best sample starts the first
+    L-BFGS-B descent, and every descent is given the analytic gradient.
     """
     if samples < 0 or descents < 0 or samples + descents < 1:
         raise ValueError("need samples >= 0, descents >= 0 and at least one of them "
@@ -186,27 +255,26 @@ def negative_curvature_margin(triple, samples=10000, descents=100, seed=0):
     from scipy.optimize import minimize
 
     rng = np.random.default_rng(seed)
-    r, s = triple.r, triple.s
+    r, s, j_mats = triple.r, triple.s, triple.j_mats
     dim = 2 * (r + s)
 
     def objective(raw):
-        parts = _project_pair(raw, r, s)
-        if parts is None:
-            return 10.0
-        return _margin(triple, *parts)
+        value, grad = _margin_and_grad(j_mats, raw[None], r, s)
+        return float(value[0]), grad[0]
 
     best = math.inf
     best_raw = None
-    for _ in range(samples):
-        raw = rng.standard_normal(dim)
-        v = objective(raw)
-        if v < best:
-            best, best_raw = v, raw
-    starts = [rng.standard_normal(dim) for _ in range(descents)]
-    if best_raw is not None and starts:
+    for start in range(0, samples, _BLOCK):
+        raw = rng.standard_normal((min(_BLOCK, samples - start), dim))
+        v = _sample_margins(j_mats, raw, r, s)
+        i = int(np.argmin(v))
+        if v[i] < best:
+            best, best_raw = float(v[i]), raw[i]
+    starts = rng.standard_normal((descents, dim))
+    if best_raw is not None and descents:
         starts[0] = best_raw
     for raw in starts:
-        res = minimize(objective, raw, method="L-BFGS-B")
+        res = minimize(objective, raw, jac=True, method="L-BFGS-B")
         if res.fun < best:
             best = float(res.fun)
     return best
@@ -251,7 +319,8 @@ class FamilyPoint:
 
 def family_report(points=None, samples=200, seed=0, signs=None):
     """Scan the family: Einstein residuals, the two angle invariants, and the
-    range of sampled sectional curvatures of the attached solvable extension."""
+    range of sampled sectional curvatures of the attached solvable extension
+    (drawn and evaluated in blocks of `_BLOCK` sample pairs)."""
     if points is None:
         points = family_grid()
     rng = np.random.default_rng(seed)
@@ -262,16 +331,19 @@ def family_report(points=None, samples=200, seed=0, signs=None):
         cos_c = angle_to_centralizer(r, s, t, signs)
         cos_b = bracket_angle(r, s, t, signs)
         alg = build_solvmanifold(triple)
-        xy = rng.standard_normal((samples, 2, alg.dim))
-        ks = sectionals(alg, xy[:, 0], xy[:, 1])
+        lo, hi = math.inf, -math.inf
+        for start in range(0, samples, _BLOCK):
+            xy = rng.standard_normal((min(_BLOCK, samples - start), 2, alg.dim))
+            ks = sectionals(alg, xy[:, 0], xy[:, 1])
+            lo, hi = float(np.min(ks, initial=lo)), float(np.max(ks, initial=hi))
         rows.append(
             FamilyPoint(
                 r=r, s=s, t=t,
                 einstein_residual=res,
                 cos_angle_centralizer=cos_c,
                 cos_angle_bracket=cos_b,
-                min_sectional=float(np.min(ks, initial=math.inf)),
-                max_sectional=float(np.max(ks, initial=-math.inf)),
+                min_sectional=lo,
+                max_sectional=hi,
             )
         )
     return rows

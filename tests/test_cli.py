@@ -278,6 +278,18 @@ def test_family_margin_reference_point():
     assert float(value) > 0.0
 
 
+def test_family_margin_huge_parameters_name_the_same_point():
+    # r^2 + s^2 overflows: the point is still (1, 1, 0)/sqrt(2), not J = 0
+    margins = []
+    for r, s in (("1e308", "1e308"), ("1", "1")):
+        code, out, _ = run(["family", "margin", "--r", r, "--s", s, "--t", "0",
+                            "--samples", "300", "--descents", "3"])
+        assert code == 0
+        margins.append(records(out)["min-margin"][1])
+    assert margins[0] == margins[1]
+    assert abs(float(margins[0]) - 0.25) > 0.1
+
+
 def test_reports_byte_identical_for_fixed_seed(tmp_path):
     args = ["family", "report", "--grid", "2", "--samples", "10", "--seed", "7"]
     code1, out1, _ = run(args)

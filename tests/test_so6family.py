@@ -9,8 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvgeom.carnot import build_solvmanifold, einstein_conditions, so_inner
-from solvgeom.curvature import einstein_verdict, sectional
+from solvgeom import so6family
+from solvgeom.carnot import (
+    build_solvmanifold,
+    einstein_conditions,
+    random_triple,
+    real_hyperbolic_triple,
+    so_inner,
+)
+from solvgeom.curvature import einstein_verdict, sectional, sectionals
 from solvgeom.so6family import (
     W_of,
     angle_to_centralizer,
@@ -24,7 +31,12 @@ from solvgeom.so6family import (
     negative_curvature_margin,
     tau,
 )
-from solvgeom.so6family import _margin, _project_pair
+from solvgeom.so6family import (
+    _margin_and_grad,
+    _margin_rows,
+    _project_rows,
+    _sample_margins,
+)
 
 from conftest import SEED
 
@@ -32,6 +44,55 @@ from conftest import SEED
 def sphere_point(rng):
     v = rng.standard_normal(3)
     return v / np.linalg.norm(v)
+
+
+# --- scalar reference of the batched margin kernel ----------------------------
+
+
+def _margin(triple, x, z, y, w):
+    jz_x = triple.j_of(z) @ x
+    jw_y = triple.j_of(w) @ y
+    jz_y = triple.j_of(z) @ y
+    jw_x = triple.j_of(w) @ x
+    t1 = (0.5 * (x @ x) + z @ z) * (0.5 * (y @ y) + w @ w)
+    t2 = float(jz_x @ jw_y)
+    mix = jz_y + jw_x
+    return t1 + t2 - 0.25 * float(mix @ mix)
+
+
+def _project_pair(raw, r, s):
+    """Map 2(r+s) free parameters onto the constraint set x _|_ y, z _|_ w,
+    |x|^2+|z|^2 = |y|^2+|w|^2 = 1."""
+    x, y = raw[0:r], raw[r:2 * r]
+    z, w = raw[2 * r:2 * r + s], raw[2 * r + s:]
+    nx = x @ x
+    if nx > 1e-16:
+        y = y - (y @ x) / nx * x
+    nz = z @ z
+    if nz > 1e-16:
+        w = w - (w @ z) / nz * z
+    n1 = math.sqrt(x @ x + z @ z)
+    n2 = math.sqrt(y @ y + w @ w)
+    if n1 < 1e-6 or n2 < 1e-6:
+        return None
+    return x / n1, z / n1, y / n2, w / n2
+
+
+def _margin_row(triple, x, z, y, w):
+    """The batched margin of one (x, z, y, w) row."""
+    xy, zw = np.array([[x, y]], dtype=float), np.array([[z, w]], dtype=float)
+    return float(_margin_rows(triple.j_mats, xy, zw)[0][0])
+
+
+def _unpair(xy, zw):
+    """(x, z, y, w) stacks of the pair stacks xy = (x, y) and zw = (z, w)."""
+    return xy[:, 0], zw[:, 0], xy[:, 1], zw[:, 1]
+
+
+def _project_row(raw, r, s):
+    """The batched projection of one raw row, None where it degenerates."""
+    xy, zw, ok, _ = _project_rows(np.asarray(raw)[None], r, s)
+    return tuple(p[0] for p in _unpair(xy, zw)) if ok[0] else None
 
 
 def test_tau_is_multiplicative_and_real():
@@ -98,6 +159,14 @@ def test_reference_point_is_einstein():
     v = einstein_verdict(alg)
     assert v.is_einstein
     assert abs(v.lam + 4.5) <= 1e-12  # -(r + 4 s)/4 with r = 6, s = 3
+
+
+def test_w_of_rescales_before_the_squares_overflow():
+    for rst, unit in (((1e308, 1e308, 0.0), (1.0, 1.0, 0.0)),
+                      ((-1e200, 0.0, 3e200), (-1.0, 0.0, 3.0)),
+                      ((0.0, 0.0, -1.7e308), (0.0, 0.0, -1.0))):
+        assert np.max(np.abs(W_of(*rst) - W_of(*unit))) <= 1e-15
+        assert np.max(np.abs(induced_triple(*rst).j_mats - W_of(*unit))) <= 1e-15
 
 
 def test_w_of_renormalizes_and_rejects_zero():
@@ -238,41 +307,45 @@ def test_margin_degenerate_plane():
     for _ in range(5):
         x, y = rng.standard_normal((2, 6))
         z = np.zeros(3)
-        m = _margin(triple, x, z, y, z)
-        assert abs(m - 0.25 * (x @ x) * (y @ y)) <= 1e-12
+        for margin in (_margin, _margin_row):
+            m = margin(triple, x, z, y, z)
+            assert abs(m - 0.25 * (x @ x) * (y @ y)) <= 1e-12
 
 
 def test_margin_equals_negated_sectional_plus_bracket_term():
-    # margin(x,z,y,w) = -K(u,v) - 3/4 |[u,v]|^2 for the admissible embedding
-    rng = np.random.default_rng(8)
+    # margin(x,z,y,w) = -K(u,v) - 3/4 |[u,v]|^2 for the admissible embedding;
+    # the scalar reference and the batched helpers see the same raw rows
     triple = induced_triple(0.6, 0.48, math.sqrt(1 - 0.6**2 - 0.48**2))
     alg = build_solvmanifold(triple)
     r, s = triple.r, triple.s
-    for _ in range(8):
-        parts = _project_pair(rng.standard_normal(2 * (r + s)), r, s)
-        assert parts is not None
-        x, z, y, w = parts
-        u = np.zeros(alg.dim)
-        v = np.zeros(alg.dim)
-        u[1:1 + r], u[1 + r:] = x, z
-        v[1:1 + r], v[1 + r:] = y, w
-        k = sectional(alg, u, v)
-        br = alg.bracket(u, v)
-        expect = -k - 0.75 * alg.inner(br, br)
-        assert abs(_margin(triple, x, z, y, w) - expect) <= 1e-10
+    for margin, project in ((_margin, _project_pair), (_margin_row, _project_row)):
+        rng = np.random.default_rng(8)
+        for _ in range(8):
+            parts = project(rng.standard_normal(2 * (r + s)), r, s)
+            assert parts is not None
+            x, z, y, w = parts
+            u = np.zeros(alg.dim)
+            v = np.zeros(alg.dim)
+            u[1:1 + r], u[1 + r:] = x, z
+            v[1:1 + r], v[1 + r:] = y, w
+            k = sectional(alg, u, v)
+            br = alg.bracket(u, v)
+            expect = -k - 0.75 * alg.inner(br, br)
+            assert abs(margin(triple, x, z, y, w) - expect) <= 1e-10
 
 
 def test_project_pair_satisfies_constraints():
-    rng = np.random.default_rng(9)
-    for _ in range(20):
-        parts = _project_pair(rng.standard_normal(18), 6, 3)
-        if parts is None:
-            continue
-        x, z, y, w = parts
-        assert abs(x @ x + z @ z - 1.0) <= 1e-12
-        assert abs(y @ y + w @ w - 1.0) <= 1e-12
-        assert abs(x @ y) <= 1e-9
-        assert abs(z @ w) <= 1e-9
+    for project in (_project_pair, _project_row):
+        rng = np.random.default_rng(9)
+        for _ in range(20):
+            parts = project(rng.standard_normal(18), 6, 3)
+            if parts is None:
+                continue
+            x, z, y, w = parts
+            assert abs(x @ x + z @ z - 1.0) <= 1e-12
+            assert abs(y @ y + w @ w - 1.0) <= 1e-12
+            assert abs(x @ y) <= 1e-9
+            assert abs(z @ w) <= 1e-9
 
 
 def test_margin_positive_at_reference_point():
@@ -295,6 +368,153 @@ def test_margin_needs_a_sample_or_a_descent():
             negative_curvature_margin(triple, samples=samples, descents=descents)
     assert negative_curvature_margin(triple, samples=0, descents=1) < math.inf
     assert negative_curvature_margin(triple, samples=1, descents=0) < math.inf
+
+
+def _kernel_triples():
+    """so(6)-family points, a random triple and an s = 0 triple."""
+    return [induced_triple(1.0, 0.0, 0.0), induced_triple(0.6, 0.64, 0.48),
+            induced_triple(0.0, 0.0, 1.0), induced_triple(0.3, -0.5, 0.8),
+            random_triple(5, 3, np.random.default_rng(1)),
+            real_hyperbolic_triple(5)]
+
+
+def _degenerate_rows(r, s, rng):
+    """Raw rows that hit each branch of the projection: x = z = 0, y = 2x with
+    w = 3z (nothing left after Gram-Schmidt), x = 0 (no x-projection), and
+    |x|^2 just below (x = 1e-9) and above (x = 1e-6) the 1e-16 cutoff."""
+    x, y = rng.standard_normal((2, r))
+    z, w = rng.standard_normal((2, s))
+    zero_r, zero_s = np.zeros(r), np.zeros(s)
+    return np.array([
+        np.concatenate([zero_r, y, zero_s, w]),
+        np.concatenate([x, 2.0 * x, z, 3.0 * z]),
+        np.concatenate([zero_r, y, z, w]),
+        np.concatenate([np.full(r, 1e-9), y, z, w]),
+        np.concatenate([np.full(r, 1e-6), y, z, w]),
+    ])
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_batched_margin_matches_scalar_reference(k):
+    triple = _kernel_triples()[k]
+    r, s = triple.r, triple.s
+    rng = np.random.default_rng(20 + k)
+    raw = np.concatenate([rng.standard_normal((40, 2 * (r + s))),
+                          _degenerate_rows(r, s, rng)])
+    xy, zw, ok, _ = _project_rows(raw, r, s)
+    parts = _unpair(xy, zw)
+    values = _sample_margins(triple.j_mats, raw, r, s)
+    value_and_grad = _margin_and_grad(triple.j_mats, raw, r, s)
+    assert np.array_equal(value_and_grad[0], values)
+    assert not ok[-5:-3].any()
+    for n, row in enumerate(raw):
+        ref = _project_pair(row, r, s)
+        assert (ref is not None) == ok[n]
+        if ref is None:
+            assert values[n] == 10.0
+            assert not value_and_grad[1][n].any()
+            continue
+        for got, want in zip(parts, ref):
+            assert np.max(np.abs(got[n] - want), initial=0.0) <= 1e-13
+        assert abs(values[n] - _margin(triple, *ref)) <= 1e-13
+
+
+def _central_differences(f, u, h=1e-6):
+    g = np.zeros_like(u)
+    for k in range(u.size):
+        e = np.zeros_like(u)
+        e[k] = h
+        g[k] = (f(u + e) - f(u - e)) / (2.0 * h)
+    return g
+
+
+@pytest.mark.parametrize("k", range(6))
+def test_margin_gradient_matches_finite_differences(k):
+    triple = _kernel_triples()[k]
+    r, s = triple.r, triple.s
+    raw = np.random.default_rng(30 + k).standard_normal((4, 2 * (r + s)))
+    _, grad = _margin_and_grad(triple.j_mats, raw, r, s)
+
+    def f(u):
+        return _margin_and_grad(triple.j_mats, u[None], r, s)[0][0]
+
+    for n, row in enumerate(raw):
+        fd = _central_differences(f, row)
+        assert np.max(np.abs(grad[n] - fd)) <= 1e-7 * max(1.0, np.max(np.abs(fd)))
+
+
+def test_margin_closed_forms():
+    # constant curvature -1/4: the margin is |x|^2 |y|^2 / 4 = 1/4 everywhere
+    m = negative_curvature_margin(real_hyperbolic_triple(5), samples=200, descents=3, seed=SEED)
+    assert abs(m - 0.25) <= 1e-9
+    m = negative_curvature_margin(induced_triple(1.0, 0.0, 0.0), samples=500, descents=5,
+                                  seed=SEED)
+    assert abs(m - 3.0 / 28.0) <= 1e-9
+
+
+def test_margin_counted_work(monkeypatch):
+    import scipy.optimize
+    from scipy.optimize import _differentiable_functions, _numdiff
+
+    def no_numdiff(*args, **kwargs):
+        raise AssertionError("finite-difference gradient")
+
+    monkeypatch.setattr(_numdiff, "approx_derivative", no_numdiff)
+    monkeypatch.setattr(_differentiable_functions, "approx_derivative", no_numdiff)
+    jacs = []
+    minimize = scipy.optimize.minimize
+
+    def counted_minimize(*args, **kwargs):
+        jacs.append(kwargs.get("jac"))
+        return minimize(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
+    kernel_rows = []
+
+    def counted_kernel(j_mats, raw, r, s):
+        kernel_rows.append(len(raw))
+        return _sample_margins(j_mats, raw, r, s)
+
+    monkeypatch.setattr(so6family, "_sample_margins", counted_kernel)
+    triple = induced_triple(1.0, 0.0, 0.0)
+    whole = negative_curvature_margin(triple, samples=20, descents=4, seed=SEED)
+    assert jacs == [True] * 4
+    assert kernel_rows == [20]
+    kernel_rows.clear()
+    monkeypatch.setattr(so6family, "_BLOCK", 7)
+    assert negative_curvature_margin(triple, samples=20, descents=4, seed=SEED) == whole
+    assert kernel_rows == [7, 7, 6]  # ceil(20 / 7) blocks, the same rows
+    assert jacs == [True] * 8
+
+
+def test_family_report_blocks_draw_the_same_pairs(monkeypatch):
+    point = (0.6, 0.64, 0.48)
+    xy = np.random.default_rng(SEED).standard_normal((20, 2, 10))
+    ks = sectionals(build_solvmanifold(induced_triple(*point)), xy[:, 0], xy[:, 1])
+    monkeypatch.setattr(so6family, "_BLOCK", 7)
+    (row,) = family_report(points=[point], samples=20, seed=SEED)
+    assert abs(row.min_sectional - ks.min()) <= 1e-14
+    assert abs(row.max_sectional - ks.max()) <= 1e-14
+
+
+def test_margin_and_report_memory_flat_in_samples():
+    import tracemalloc
+
+    triple = induced_triple(1.0, 0.0, 0.0)
+    negative_curvature_margin(triple, samples=10, descents=1)
+    family_report(points=[(1.0, 0.0, 0.0)], samples=10)
+    tracemalloc.start()
+    try:
+        negative_curvature_margin(triple, samples=200_000, descents=0)
+        margin_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.reset_peak()
+        family_report(points=[(0.6, 0.64, 0.48)], samples=200_000)
+        report_peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # one 200 000-row draw alone would take 28.8 MB (margin) or 32 MB (report)
+    assert margin_peak < 8e6
+    assert report_peak < 8e6
 
 
 def test_family_grid_needs_two_latitudes():
