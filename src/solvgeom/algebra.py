@@ -157,6 +157,14 @@ def from_sparse(dim, entries, gram=None, labels=(), a_indices=(), n_indices=(), 
     )
 
 
+def _nonzero_constants(c, tol):
+    """Index arrays (i, j, k), i < j, of every c[i, j, k] not within tol of
+    zero (NaN included), in row-major order."""
+    i, j, k = np.nonzero(~(np.abs(c) <= tol))
+    upper = i < j
+    return i[upper], j[upper], k[upper]
+
+
 def bracket(alg, x, y):
     """[x, y] in basis coordinates."""
     x = np.asarray(x, dtype=float)
@@ -395,13 +403,8 @@ def serialize(alg):
     else:
         flat = ", ".join(_fmt(v) for v in alg.gram.ravel())
         lines.append(f'  "gram": [{flat}],')
-    rows = []
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in range(alg.dim):
-                v = alg.c[i, j, k]
-                if v != 0.0:
-                    rows.append(f"[{i}, {j}, {k}, {_fmt(v)}]")
+    rows = [f"[{i}, {j}, {k}, {_fmt(alg.c[i, j, k])}]"
+            for i, j, k in zip(*_nonzero_constants(alg.c, 0.0))]
     lines.append('  "structure": [' + ", ".join(rows) + "]")
     if alg.decorated:
         lines[-1] += ","

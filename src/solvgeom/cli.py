@@ -22,7 +22,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .algebra import TOL_EXACT, deserialize, iwasawa_check, validate
+from .algebra import TOL_EXACT, bracket, deserialize, iwasawa_check, validate
 from .carnot import (
     DataTriple,
     _orthonormalize_family,
@@ -56,7 +56,6 @@ from .symtwist import (
     build_sp_pq,
     build_su_pq,
     build_type_iv_sl,
-    einstein_preservation_check,
     enumerate_twists,
     paper_twist_sl_nH,
     paper_twist_so_nH,
@@ -217,13 +216,14 @@ def _twist_records(rep, rda, assignment, tol):
     back = twist(twisted, assignment)
     invol = float(np.max(np.abs(back.base.c - rda.base.c)))
     rep.check("twist-involution", invol == 0.0, invol, 0.0, "twist-involution")
-    pres = einstein_preservation_check(rda, assignment, tol=tol)
-    rep.check("einstein-before-twist", pres.before.is_einstein,
-              pres.before.lam, tol, "einstein-criterion")
-    rep.check("einstein-after-twist", pres.after.is_einstein,
-              pres.after.lam, tol, "einstein-preservation")
-    rep.check("lambda-drift", pres.lambda_drift <= tol,
-              pres.lambda_drift, tol, "einstein-preservation")
+    before = einstein_verdict(rda.base, tol=tol)
+    after = einstein_verdict(twisted.base, tol=tol)
+    rep.check("einstein-before-twist", before.is_einstein, before.lam, tol,
+              "einstein-criterion")
+    rep.check("einstein-after-twist", after.is_einstein, after.lam, tol,
+              "einstein-preservation")
+    drift = abs(before.lam - after.lam)
+    rep.check("lambda-drift", drift <= tol, drift, tol, "einstein-preservation")
     ricci_drift = float(np.max(np.abs(ricci(twisted.base) - ricci(rda.base))))
     rep.check("ricci-drift", ricci_drift <= tol, ricci_drift, tol,
               "einstein-preservation")
@@ -232,8 +232,7 @@ def _twist_records(rep, rda, assignment, tol):
     except ValueError:
         pass
     else:
-        lie_xy = float(np.max(np.abs(
-            np.einsum("i,j,ijk->k", x, y, twisted.base.c))))
+        lie_xy = float(np.max(np.abs(bracket(twisted.base, x, y))))
         rep.check("witness-commutes", lie_xy <= tol, lie_xy, tol,
                   "positive-curvature-witness")
         k = sectional(twisted.base, x, y)

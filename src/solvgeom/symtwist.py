@@ -21,7 +21,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import MAX_DIM, MetricLieAlgebra, ad_matrix, from_sparse, orthonormal_frame
+from .algebra import (MAX_DIM, MetricLieAlgebra, _nonzero_constants, ad_matrix,
+                      from_sparse, orthonormal_frame)
 from .curvature import einstein_verdict
 
 __all__ = [
@@ -199,18 +200,14 @@ def twist_closure_check(rda, assignment, tol=1e-12):
         raise ValueError("parity assignment has wrong length")
     if any(par[i] for i in alg.a_indices):
         raise ValueError("parities must vanish on a")
-    violations = []
-    monomial = True
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            nz = np.flatnonzero(np.abs(alg.c[i, j, :]) > tol)
-            if len(nz) > 1:
-                monomial = False
-            for k in nz:
-                if (par[i] + par[j] + par[int(k)]) % 2 != 0:
-                    violations.append((i, j, int(k)))
+    i, j, k = _nonzero_constants(alg.c, tol)
+    odd = np.asarray(par) % 2
+    bad = (odd[i] + odd[j] + odd[k]) % 2 != 0
+    violations = tuple(zip(i[bad].tolist(), j[bad].tolist(), k[bad].tolist()))
+    # row-major order puts the constants of one pair (i, j) next to each other
+    monomial = not np.any((i[1:] == i[:-1]) & (j[1:] == j[:-1]))
     return TwistClosureReport(ok=not violations, monomial=monomial,
-                              violations=tuple(violations))
+                              violations=violations)
 
 
 def twist(rda, assignment):
@@ -297,18 +294,14 @@ def enumerate_twists(rda, tol=1e-12, max_solutions=4096):
     """All closed parity assignments, by GF(2) elimination of the closure system."""
     alg = rda.base
     n_idx = list(alg.n_indices)
-    pos = {v: t for t, v in enumerate(n_idx)}
     nn = len(n_idx)
-    rows = set()
-    for i in range(alg.dim):
-        for j in range(i + 1, alg.dim):
-            for k in np.flatnonzero(np.abs(alg.c[i, j, :]) > tol):
-                mask = 0
-                for v in (i, j, int(k)):
-                    if v in pos:
-                        mask ^= 1 << pos[v]
-                if mask:
-                    rows.add(mask)
+    # one closure row per constant: the xor of the bits of its n-indices, as
+    # Python ints so that any number of them fits
+    bit = np.zeros(alg.dim, dtype=object)
+    bit[n_idx] = [1 << t for t in range(nn)]
+    i, j, k = _nonzero_constants(alg.c, tol)
+    masks = bit[i] ^ bit[j] ^ bit[k]
+    rows = set(masks[masks != 0].tolist())
     # forward elimination into an xor basis, then full reduction so each pivot
     # bit appears in exactly one row (the remaining support is free bits only)
     basis = []
@@ -494,7 +487,10 @@ def _materialize(field_, size, entries):
         if np.max(np.abs(y)) > 0:
             raise ValueError("quaternionic entry in a complex build")
         return x
-    return np.block([[x, y], [-np.conj(y), np.conj(x)]])
+    mat = np.empty((2 * size, 2 * size), dtype=complex)
+    mat[:size, :size], mat[:size, size:] = x, y
+    mat[size:, :size], mat[size:, size:] = -np.conj(y), np.conj(x)
+    return mat
 
 
 def _grassmannian_membership(field_, p, m, mat, tol=1e-12):
@@ -640,13 +636,24 @@ def build_sp_pq(p, q):
 
 
 # --- so(n, H) ----------------------------------------------------------------
+#
+# so(n, H) is the quaternionic n x n matrices X + Yj with X complex skew and Y
+# Hermitian, embedded as for the Grassmannians.  Each basis vector lives in one
+# part, X or Y, and is fixed by its cell there: the 2 x 2 coordinates of the
+# block (j, k) of row pairs (2j - 1, 2j), or 2 x 1 against the last row when n
+# is odd; the mirror image of the cell completes the part.  The rows below list
+# the root vectors of e_j +- e_k as (letter, part, cell of e_j + e_k over 1/2,
+# the column of the cell that e_j - e_k negates), and those of e_k for odd n as
+# (letter, part, cell over 1/sqrt(2)).
 
-
-def _skew_unit(i, j, size):
-    m = np.zeros((size, size), dtype=complex)
-    m[i - 1, j - 1] += 1.0
-    m[j - 1, i - 1] -= 1.0
-    return m
+_SO_NH_PAIR = (
+    ("A", "X", ((1, -1j), (-1j, -1)), 1),
+    ("B", "X", ((1j, 1), (1, -1j)), 0),
+    ("C", "Y", ((-1j, 1), (-1, -1j)), 0),
+    ("D", "Y", ((1, 1j), (-1j, 1)), 1),
+)
+_SO_NH_ODD = (("X", "X", (1j, 1)), ("Y", "X", (1, -1j)),
+              ("Z", "Y", (1j, 1)), ("W", "Y", (1, -1j)))
 
 
 def _so_nH_membership(n, mat, tol=1e-12):
@@ -662,113 +669,66 @@ def _so_nH_membership(n, mat, tol=1e-12):
         raise ValueError("Y block is not Hermitian")
 
 
+def _so_nH_matrix(n, part, rows, cols, cell):
+    """The so(n, H) matrix whose part X or Y holds `cell` at rows x cols and
+    its mirror image (-cell^T in X, cell^* in Y) at cols x rows.  A cell on a
+    diagonal block lists only its entries on and above the diagonal."""
+    entries = {}
+    for r, line in zip(rows, cell):
+        for c, v in zip(cols, line):
+            if v:
+                entries[r, c] = v
+                if r != c:
+                    entries[c, r] = -v if part == "X" else v.conjugate()
+    mat = _materialize("H", n, {rc: (v, 0.0) if part == "X" else (0.0, v)
+                                for rc, v in entries.items()})
+    _so_nH_membership(n, mat)
+    return mat
+
+
 def build_so_nH(n):
     """Iwasawa algebra of the quaternion-skew family inside gl(2n, C).
 
-    All listed basis vectors share Frobenius norm sqrt(2); the shipped inner
-    product is half the real trace form, making the basis orthonormal.
+    Every basis vector has norm-square 2, under Re tr(XY) on a and under
+    Re tr(X Y*)/2 on n; the shipped inner product is that form halved, making
+    the basis orthonormal.
     """
     if n < 4:
         raise ValueError("need n >= 4 for a rank >= 2 algebra")
     m = n // 2
     # restricted roots C_m (n even) or BC_m (n odd); e_i +- e_j have multiplicity 4
     _check_dim(f"so({n},H)", 4 * m * m - 2 * m if n % 2 == 0 else 4 * m * m + 2 * m)
-    size = 2 * n
-    E = lambda i, j: _skew_unit(i, j, size)
-
-    a_mats, a_names = [], []
-    for j in range(1, m + 1):
-        h = (1j / math.sqrt(2)) * (E(2 * j - 1, 2 * j) - E(n + 2 * j - 1, n + 2 * j))
-        a_mats.append(h)
-        a_names.append(f"a{j}")
-
-    n_mats, n_names, n_roots, n_groups = [], [], [], []
+    half, r = 0.5, 1 / math.sqrt(2)
+    pair = lambda j: (2 * j - 2, 2 * j - 1)
     ids = np.eye(m, dtype=int)
-
-    def push(mat, name, root, group):
-        _so_nH_membership(n, mat)
-        # the listed vectors share Re tr(X Y*)/2 norm-square 2, as do the a
-        # vectors under Re tr(XY); the shipped metric is that form halved,
-        # making the basis exactly orthonormal
-        nrm = _norm_n(mat)
-        if abs(nrm - 2.0) > 1e-12:
-            raise ValueError(f"{name}: expected common norm, got {nrm}")
-        n_mats.append(mat)
-        n_names.append(name)
-        n_roots.append(root)
-        n_groups.append(group)
-
-    for j in range(1, m + 1):
-        for k in range(j + 1, m + 1):
-            for s, pm in ((1.0, "+"), (-1.0, "-")):
-                a_ = 0.5 * (
-                    E(2 * j - 1, 2 * k - 1) - s * E(2 * j, 2 * k)
-                    + E(n + 2 * j - 1, n + 2 * k - 1) - s * E(n + 2 * j, n + 2 * k)
-                ) + 0.5j * (
-                    -s * E(2 * j - 1, 2 * k) - E(2 * j, 2 * k - 1)
-                    + s * E(n + 2 * j - 1, n + 2 * k) + E(n + 2 * j, n + 2 * k - 1)
-                )
-                b_ = 0.5 * (
-                    E(2 * j - 1, 2 * k) + s * E(2 * j, 2 * k - 1)
-                    + E(n + 2 * j - 1, n + 2 * k) + s * E(n + 2 * j, n + 2 * k - 1)
-                ) + 0.5j * (
-                    s * E(2 * j - 1, 2 * k - 1) - E(2 * j, 2 * k)
-                    - s * E(n + 2 * j - 1, n + 2 * k - 1) + E(n + 2 * j, n + 2 * k)
-                )
-                c_ = 0.5 * (
-                    E(2 * j - 1, n + 2 * k) - s * E(2 * j, n + 2 * k - 1)
-                    - s * E(2 * k - 1, n + 2 * j) + E(2 * k, n + 2 * j - 1)
-                ) + 0.5j * (
-                    -s * E(2 * j - 1, n + 2 * k - 1) - E(2 * j, n + 2 * k)
-                    + s * E(2 * k - 1, n + 2 * j - 1) + E(2 * k, n + 2 * j)
-                )
-                d_ = 0.5 * (
-                    E(2 * j - 1, n + 2 * k - 1) + E(2 * k - 1, n + 2 * j - 1)
-                    + s * E(2 * j, n + 2 * k) + s * E(2 * k, n + 2 * j)
-                ) + 0.5j * (
-                    s * E(2 * j - 1, n + 2 * k) - E(2 * j, n + 2 * k - 1)
-                    + E(2 * k - 1, n + 2 * j) - s * E(2 * k, n + 2 * j - 1)
-                )
-                root = tuple(ids[j - 1] + int(s) * ids[k - 1])
-                for mat, letter in ((a_, "A"), (b_, "B"), (c_, "C"), (d_, "D")):
-                    push(mat, f"{letter}{pm}_{j}{k}", root, f"{letter}{pm}")
-    for k in range(1, m + 1):
-        g = (1 / math.sqrt(2)) * (
-            E(2 * k - 1, n + 2 * k - 1) + E(2 * k, n + 2 * k)
-        ) + (1j / math.sqrt(2)) * (E(2 * k - 1, n + 2 * k) - E(2 * k, n + 2 * k - 1))
-        push(g, f"G_{k}", tuple(2 * ids[k - 1]), "G")
+    # (name, root, part, rows, cols, cell) of each n-vector in basis order; the
+    # name up to its underscore is the vector's group for the paper twists
+    vecs = []
+    for j, k in itertools.combinations(range(1, m + 1), 2):
+        for s, pm in ((1, "+"), (-1, "-")):
+            for letter, part, cell, col in _SO_NH_PAIR:
+                cell = [[half * v * (s if t == col else 1) for t, v in enumerate(line)]
+                        for line in cell]
+                vecs.append((f"{letter}{pm}_{j}{k}", ids[j - 1] + s * ids[k - 1], part,
+                             pair(j), pair(k), cell))
+    vecs += [(f"G_{k}", 2 * ids[k - 1], "Y", pair(k), pair(k), ((r, r * 1j), (0, r)))
+             for k in range(1, m + 1)]
     if n % 2 == 1:
-        for k in range(1, m + 1):
-            xk = (1 / math.sqrt(2)) * (
-                (E(2 * k, n) + E(n + 2 * k, 2 * n))
-                + 1j * (E(2 * k - 1, n) - E(n + 2 * k - 1, 2 * n))
-            )
-            yk = (1 / math.sqrt(2)) * (
-                (E(2 * k - 1, n) + E(n + 2 * k - 1, 2 * n))
-                - 1j * (E(2 * k, n) - E(n + 2 * k, 2 * n))
-            )
-            zk = (1 / math.sqrt(2)) * (
-                (E(2 * k, 2 * n) + E(n, n + 2 * k))
-                + 1j * (E(2 * k - 1, 2 * n) - E(n, n + 2 * k - 1))
-            )
-            wk = (1 / math.sqrt(2)) * (
-                (E(2 * k - 1, 2 * n) + E(n, n + 2 * k - 1))
-                - 1j * (E(2 * k, 2 * n) - E(n, n + 2 * k))
-            )
-            root = tuple(ids[k - 1])
-            for mat, letter in ((xk, "X"), (yk, "Y"), (zk, "Z"), (wk, "W")):
-                push(mat, f"{letter}_{k}", root, letter)
+        vecs += [(f"{letter}_{k}", ids[k - 1], part, pair(k), (n - 1,), [[r * v] for v in cell])
+                 for k in range(1, m + 1) for letter, part, cell in _SO_NH_ODD]
+    a_mats = [_so_nH_matrix(n, "X", pair(j), pair(j), ((0, r * 1j), (0, 0)))
+              for j in range(1, m + 1)]
+    n_mats = [_so_nH_matrix(n, *v[2:]) for v in vecs]
+    names = [f"a{j}" for j in range(1, m + 1)] + [v[0] for v in vecs]
+    for mat, name, nrm in zip(a_mats + n_mats, names, [_norm_a] * m + [_norm_n] * len(vecs)):
+        if abs(nrm(mat) - 2.0) > 1e-12:
+            raise ValueError(f"{name}: expected common norm, got {nrm(mat)}")
 
-    if n % 2 == 0:
-        simple = [tuple(ids[k] - ids[k + 1]) for k in range(m - 1)]
-        simple.append(tuple(2 * ids[m - 1]))
-    else:
-        simple = [tuple(ids[k] - ids[k + 1]) for k in range(m - 1)]
-        simple.append(tuple(ids[m - 1]))
-
+    simple = [tuple(ids[k] - ids[k + 1]) for k in range(m - 1)]
+    simple.append(tuple(ids[m - 1] * (2 if n % 2 == 0 else 1)))
     return _assemble(
-        f"so({n},H)", a_mats, a_names, n_mats, n_names, n_roots,
-        [None] * len(n_mats), n_groups, simple_roots=simple,
+        f"so({n},H)", a_mats, names[:m], n_mats, names[m:], [tuple(v[1]) for v in vecs],
+        [None] * len(vecs), [v[0].split("_")[0] for v in vecs], simple_roots=simple,
         params={"family": "so_nH", "n": n, "m": m},
     )
 

@@ -3,6 +3,7 @@ preservation, positive-curvature witnesses, and the GF(2) twist enumeration."""
 
 import itertools
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -492,8 +493,8 @@ def test_twisted_algebra_still_valid_but_curvature_changes():
     assert np.max(np.abs(tw.base.c - rda.base.c)) > 0.1
 
 
-def so24_assembly_inputs(monkeypatch):
-    """The matrices and decoration build_so_pq(2, 4) hands to _assemble."""
+def assembly_inputs(monkeypatch, builder, *params):
+    """The matrices and decoration a builder hands to _assemble."""
     captured = {}
     assemble = symtwist._assemble
 
@@ -502,12 +503,12 @@ def so24_assembly_inputs(monkeypatch):
         return assemble(*args, **kwargs)
 
     monkeypatch.setattr(symtwist, "_assemble", capture)
-    build_so_pq(2, 4)
+    builder(*params)
     return captured["args"], captured["kwargs"]
 
 
 def test_assemble_rejects_non_orthogonal_basis(monkeypatch):
-    args, kwargs = so24_assembly_inputs(monkeypatch)
+    args, kwargs = assembly_inputs(monkeypatch, build_so_pq, 2, 4)
     n_mats = list(args[3])
     n_mats[1] = n_mats[0] + n_mats[1]
     args[3] = n_mats
@@ -516,7 +517,7 @@ def test_assemble_rejects_non_orthogonal_basis(monkeypatch):
 
 
 def test_assemble_rejects_bracket_leaving_the_span(monkeypatch):
-    args, kwargs = so24_assembly_inputs(monkeypatch)
+    args, kwargs = assembly_inputs(monkeypatch, build_so_pq, 2, 4)
     tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups = args
     drop = n_names.index("p21")     # [w1c1, w2c1] lands on p21
     keep = [t for t in range(len(n_names)) if t != drop]
@@ -524,3 +525,24 @@ def test_assemble_rejects_bracket_leaving_the_span(monkeypatch):
     with pytest.raises(ValueError, match=r"\[w1c1, w2c1\] leaves the span"):
         symtwist._assemble(tag, a_mats, a_names, pick(n_mats), pick(n_names),
                            pick(n_roots), pick(n_cols), pick(n_groups), **kwargs)
+
+
+@pytest.mark.parametrize("n", [4, 5, 6, 7])
+def test_so_nH_matrices_satisfy_so_star_relations(monkeypatch, n):
+    # so(n, H) = so*(2n) = {M : M^T = -M, M J = J conj(M)} in gl(2n, C),
+    # with J = [[0, I], [-I, 0]]; both relations hold exactly
+    args, _ = assembly_inputs(monkeypatch, build_so_nH, n)
+    mats = np.array(list(args[1]) + list(args[3]))
+    assert mats.shape[1:] == (2 * n, 2 * n)
+    eye, zero = np.eye(n), np.zeros((n, n))
+    j = np.block([[zero, eye], [-eye, zero]])
+    for mat in mats:
+        assert np.array_equal(mat.T, -mat)
+        assert np.array_equal(mat @ j, j @ np.conj(mat))
+
+
+@pytest.mark.parametrize("n", [6, 7])
+def test_so_nH_rank_three_tables_match_data(n):
+    # the shipped goldens stop at so(5,H); these pin rank 3 byte for byte
+    expected = (Path(__file__).parent / "data" / f"so{n}h_brackets.tsv").read_bytes()
+    assert symtwist.bracket_table(build_so_nH(n)).encode() == expected
