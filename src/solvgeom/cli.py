@@ -323,13 +323,12 @@ def cmd_carnot_search(args):
     if found:
         rep.check("is-uniform", is_uniform(cand.matrices), None, None,
                   "uniform-subspace")
+        j_mats = _orthonormalize_family(cand.matrices)
         if args.r == 4:
-            crit_res, crit_ok = so4_criterion(_orthonormalize_family(cand.matrices))
+            crit_res, crit_ok = so4_criterion(j_mats)
             rep.check("so4-criterion", crit_ok, crit_res, None,
                       "so4-quaternion-criterion")
-        cond = einstein_conditions(
-            DataTriple(r=args.r, s=args.s,
-                       j_mats=_orthonormalize_family(cand.matrices)))
+        cond = einstein_conditions(DataTriple(r=args.r, s=args.s, j_mats=j_mats))
         rep.check("einstein-conditions", cond.max_residual <= 1e-9,
                   cond.max_residual, 1e-9, "einstein-criterion")
     return rep.emit(args.out)

@@ -321,6 +321,8 @@ def family_report(points=None, samples=200, seed=0, signs=None):
     """Scan the family: Einstein residuals, the two angle invariants, and the
     range of sampled sectional curvatures of the attached solvable extension
     (drawn and evaluated in blocks of `_BLOCK` sample pairs)."""
+    if samples < 0:
+        raise ValueError(f"need samples >= 0, got samples={samples}")
     if points is None:
         points = family_grid()
     rng = np.random.default_rng(seed)

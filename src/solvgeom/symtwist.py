@@ -454,31 +454,27 @@ def type_iv_twist(rda):
 # where * is conjugate transpose over the base field.  a = {B real diagonal}.
 # Quaternionic matrices are embedded as 2N x 2N complex matrices via
 # X + Yj -> [[X, Y], [-conj(Y), conj(X)]].
+#
+# The family is the fixed set of the involution sigma(M) = -Q M* Q, where
+# Q = diag(-I_p, I_p, I_m) (kron(I_2, Q) on the embedding), so M + sigma(M)
+# lies in it for any M.  Each basis vector is that completion of one seed
+# u v w^T, normalised, for a unit u of the field (as the pair (X, Y) of X + Yj)
+# and integer vectors v, w.
 
 _UNITS = {
-    "R": ((1.0, 0.0),),
-    "C": ((1.0, 0.0), (1j, 0.0)),
-    "H": ((1.0, 0.0), (1j, 0.0), (0.0, 1.0), (0.0, 1j)),
+    "R": (("", (1.0, 0.0)),),
+    "C": (("", (1.0, 0.0)), ("i", (1j, 0.0))),
+    "H": (("", (1.0, 0.0)), ("i", (1j, 0.0)), ("j", (0.0, 1.0)), ("k", (0.0, 1j))),
 }
-_UNIT_SUFFIX = ("", "i", "j", "k")
 
 
-def _qconj(u):
-    return (np.conj(u[0]), -u[1])
-
-
-def _qblocks(size, entries):
-    """Quaternionic matrix as a complex pair (X, Y) from {(r, c): unit} data."""
+def _materialize(field_, size, entries):
+    """The matrix with quaternion entries {(r, c): (X, Y)} in field_'s embedding."""
     x = np.zeros((size, size), dtype=complex)
     y = np.zeros((size, size), dtype=complex)
     for (r, c), (a, b) in entries.items():
         x[r, c] += a
         y[r, c] += b
-    return x, y
-
-
-def _materialize(field_, size, entries):
-    x, y = _qblocks(size, entries)
     if field_ == "R":
         if np.max(np.abs(y)) > 0 or np.max(np.abs(x.imag)) > 0:
             raise ValueError("non-real entry in a real build")
@@ -493,12 +489,8 @@ def _materialize(field_, size, entries):
     return mat
 
 
-def _grassmannian_membership(field_, p, m, mat, tol=1e-12):
-    n = 2 * p + m
-    q = np.diag([-1.0] * p + [1.0] * p + [1.0] * m)
-    if field_ == "H":
-        q = np.kron(np.eye(2), q)
-    defect = mat @ q + q @ np.conj(mat).T
+def _grassmannian_membership(field_, form, mat, tol=1e-12):
+    defect = mat @ form + form @ np.conj(mat).T
     if float(np.max(np.abs(defect))) > tol:
         raise ValueError("matrix fails the defining relation of the family")
     if field_ == "C":
@@ -521,84 +513,48 @@ def _build_grassmannian(field_, p, q):
     size = 2 * p + m
     units = _UNITS[field_]
     d = len(units)
-    fam = {"R": "so_pq", "C": "su_pq", "H": "sp_pq"}[field_]
-    tag = {"R": f"so({p},{q})", "C": f"su({p},{q})", "H": f"sp({p},{q})"}[field_]
+    fam = {"R": "so", "C": "su", "H": "sp"}[field_]
+    tag = f"{fam}({p},{q})"
     # a has dim p, n has dim d p (q - 1) + (d - 1) p
     _check_dim(tag, d * p * q)
 
-    def emb(entries):
-        mat = _materialize(field_, size, entries)
-        _grassmannian_membership(field_, p, m, mat)
-        return mat
+    sig = np.array([-1.0] * p + [1.0] * (p + m))
+    if field_ == "H":
+        sig = np.tile(sig, 2)
+    form, qq = np.diag(sig), np.outer(sig, sig)
 
-    one = (1.0, 0.0)
-
-    a_mats, a_names = [], []
-    for k in range(p):
-        h = emb({(k, p + k): one, (p + k, k): one})
-        a_mats.append(h / math.sqrt(_norm_a(h)))
-        a_names.append(f"a{k+1}")
-
-    n_mats, n_names, n_roots, n_cols, n_groups = [], [], [], [], []
-
-    def push(mat, name, root, col, group):
-        mat = mat / math.sqrt(_norm_n(mat))
-        n_mats.append(mat)
-        n_names.append(name)
-        n_roots.append(root)
-        n_cols.append(col)
-        n_groups.append(group)
+    def emb(u, v, w, norm):
+        seed = {(r, c): (u[0] * a * b, u[1] * a * b)
+                for r, a in v.items() for c, b in w.items()}
+        mat = _materialize(field_, size, seed)
+        mat = mat - qq * mat.conj().T
+        _grassmannian_membership(field_, form, mat)
+        return mat / math.sqrt(norm(mat))
 
     ids = np.eye(p, dtype=int)
-    # omega_k vectors: C = E = u e_k e_c^T
-    for k in range(p):
-        for c in range(m):
-            for ui, u in enumerate(units):
-                ub = _qconj(u)
-                ent = {
-                    (k, 2 * p + c): u, (p + k, 2 * p + c): u,
-                    (2 * p + c, k): ub, (2 * p + c, p + k): (-ub[0], -ub[1]),
-                }
-                push(emb(ent), f"w{k+1}c{c+1}{_UNIT_SUFFIX[ui]}",
-                     tuple(ids[k]), c + 1, "W")
+    # (name, root, column, group, unit, v, w) of each basis vector in order,
+    # with v and w as {index: coefficient}
+    rows = [(f"a{k+1}", None, None, "a", (1.0, 0.0), {k: 1}, {p + k: 1}) for k in range(p)]
+    # omega_k: C = E = u e_k e_c^T
+    rows += [(f"w{k+1}c{c+1}{suf}", ids[k], c + 1, "W", u, {k: 1, p + k: 1}, {2 * p + c: 1})
+             for k in range(p) for c in range(m) for suf, u in units]
     # omega_j - omega_i and omega_j + omega_i, i < j
-    for i in range(p):
-        for j in range(i + 1, p):
-            for ui, u in enumerate(units):
-                ub = _qconj(u)
-                mu = (-u[0], -u[1])
-                mub = (-ub[0], -ub[1])
-                ent_m = {
-                    (j, i): u, (i, j): mub,                 # A = u e_ji - u* e_ij
-                    (j, p + i): u, (i, p + j): ub,          # B = u e_ji + u* e_ij
-                    (p + j, i): u, (p + i, j): ub,          # B* block
-                    (p + j, p + i): u, (p + i, p + j): mub,  # D = A
-                }
-                push(emb(ent_m), f"m{j+1}{i+1}{_UNIT_SUFFIX[ui]}",
-                     tuple(ids[j] - ids[i]), None, "M")
-                ent_p = {
-                    (j, i): u, (i, j): mub,
-                    (j, p + i): mu, (i, p + j): ub,         # B = -u e_ji + u* e_ij
-                    (p + j, i): u, (p + i, j): mub,
-                    (p + j, p + i): mu, (p + i, p + j): ub,  # D = -A
-                }
-                push(emb(ent_p), f"p{j+1}{i+1}{_UNIT_SUFFIX[ui]}",
-                     tuple(ids[j] + ids[i]), None, "P")
-    # 2 omega_k, imaginary units only
-    for k in range(p):
-        for ui, u in enumerate(units[1:], start=1):
-            mu = (-u[0], -u[1])
-            mub = (-_qconj(u)[0], -_qconj(u)[1])
-            ent = {
-                (k, k): u, (k, p + k): mu,
-                (p + k, k): mub, (p + k, p + k): mu,
-            }
-            push(emb(ent), f"d{k+1}{_UNIT_SUFFIX[ui]}", tuple(2 * ids[k]), None, "D2")
+    for i, j in itertools.combinations(range(p), 2):
+        for suf, u in units:
+            v = {j: 1, p + j: 1}
+            rows += [(f"m{j+1}{i+1}{suf}", ids[j] - ids[i], None, "M", u, v, {i: 1, p + i: 1}),
+                     (f"p{j+1}{i+1}{suf}", ids[j] + ids[i], None, "P", u, v, {i: 1, p + i: -1})]
+    # 2 omega_k, imaginary units only; the completion doubles the seed
+    rows += [(f"d{k+1}{suf}", 2 * ids[k], None, "D2", u, {k: 1, p + k: 1}, {k: 1, p + k: -1})
+             for k in range(p) for suf, u in units[1:]]
 
+    mats = [emb(u, v, w, _norm_a if group == "a" else _norm_n)
+            for _, _, _, group, u, v, w in rows]
+    n_rows = rows[p:]
     expected = d * p * (p - 1) + d * m * p + (d - 1) * p
-    if len(n_mats) != expected:
-        raise ValueError(f"{tag}: expected dim n = {expected}, built {len(n_mats)}")
-    if not n_mats:
+    if len(n_rows) != expected:
+        raise ValueError(f"{tag}: expected dim n = {expected}, built {len(n_rows)}")
+    if not n_rows:
         raise ValueError(f"{tag} has no restricted roots; need q >= 2")
 
     if m == 0:
@@ -607,10 +563,11 @@ def _build_grassmannian(field_, p, q):
     else:
         simple = [tuple(ids[0])] + [tuple(ids[k] - ids[k - 1]) for k in range(1, p)]
 
+    names, roots, cols, groups, *_ = zip(*n_rows)
     return _assemble(
-        tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
+        tag, mats[:p], [r[0] for r in rows[:p]], mats[p:], names, roots, cols, groups,
         simple_roots=simple,
-        params={"family": fam, "p": p, "q": q, "m": m, "field": field_},
+        params={"family": f"{fam}_pq", "p": p, "q": q, "m": m, "field": field_},
     )
 
 
@@ -823,7 +780,8 @@ def build_sl_nR(n):
 # --- bracket tables -----------------------------------------------------------
 
 _SNAP = ((0.0, ""), (1.0, "{}"), (-1.0, "-{}"),
-         (math.sqrt(2), "r2 {}"), (-math.sqrt(2), "-r2 {}"))
+         (math.sqrt(2), "r2 {}"), (-math.sqrt(2), "-r2 {}"),
+         (math.sqrt(0.5), "r2/2 {}"), (-math.sqrt(0.5), "-r2/2 {}"))
 
 
 def _render_cell(coeff, label):
@@ -836,7 +794,9 @@ def _render_cell(coeff, label):
 def bracket_table(rda):
     """Full bracket grid over the n-basis as TSV: rows Y, columns X, cell [X, Y].
 
-    Cells are rendered with coefficients snapped to 0, +-1, +-sqrt(2).
+    Cells are rendered with coefficients snapped to 0, +-1, +-sqrt(2) and
+    +-sqrt(1/2) (the last occur in sp(p,q) for p >= 2), as "", "L", "-L",
+    "r2 L", "-r2 L", "r2/2 L" and "-r2/2 L" for a result label L.
     """
     alg = rda.base
     n_idx = list(alg.n_indices)

@@ -44,9 +44,11 @@ import numpy as np  # noqa: E402
 # (space, size arguments, builder arguments)
 SPACES = (
     [("so_pq", ["--p", str(p), "--q", str(q)], (p, q))
-     for p, q in ((1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3), (3, 4))]
-    + [("su_pq", ["--p", str(p), "--q", str(q)], (p, q)) for p, q in ((1, 3), (2, 2), (2, 3), (2, 4))]
-    + [("sp_pq", ["--p", str(p), "--q", str(q)], (p, q)) for p, q in ((1, 2), (1, 3), (2, 2), (2, 4))]
+     for p, q in ((1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (2, 6), (3, 3), (3, 4))]
+    + [("su_pq", ["--p", str(p), "--q", str(q)], (p, q))
+       for p, q in ((1, 3), (2, 2), (2, 3), (2, 4), (3, 3))]
+    + [("sp_pq", ["--p", str(p), "--q", str(q)], (p, q))
+       for p, q in ((1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3))]
     + [("so_nH", ["--n", str(n)], (n,)) for n in (4, 5, 6, 7)]
     + [("sl_nH", ["--n", str(n)], (n,)) for n in (2, 3, 4)]
     + [("type4_sl", ["--n", str(n)], (n,)) for n in (2, 3, 4)]

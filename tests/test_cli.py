@@ -414,6 +414,7 @@ def test_invalid_wa_index_exits_2():
     ["verify", "carnot", "--r", "4", "--s", "2", "--trials", "0"],
     ["family", "report", "--grid", "1"],
     ["family", "report", "--grid", "0"],
+    ["family", "report", "--samples", "-3"],
     ["carnot", "classify-so4", "--trials", "0"],
     ["family", "margin", "--samples", "0", "--descents", "0"],
     ["family", "margin", "--samples", "-1", "--descents", "5"],

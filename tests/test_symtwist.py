@@ -546,3 +546,44 @@ def test_so_nH_rank_three_tables_match_data(n):
     # the shipped goldens stop at so(5,H); these pin rank 3 byte for byte
     expected = (Path(__file__).parent / "data" / f"so{n}h_brackets.tsv").read_bytes()
     assert symtwist.bracket_table(build_so_nH(n)).encode() == expected
+
+
+GRASSMANNIANS = {"R": build_so_pq, "C": build_su_pq, "H": build_sp_pq}
+GRASSMANNIAN_SIZES = [
+    (field, p, q)
+    for field, d in (("R", 1), ("C", 2), ("H", 4))
+    for p in range(1, 5)
+    for q in range(max(p, 2), 7)
+    if d * p * q <= MAX_DIM
+]
+
+
+@pytest.mark.parametrize("field, p, q", GRASSMANNIAN_SIZES)
+def test_grassmannian_matrices_satisfy_defining_relations(monkeypatch, field, p, q):
+    # so/su/sp(p, q) = {M : M Q + Q M^H = 0} with Q = diag(-I_p, I_q), plus
+    # tr M = 0 for su and M J = J conj(M) for sp on the quaternionic embedding
+    # (J = [[0, I], [-I, 0]]); every relation holds exactly
+    args, _ = assembly_inputs(monkeypatch, GRASSMANNIANS[field], p, q)
+    mats = np.array(list(args[1]) + list(args[3]))
+    n = p + q
+    form = np.diag([-1.0] * p + [1.0] * q)
+    if field == "H":
+        form = np.kron(np.eye(2), form)
+        eye, zero = np.eye(n), np.zeros((n, n))
+        j = np.block([[zero, eye], [-eye, zero]])
+    assert mats.shape == (len(mats), len(form), len(form))
+    assert (field == "R") == np.isrealobj(mats)
+    for mat in mats:
+        assert np.array_equal(mat @ form + form @ np.conj(mat).T, np.zeros_like(mat))
+        if field == "C":
+            assert np.trace(mat) == 0
+        if field == "H":
+            assert np.array_equal(mat @ j, j @ np.conj(mat))
+
+
+@pytest.mark.parametrize("field, p, q", [("R", 3, 4), ("C", 2, 4), ("C", 3, 3),
+                                         ("H", 1, 3), ("H", 2, 2)])
+def test_grassmannian_tables_match_data(field, p, q):
+    name = {"R": "so", "C": "su", "H": "sp"}[field] + f"{p}{q}_brackets.tsv"
+    expected = (Path(__file__).parent / "data" / name).read_bytes()
+    assert symtwist.bracket_table(GRASSMANNIANS[field](p, q)).encode() == expected

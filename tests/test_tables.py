@@ -2,17 +2,21 @@
 matrix realizations, and the hand-encoded instantiation rules must agree
 byte for byte."""
 
+import math
 from importlib import resources
 
+import numpy as np
 import pytest
 
 from solvgeom.symtwist import (
     bracket_table,
     build_sl_nH,
     build_so_nH,
+    build_sp_pq,
     paper_twist_sl_nH,
     twist,
 )
+from cli_battery import BUILDERS, SPACES
 from table_oracle import GOLDEN_SPACES, expected_table
 
 _BUILDERS = {
@@ -89,3 +93,41 @@ def test_bracket_table_deterministic():
     a = bracket_table(build_so_nH(4))
     b = bracket_table(build_so_nH(4))
     assert a == b
+
+
+_RENDERED = list(dict.fromkeys(
+    [(space, args) for space, _, args in SPACES]
+    + [("sp_pq", (p, q)) for p, q in ((2, 3), (2, 4), (3, 3), (3, 4))]))
+
+
+@pytest.mark.parametrize("space, args", _RENDERED,
+                         ids=[space + "".join(map(str, args)) for space, args in _RENDERED])
+def test_every_builder_renders(space, args):
+    # sp(p,q) with p >= 2 has bracket coefficients +-1/sqrt(2)
+    table = bracket_table(BUILDERS[space](*args))
+    assert table.endswith("\n")
+
+
+_COEFF = {"": 1.0, "-": -1.0, "r2": math.sqrt(2), "-r2": -math.sqrt(2),
+          "r2/2": math.sqrt(0.5), "-r2/2": -math.sqrt(0.5)}
+
+
+def test_sp23_table_parses_back_to_structure_constants():
+    rda = build_sp_pq(2, 3)
+    alg = rda.base
+    table = bracket_table(rda)
+    assert "r2/2 " in table
+    lines = [line.split("\t") for line in table.splitlines()]
+    labels = lines[0][1:]
+    assert labels == [alg.labels[i] for i in alg.n_indices]
+    index = {lab: t for t, lab in enumerate(labels)}
+    parsed = np.zeros((len(labels),) * 3)
+    for row in lines[1:]:
+        for x, cell in enumerate(row[1:]):
+            if cell:
+                head, _, lab = cell.rpartition(" ")
+                if not head and lab.startswith("-"):
+                    head, lab = "-", lab[1:]
+                parsed[x, index[row[0]], index[lab]] = _COEFF[head]
+    n = list(alg.n_indices)
+    assert np.max(np.abs(parsed - alg.c[np.ix_(n, n, n)])) <= 1e-12
