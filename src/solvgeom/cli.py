@@ -146,7 +146,6 @@ def _algebra_records(rep, alg, tol):
         type_str = "(" + ",".join(str(m) for m in et.eigenvalues) + ";" + \
             ",".join(str(d) for d in et.multiplicities) + ")"
         rep.add("eigenvalue-type", "pass", type_str, None, "eigenvalue-type")
-    return verdict
 
 
 def _paper_twist(rda):
@@ -211,7 +210,7 @@ def _twist_records(rep, rda, assignment, tol):
     rep.add("twist-monomial", "pass" if closure.monomial else "evidence",
             closure.monomial, None, "twist-closure")
     if not closure.ok:
-        return None
+        return
     twisted = twist(rda, assignment)
     back = twist(twisted, assignment)
     invol = float(np.max(np.abs(back.base.c - rda.base.c)))
@@ -238,7 +237,31 @@ def _twist_records(rep, rda, assignment, tol):
         k = sectional(twisted.base, x, y)
         rep.check("witness-positive-curvature", k > 1e-6, k, 1e-6,
                   "positive-curvature-witness")
-    return twisted
+
+
+def _carnot_triple(rep, r, s, matrices, so4=False):
+    """The DataTriple of the orthonormalised family, with the so(4) criterion
+    (when asked for) and the Einstein conditions recorded on it."""
+    triple = DataTriple(r=r, s=s, j_mats=_orthonormalize_family(matrices))
+    if so4:
+        crit_res, crit_ok = so4_criterion(triple.j_mats)
+        rep.check("so4-criterion", crit_ok, crit_res, None, "so4-quaternion-criterion")
+    cond = einstein_conditions(triple)
+    rep.check("einstein-conditions", cond.max_residual <= 1e-9,
+              cond.max_residual, 1e-9, "einstein-criterion")
+    return triple
+
+
+def _table_files(rep, table, args):
+    """Write the table to --out and check it against --golden, each if given."""
+    if args.out:
+        with open(args.out, "w") as fh:
+            fh.write(table)
+    if args.golden:
+        with open(args.golden) as fh:
+            golden = fh.read()
+        rep.check("golden-table-match", table == golden,
+                  len(table), len(golden), "golden-table")
 
 
 def _enumerate_records(rep, rda):
@@ -299,12 +322,7 @@ def cmd_verify(args):
         found = cand.residual <= SEARCH_TOL
         rep.add("uniform-search", "pass" if found else "evidence",
                 cand.residual, SEARCH_TOL, "uniform-subspace")
-        mats = _orthonormalize_family(cand.matrices)
-        triple = DataTriple(r=args.r, s=args.s, j_mats=mats)
-        cond = einstein_conditions(triple)
-        rep.check("einstein-conditions", cond.max_residual <= 1e-9,
-                  cond.max_residual, 1e-9, "einstein-criterion")
-        alg = build_solvmanifold(triple)
+        alg = build_solvmanifold(_carnot_triple(rep, args.r, args.s, cand.matrices))
     else:
         with open(target) as fh:
             alg = deserialize(fh.read())
@@ -323,14 +341,7 @@ def cmd_carnot_search(args):
     if found:
         rep.check("is-uniform", is_uniform(cand.matrices), None, None,
                   "uniform-subspace")
-        j_mats = _orthonormalize_family(cand.matrices)
-        if args.r == 4:
-            crit_res, crit_ok = so4_criterion(j_mats)
-            rep.check("so4-criterion", crit_ok, crit_res, None,
-                      "so4-quaternion-criterion")
-        cond = einstein_conditions(DataTriple(r=args.r, s=args.s, j_mats=j_mats))
-        rep.check("einstein-conditions", cond.max_residual <= 1e-9,
-                  cond.max_residual, 1e-9, "einstein-criterion")
+        _carnot_triple(rep, args.r, args.s, cand.matrices, so4=args.r == 4)
     return rep.emit(args.out)
 
 
@@ -416,18 +427,12 @@ def cmd_symmetric_build(args):
         _enumerate_records(rep, rda)
     elif assignment is not None:
         _twist_records(rep, rda, assignment, tol)
+    if args.out:
+        # reported only if the write below succeeds, since errors exit 2
+        rep.add("table-written", "pass", args.out, None, "plumbing")
     if args.golden or args.out:
         # the table of the build itself; `symmetric table` renders twisted ones
-        table = bracket_table(rda)
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write(table)
-            rep.add("table-written", "pass", args.out, None, "plumbing")
-        if args.golden:
-            with open(args.golden) as fh:
-                golden = fh.read()
-            rep.check("golden-table-match", table == golden,
-                      len(table), len(golden), "golden-table")
+        _table_files(rep, bracket_table(rda), args)
     return rep.emit(None)
 
 
@@ -456,14 +461,7 @@ def cmd_symmetric_table(args):
     if assignment is not None:
         rda = twist(rda, assignment)
     table = bracket_table(rda)
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(table)
-    if args.golden:
-        with open(args.golden) as fh:
-            golden = fh.read()
-        rep.check("golden-table-match", table == golden,
-                  len(table), len(golden), "golden-table")
+    _table_files(rep, table, args)
     if args.golden or (args.out and not args.print_table):
         return rep.emit(None)
     sys.stdout.write(table)

@@ -320,7 +320,12 @@ class FamilyPoint:
 def family_report(points=None, samples=200, seed=0, signs=None):
     """Scan the family: Einstein residuals, the two angle invariants, and the
     range of sampled sectional curvatures of the attached solvable extension
-    (drawn and evaluated in blocks of `_BLOCK` sample pairs)."""
+    (drawn and evaluated in blocks of `_BLOCK` sample pairs).
+
+    `min_sectional` and `max_sectional` are the extremes over `samples`
+    random planes, not bounds: a plane of larger (or smaller) curvature may
+    exist, so a negative `max_sectional` does not show negative curvature.
+    """
     if samples < 0:
         raise ValueError(f"need samples >= 0, got samples={samples}")
     if points is None:

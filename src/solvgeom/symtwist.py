@@ -457,9 +457,10 @@ def type_iv_twist(rda):
 #
 # The family is the fixed set of the involution sigma(M) = -Q M* Q, where
 # Q = diag(-I_p, I_p, I_m) (kron(I_2, Q) on the embedding), so M + sigma(M)
-# lies in it for any M.  Each basis vector is that completion of one seed
-# u v w^T, normalised, for a unit u of the field (as the pair (X, Y) of X + Yj)
-# and integer vectors v, w.
+# lies in it for any M, exactly in floating point: sigma only permutes,
+# conjugates and negates entries.  Each basis vector is that completion of one
+# seed u v w^T (`_seed`), normalised, for a unit u of the field and integer
+# vectors v, w.
 
 _UNITS = {
     "R": (("", (1.0, 0.0)),),
@@ -489,13 +490,11 @@ def _materialize(field_, size, entries):
     return mat
 
 
-def _grassmannian_membership(field_, form, mat, tol=1e-12):
-    defect = mat @ form + form @ np.conj(mat).T
-    if float(np.max(np.abs(defect))) > tol:
-        raise ValueError("matrix fails the defining relation of the family")
-    if field_ == "C":
-        if abs(np.trace(mat)) > tol:
-            raise ValueError("matrix is not traceless")
+def _seed(field_, size, u, v, w):
+    """The rank-one matrix u v w^T in field_'s embedding, for a unit u as the
+    pair (X, Y) of X + Yj and vectors v, w as {index: coefficient}."""
+    return _materialize(field_, size, {(r, c): (u[0] * a * b, u[1] * a * b)
+                                       for r, a in v.items() for c, b in w.items()})
 
 
 def _check_dim(tag, dim):
@@ -521,14 +520,11 @@ def _build_grassmannian(field_, p, q):
     sig = np.array([-1.0] * p + [1.0] * (p + m))
     if field_ == "H":
         sig = np.tile(sig, 2)
-    form, qq = np.diag(sig), np.outer(sig, sig)
+    qq = np.outer(sig, sig)
 
     def emb(u, v, w, norm):
-        seed = {(r, c): (u[0] * a * b, u[1] * a * b)
-                for r, a in v.items() for c, b in w.items()}
-        mat = _materialize(field_, size, seed)
+        mat = _seed(field_, size, u, v, w)
         mat = mat - qq * mat.conj().T
-        _grassmannian_membership(field_, form, mat)
         return mat / math.sqrt(norm(mat))
 
     ids = np.eye(p, dtype=int)
@@ -594,53 +590,25 @@ def build_sp_pq(p, q):
 
 # --- so(n, H) ----------------------------------------------------------------
 #
-# so(n, H) is the quaternionic n x n matrices X + Yj with X complex skew and Y
-# Hermitian, embedded as for the Grassmannians.  Each basis vector lives in one
-# part, X or Y, and is fixed by its cell there: the 2 x 2 coordinates of the
-# block (j, k) of row pairs (2j - 1, 2j), or 2 x 1 against the last row when n
-# is odd; the mirror image of the cell completes the part.  The rows below list
-# the root vectors of e_j +- e_k as (letter, part, cell of e_j + e_k over 1/2,
-# the column of the cell that e_j - e_k negates), and those of e_k for odd n as
-# (letter, part, cell over 1/sqrt(2)).
+# so(n, H) = so*(2n) is the quaternionic n x n matrices X + Yj with X complex
+# skew and Y Hermitian, embedded as for the Grassmannians: the fixed set of
+# sigma(M) = -M^T, which sends X to -X^T and Y to Y^*.  Each basis vector is
+# the completion M + sigma(M) of one seed M = u v w^T (`_seed`), with u = 1
+# for the part X or u = j for the part Y, v on the row pair (2j - 1, 2j) and w
+# on the row pair (2k - 1, 2k), or w = e_n when n is odd.  The rows below list
+# the root vectors of e_j +- e_k as (letter, u, v, w of e_j + e_k, the entry
+# of w that e_j - e_k negates), and those of e_k for odd n as (letter, u, v
+# over 1/sqrt(2)).
 
+_X, _Y = (1.0, 0.0), (0.0, 1.0)
 _SO_NH_PAIR = (
-    ("A", "X", ((1, -1j), (-1j, -1)), 1),
-    ("B", "X", ((1j, 1), (1, -1j)), 0),
-    ("C", "Y", ((-1j, 1), (-1, -1j)), 0),
-    ("D", "Y", ((1, 1j), (-1j, 1)), 1),
+    ("A", _X, (1, -1j), (0.5, -0.5j), 1),
+    ("B", _X, (1j, 1), (0.5, -0.5j), 0),
+    ("C", _Y, (-1j, -1), (0.5, 0.5j), 0),
+    ("D", _Y, (1, -1j), (0.5, 0.5j), 1),
 )
-_SO_NH_ODD = (("X", "X", (1j, 1)), ("Y", "X", (1, -1j)),
-              ("Z", "Y", (1j, 1)), ("W", "Y", (1, -1j)))
-
-
-def _so_nH_membership(n, mat, tol=1e-12):
-    x = mat[:n, :n]
-    y = mat[:n, n:]
-    if float(np.max(np.abs(mat[n:, n:] - np.conj(x)))) > tol:
-        raise ValueError("lower-right block is not conj(X)")
-    if float(np.max(np.abs(mat[n:, :n] + np.conj(y)))) > tol:
-        raise ValueError("lower-left block is not -conj(Y)")
-    if float(np.max(np.abs(x + x.T))) > tol:
-        raise ValueError("X block is not skew")
-    if float(np.max(np.abs(y - np.conj(y).T))) > tol:
-        raise ValueError("Y block is not Hermitian")
-
-
-def _so_nH_matrix(n, part, rows, cols, cell):
-    """The so(n, H) matrix whose part X or Y holds `cell` at rows x cols and
-    its mirror image (-cell^T in X, cell^* in Y) at cols x rows.  A cell on a
-    diagonal block lists only its entries on and above the diagonal."""
-    entries = {}
-    for r, line in zip(rows, cell):
-        for c, v in zip(cols, line):
-            if v:
-                entries[r, c] = v
-                if r != c:
-                    entries[c, r] = -v if part == "X" else v.conjugate()
-    mat = _materialize("H", n, {rc: (v, 0.0) if part == "X" else (0.0, v)
-                                for rc, v in entries.items()})
-    _so_nH_membership(n, mat)
-    return mat
+_SO_NH_ODD = (("X", _X, (1j, 1)), ("Y", _X, (1, -1j)),
+              ("Z", _Y, (1j, 1)), ("W", _Y, (1, -1j)))
 
 
 def build_so_nH(n):
@@ -655,37 +623,39 @@ def build_so_nH(n):
     m = n // 2
     # restricted roots C_m (n even) or BC_m (n odd); e_i +- e_j have multiplicity 4
     _check_dim(f"so({n},H)", 4 * m * m - 2 * m if n % 2 == 0 else 4 * m * m + 2 * m)
-    half, r = 0.5, 1 / math.sqrt(2)
-    pair = lambda j: (2 * j - 2, 2 * j - 1)
+    r = 1 / math.sqrt(2)
+    pair = lambda j, coeffs: {2 * j - 2: coeffs[0], 2 * j - 1: coeffs[1]}
     ids = np.eye(m, dtype=int)
-    # (name, root, part, rows, cols, cell) of each n-vector in basis order; the
-    # name up to its underscore is the vector's group for the paper twists
-    vecs = []
+    # (name, root, u, v, w) of each basis vector in basis order; the name of an
+    # n-vector up to its underscore is its group for the paper twists
+    rows = [(f"a{j}", None, _X, {2 * j - 2: r * 1j}, {2 * j - 1: 1}) for j in range(1, m + 1)]
     for j, k in itertools.combinations(range(1, m + 1), 2):
         for s, pm in ((1, "+"), (-1, "-")):
-            for letter, part, cell, col in _SO_NH_PAIR:
-                cell = [[half * v * (s if t == col else 1) for t, v in enumerate(line)]
-                        for line in cell]
-                vecs.append((f"{letter}{pm}_{j}{k}", ids[j - 1] + s * ids[k - 1], part,
-                             pair(j), pair(k), cell))
-    vecs += [(f"G_{k}", 2 * ids[k - 1], "Y", pair(k), pair(k), ((r, r * 1j), (0, r)))
+            rows += [(f"{letter}{pm}_{j}{k}", ids[j - 1] + s * ids[k - 1], u, pair(j, v),
+                      pair(k, [b * (s if t == col else 1) for t, b in enumerate(w)]))
+                     for letter, u, v, w, col in _SO_NH_PAIR]
+    # 2 e_k: the completion doubles the diagonal of the seed
+    rows += [(f"G_{k}", 2 * ids[k - 1], _Y, pair(k, (1, -1j)), pair(k, (r / 2, r / 2 * 1j)))
              for k in range(1, m + 1)]
     if n % 2 == 1:
-        vecs += [(f"{letter}_{k}", ids[k - 1], part, pair(k), (n - 1,), [[r * v] for v in cell])
-                 for k in range(1, m + 1) for letter, part, cell in _SO_NH_ODD]
-    a_mats = [_so_nH_matrix(n, "X", pair(j), pair(j), ((0, r * 1j), (0, 0)))
-              for j in range(1, m + 1)]
-    n_mats = [_so_nH_matrix(n, *v[2:]) for v in vecs]
-    names = [f"a{j}" for j in range(1, m + 1)] + [v[0] for v in vecs]
-    for mat, name, nrm in zip(a_mats + n_mats, names, [_norm_a] * m + [_norm_n] * len(vecs)):
-        if abs(nrm(mat) - 2.0) > 1e-12:
-            raise ValueError(f"{name}: expected common norm, got {nrm(mat)}")
+        rows += [(f"{letter}_{k}", ids[k - 1], u, pair(k, [r * b for b in v]), {n - 1: 1})
+                 for k in range(1, m + 1) for letter, u, v in _SO_NH_ODD]
+    mats = []
+    for t, (name, _, u, v, w) in enumerate(rows):
+        mat = _seed("H", n, u, v, w)
+        mat = mat - mat.T
+        nrm = (_norm_a if t < m else _norm_n)(mat)
+        if abs(nrm - 2.0) > 1e-12:
+            raise ValueError(f"{name}: expected common norm, got {nrm}")
+        mats.append(mat)
 
     simple = [tuple(ids[k] - ids[k + 1]) for k in range(m - 1)]
     simple.append(tuple(ids[m - 1] * (2 if n % 2 == 0 else 1)))
+    names, roots, *_ = zip(*rows[m:])
     return _assemble(
-        f"so({n},H)", a_mats, names[:m], n_mats, names[m:], [tuple(v[1]) for v in vecs],
-        [None] * len(vecs), [v[0].split("_")[0] for v in vecs], simple_roots=simple,
+        f"so({n},H)", mats[:m], [row[0] for row in rows[:m]], mats[m:], names,
+        [tuple(root) for root in roots], [None] * len(names),
+        [name.split("_")[0] for name in names], simple_roots=simple,
         params={"family": "so_nH", "n": n, "m": m},
     )
 
@@ -693,8 +663,9 @@ def build_so_nH(n):
 # --- sl(n, F) for F = R, C, H -----------------------------------------------
 #
 # a is the trace-free real diagonal; the root space of e_j - e_k is spanned by
-# sqrt(2) u E_jk over the units u of the field, listed below in basis order as
-# (letter, unit X + Yj as the pair (X, Y)), embedded as for the Grassmannians.
+# the seeds sqrt(2) u E_jk (`_seed`, no completion) over the units u of the
+# field, listed below in basis order as (letter, unit X + Yj as the pair
+# (X, Y)), embedded as for the Grassmannians.
 
 _SL_FAMILIES = {
     "R": ("sl({},R)", "sl_nR", (("E", (1.0, 0.0)),)),
@@ -702,17 +673,6 @@ _SL_FAMILIES = {
     "H": ("sl({},H)", "sl_nH", (("A", (1j, 0.0)), ("B", (0.0, 1j)),
                                 ("C", (0.0, 1.0)), ("D", (1.0, 0.0)))),
 }
-
-
-def _sl_nH_membership(n, mat, tol=1e-12):
-    x = mat[:n, :n]
-    y = mat[n:, :n]
-    if float(np.max(np.abs(mat[n:, n:] - np.conj(x)))) > tol:
-        raise ValueError("lower-right block is not conj(X)")
-    if float(np.max(np.abs(mat[:n, n:] + np.conj(y)))) > tol:
-        raise ValueError("upper-right block is not -conj(Y)")
-    if abs(np.real(np.trace(x))) > tol:
-        raise ValueError("tr(X + conj X) != 0")
 
 
 def _build_sl(field_, n):
@@ -725,34 +685,24 @@ def _build_sl(field_, n):
     tag = tag_fmt.format(n)
     _check_dim(tag, (n - 1) + len(units) * n * (n - 1) // 2)
 
-    def emb(entries):
-        mat = _materialize(field_, n, entries)
-        if field_ == "H":
-            _sl_nH_membership(n, mat)
-        return mat
-
-    a_mats = [emb({(i, i): (x, 0.0) for i, x in enumerate(v)})
+    a_mats = [_materialize(field_, n, {(i, i): (x, 0.0) for i, x in enumerate(v)})
               for v in _trace_free_diagonals(n)]
     a_names = [f"a{l+1}" for l in range(n - 1)]
     common = _norm_a(a_mats[0])
 
-    n_mats, n_names, n_roots, n_groups = [], [], [], []
     ids = np.eye(n, dtype=int)
     s2 = math.sqrt(2)
-    for j in range(1, n):
-        for k in range(j + 1, n + 1):
-            for letter, u in units:
-                name = f"{letter}_{j}{k}"
-                mat = emb({(j - 1, k - 1): (s2 * u[0], s2 * u[1])})
-                nrm = _norm_n(mat)
-                if abs(nrm - common) > 1e-12:
-                    raise ValueError(f"{name}: expected common norm {common}, got {nrm}")
-                n_mats.append(mat)
-                n_names.append(name)
-                n_roots.append(tuple(ids[j - 1] - ids[k - 1]))
-                n_groups.append(letter)
+    # (name, root, group, u, j, k) of each n-vector in basis order
+    rows = [(f"{letter}_{j + 1}{k + 1}", tuple(ids[j] - ids[k]), letter, u, j, k)
+            for j, k in itertools.combinations(range(n), 2) for letter, u in units]
+    n_mats = [_seed(field_, n, u, {j: s2}, {k: 1}) for *_, u, j, k in rows]
+    for (name, *_), mat in zip(rows, n_mats):
+        nrm = _norm_n(mat)
+        if abs(nrm - common) > 1e-12:
+            raise ValueError(f"{name}: expected common norm {common}, got {nrm}")
 
     simple = [tuple(ids[j] - ids[j + 1]) for j in range(n - 1)]
+    n_names, n_roots, n_groups, *_ = zip(*rows)
     return _assemble(
         tag, a_mats, a_names, n_mats, n_names, n_roots,
         [None] * len(n_mats), n_groups, simple_roots=simple,

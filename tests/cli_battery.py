@@ -50,9 +50,9 @@ SPACES = (
     + [("sp_pq", ["--p", str(p), "--q", str(q)], (p, q))
        for p, q in ((1, 2), (1, 3), (2, 2), (2, 3), (2, 4), (3, 3))]
     + [("so_nH", ["--n", str(n)], (n,)) for n in (4, 5, 6, 7)]
-    + [("sl_nH", ["--n", str(n)], (n,)) for n in (2, 3, 4)]
-    + [("type4_sl", ["--n", str(n)], (n,)) for n in (2, 3, 4)]
-    + [("sl_nR", ["--n", str(n)], (n,)) for n in (2, 3, 4, 5)]
+    + [("sl_nH", ["--n", str(n)], (n,)) for n in (2, 3, 4, 5)]
+    + [("type4_sl", ["--n", str(n)], (n,)) for n in (2, 3, 4, 7)]
+    + [("sl_nR", ["--n", str(n)], (n,)) for n in (2, 3, 4, 5, 9)]
 )
 BUILDERS = {"so_pq": symtwist.build_so_pq, "su_pq": symtwist.build_su_pq,
             "sp_pq": symtwist.build_sp_pq, "so_nH": symtwist.build_so_nH,

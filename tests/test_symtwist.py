@@ -587,3 +587,33 @@ def test_grassmannian_tables_match_data(field, p, q):
     name = {"R": "so", "C": "su", "H": "sp"}[field] + f"{p}{q}_brackets.tsv"
     expected = (Path(__file__).parent / "data" / name).read_bytes()
     assert symtwist.bracket_table(GRASSMANNIANS[field](p, q)).encode() == expected
+
+
+SL_SIZES = [(field, n) for field, top in (("R", 9), ("C", 7), ("H", 5))
+            for n in range(2, top + 1)]
+
+
+@pytest.mark.parametrize("field, n", SL_SIZES)
+def test_sl_matrices_are_trace_free_diagonal_and_upper_triangular(monkeypatch, field, n):
+    # a is the real diagonal of trace 0 and every root vector is strictly upper
+    # triangular, in each n x n block of the embedding; over H, M J = J conj(M)
+    # with J = [[0, I], [-I, 0]]; every relation holds exactly
+    args, _ = assembly_inputs(monkeypatch, SL_BUILDERS[field], n)
+    a_mats, n_mats = np.array(args[1]), np.array(args[3])
+    size = 2 * n if field == "H" else n
+    assert a_mats.shape == (n - 1, size, size)
+    assert n_mats.shape == (len(SL_UNITS[field]) * n * (n - 1) // 2, size, size)
+    assert (field == "R") == np.isrealobj(a_mats) == np.isrealobj(n_mats)
+    blocks = [(r, c) for r in range(0, size, n) for c in range(0, size, n)]
+    for mat in a_mats:
+        assert np.array_equal(mat, np.diag(np.diag(mat).real))
+        assert np.trace(mat[:n, :n]) == 0
+    for mat in n_mats:
+        for r, c in blocks:
+            block = mat[r:r + n, c:c + n]
+            assert np.array_equal(block, np.triu(block, 1))
+    if field == "H":
+        eye, zero = np.eye(n), np.zeros((n, n))
+        j = np.block([[zero, eye], [-eye, zero]])
+        for mat in np.concatenate([a_mats, n_mats]):
+            assert np.array_equal(mat @ j, j @ np.conj(mat))
