@@ -3,6 +3,10 @@
 Every formula runs in the orthonormal frame cached by `MetricLieAlgebra`
 (`frame`, `frame_inv`, `c_frame`), so a non-identity Gram matrix costs no
 linear solve; `einstein_verdict` alone solves once, for the Einstein constant.
+`sectionals` (and `sectional`, its one-row call) and `U_map` read every
+bracket and every U from ad stacks, ad[n, j] = [v_n, f_j], each one matmul
+of the row stack with `c_frame`; a batch keeps one (N, dim, dim) stack alive
+at a time.
 """
 
 from __future__ import annotations
@@ -29,16 +33,23 @@ __all__ = [
 ]
 
 
-def _u_frame(c_frame, x, y):
-    """U(x, y) in frame coordinates, for vectors or row stacks x, y."""
-    u = np.einsum("zjk,...j,...k->...z", c_frame, x, y)
-    return 0.5 * (u + np.einsum("zjk,...j,...k->...z", c_frame, y, x))
+def _ad_stack(c_flat, vs):
+    """ad stacks of the rows of vs in frame coordinates, ad[n, j] = [vs[n], f_j],
+    from c_flat = c_frame.reshape(dim, dim * dim) (a copy: `c_frame` is not
+    C-contiguous, so callers reshape it once)."""
+    n, d = vs.shape
+    return (vs @ c_flat).reshape(n, d, d)
 
 
 def U_map(alg, x, y):
-    """Symmetric bilinear U with 2<U(x,y),z> = <[z,x],y> + <[z,y],x> for all z."""
-    x, y = np.asarray([x, y], dtype=float) @ alg.frame_inv.T
-    return alg.frame @ _u_frame(alg.c_frame, x, y)
+    """Symmetric bilinear U with 2<U(x,y),z> = <[z,x],y> + <[z,y],x> for all z.
+
+    In the orthonormal frame U(x, y) = -(ad_x^T y + ad_y^T x) / 2, and with
+    the rows ad[j] = [x, f_j] of an ad stack, ad_x^T y is `ad @ y`.
+    """
+    xy = np.asarray([x, y], dtype=float) @ alg.frame_inv.T
+    ad_x, ad_y = _ad_stack(alg.c_frame.reshape(alg.dim, -1), xy)
+    return alg.frame @ (-0.5 * (ad_x @ xy[1] + ad_y @ xy[0]))
 
 
 def mean_curvature(alg):
@@ -85,13 +96,10 @@ def sectional(alg, x, y):
     return float(sectionals(alg, np.asarray(x)[None], np.asarray(y)[None])[0])
 
 
-def sectionals(alg, xs, ys):
-    """Sectional curvatures of the planes span{xs[n], ys[n]} for (N, dim) stacks.
-
-    With (u, w) the Gram-Schmidt pair of each row in frame coordinates,
-    K = -3/4 |[u,w]|^2 - 1/2 <[u,[u,w]],w> - 1/2 <[w,[w,u]],u>
-        + |U(u,w)|^2 - <U(u,u),U(w,w)>.
-    """
+def _frame_pairs(alg, xs, ys):
+    """(N, 2, dim) stack of the Gram-Schmidt pairs (u, w) of the rows of
+    xs, ys, in frame coordinates.  Its temporaries are freed on return, before
+    `sectionals` builds an ad stack."""
     xs = np.asarray(xs, dtype=float) @ alg.frame_inv.T
     ys = np.asarray(ys, dtype=float) @ alg.frame_inv.T
     nx = np.linalg.norm(xs, axis=1)
@@ -102,15 +110,30 @@ def sectionals(alg, xs, ys):
     nw = np.linalg.norm(w, axis=1)
     if np.any(nw <= 1e-12 * np.maximum(1.0, np.linalg.norm(ys, axis=1))):
         raise ValueError("x and y are linearly dependent")
-    w = w / nw[:, None]
+    return np.stack([u, w / nw[:, None]], axis=1)
 
-    c = alg.c_frame
-    uw = np.einsum("ijk,ni,nj->nk", c, u, w)
-    u_uw = np.einsum("ijk,ni,nj->nk", c, u, uw)
-    w_uw = np.einsum("ijk,ni,nj->nk", c, w, uw)  # -[w,[w,u]]
-    uxy = _u_frame(c, u, w)
-    terms = (-0.75 * uw * uw - 0.5 * u_uw * w + 0.5 * w_uw * u + uxy * uxy
-             - _u_frame(c, u, u) * _u_frame(c, w, w))
+
+def sectionals(alg, xs, ys):
+    """Sectional curvatures of the planes span{xs[n], ys[n]} for (N, dim) stacks.
+
+    With (u, w) the Gram-Schmidt pair of each row in frame coordinates,
+    K = -3/4 |[u,w]|^2 - 1/2 <[u,[u,w]],w> - 1/2 <[w,[w,u]],u>
+        + |U(u,w)|^2 - <U(u,u),U(w,w)>.
+    Every term is read off the ad stacks of u and w (`_ad_stack`):
+    [u,w] = w ad_u, U(x,y) = -(ad_x^T y + ad_y^T x)/2,
+    <[u,[u,w]],w> = <[u,w], ad_u^T w> and <[w,[w,u]],u> = -<[u,w], ad_w^T u>.
+    """
+    pair = _frame_pairs(alg, xs, ys)
+    u, w = pair[:, 0], pair[:, 1]
+    c_flat = alg.c_frame.reshape(alg.dim, -1)
+    ad = _ad_stack(c_flat, u)
+    uw = (w[:, None] @ ad)[:, 0]
+    au = pair @ ad.mT                   # rows ad_u^T u, ad_u^T w
+    del ad                              # one (N, dim, dim) stack at a time
+    aw = pair @ _ad_stack(c_flat, w).mT
+    uxy = -0.5 * (au[:, 1] + aw[:, 0])
+    terms = (-0.75 * uw * uw - 0.5 * uw * au[:, 1] + 0.5 * uw * aw[:, 0]
+             + uxy * uxy - au[:, 0] * aw[:, 1])
     return terms.sum(axis=1)
 
 

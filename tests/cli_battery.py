@@ -12,8 +12,10 @@ The battery covers every `symmetric` space with the paper, enumerate and
 restricted-height twists and the shipped goldens; `verify` on the builtin
 targets, on the serialized documents of every builder and on the benchmark's
 verify-stream documents of seeds 1 and 2; small `family` and `carnot`
-commands; and the exit-2 refusals.  The temporary directory's path is written
-as TMP in argv and hashed output, so the lines do not depend on where it is.
+commands, the default `family report` and one whose 5000 samples a point
+cross a 4096-row block; and the exit-2 refusals.  The temporary directory's
+path is written as TMP in argv and hashed output, so the lines do not depend
+on where it is.
 pytest does not collect this file.
 """
 
@@ -131,6 +133,8 @@ def battery(tmp):
         ["carnot", "search", "--r", "5", "--s", "4", "--trials", "4"],
         ["carnot", "classify-so4", "--s", "1", "--trials", "20"],
         ["family", "report", "--grid", "2", "--samples", "20"],
+        ["family", "report", "--grid", "3", "--samples", "5000"],
+        ["family", "report"],
         ["family", "margin", "--samples", "200", "--descents", "3"],
         ["family", "margin", "--r", "0.6", "--s", "0.64", "--t", "0.48",
          "--samples", "200", "--descents", "3"],

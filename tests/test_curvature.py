@@ -32,7 +32,8 @@ from solvgeom.curvature import (
     sectional,
     sectionals,
 )
-from solvgeom.symtwist import build_so_pq
+from solvgeom.so6family import induced_triple
+from solvgeom.symtwist import build_sl_nH, build_so_pq
 
 
 def test_real_hyperbolic_constant_curvature():
@@ -132,6 +133,66 @@ def test_sectionals_match_levi_civita_reference(seed):
     for k, x, y in zip(ks, xs, ys):
         ref = _levi_civita_sectional(alg, x, y)
         assert abs(k - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+# |sectionals - sectionals_reference| <= KERNEL_VS_REFERENCE * max(1, |K|)
+KERNEL_VS_REFERENCE = 1e-14
+# one-row `sectional` against the same row of a batch: BLAS sums the one-row
+# products (gemv) and the batched ones (gemm) in different orders
+ROW_VS_BATCH = 4e-15
+
+
+def sectionals_reference(alg, xs, ys):
+    """The kernel's formula as three-operand einsums over `c_frame`, one per
+    bracket and per U: what the ad-stack kernel must reproduce."""
+    xs = np.asarray(xs, dtype=float) @ alg.frame_inv.T
+    ys = np.asarray(ys, dtype=float) @ alg.frame_inv.T
+    u = xs / np.linalg.norm(xs, axis=1)[:, None]
+    w = ys - np.sum(ys * u, axis=1)[:, None] * u
+    w = w / np.linalg.norm(w, axis=1)[:, None]
+    c = alg.c_frame
+
+    def lie(a, b):
+        return np.einsum("ijk,ni,nj->nk", c, a, b)
+
+    def u_map(a, b):
+        return 0.5 * (np.einsum("zjk,nj,nk->nz", c, a, b)
+                      + np.einsum("zjk,nj,nk->nz", c, b, a))
+
+    uw = lie(u, w)
+    uxy = u_map(u, w)
+    terms = (-0.75 * uw * uw - 0.5 * lie(u, uw) * w + 0.5 * lie(w, uw) * u
+             + uxy * uxy - u_map(u, u) * u_map(w, w))
+    return terms.sum(axis=1)
+
+
+@given(st.integers(0, 2**32 - 1), st.sampled_from([0, 1, 2, 4097]))
+@settings(max_examples=12, deadline=None)
+def test_sectionals_match_einsum_reference(seed, rows):
+    # 4097 rows: more than one `so6family._BLOCK` of 4096
+    rng = np.random.default_rng(seed)
+    alg = _random_metric_algebra(rng)
+    assert not np.allclose(alg.gram, np.eye(alg.dim))
+    xs, ys = rng.standard_normal((2, rows, alg.dim))
+    ks = sectionals(alg, xs, ys)
+    ref = sectionals_reference(alg, xs, ys)
+    assert ks.shape == ref.shape == (rows,)
+    bound = KERNEL_VS_REFERENCE * np.maximum(1.0, np.abs(ref))
+    assert np.all(np.abs(ks - ref) <= bound)
+
+
+def test_sectional_rows_within_named_bound_of_batch():
+    rng = np.random.default_rng(11)
+    algs = (
+        build_solvmanifold(induced_triple(0.6, 0.64, 0.48)),    # dim 10
+        build_sl_nH(4).base,                                    # dim 27
+        _random_metric_algebra(rng),                            # non-identity Gram
+    )
+    for alg in algs:
+        xs, ys = rng.standard_normal((2, 300, alg.dim))
+        ks = sectionals(alg, xs, ys)
+        one = np.array([sectional(alg, x, y) for x, y in zip(xs, ys)])
+        assert np.all(np.abs(ks - one) <= ROW_VS_BATCH * np.maximum(1.0, np.abs(one)))
 
 
 def test_sectionals_rows_equal_sectional():
