@@ -83,10 +83,8 @@ from .symtwist import (
     RootDecoratedAlgebra,
     TwistAssignment,
     TwistClosureReport,
-    PreservationReport,
     twist_closure_check,
     twist,
-    einstein_preservation_check,
     restricted_height_twist,
     enumerate_twists,
     wa_twist,

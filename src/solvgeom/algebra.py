@@ -20,11 +20,15 @@ TOL_OPT = 1e-6      # optimizer-derived quantities
 # largest dim accepted from a document or a size parameter; each dim^4 array in
 # validate is then about 42 MB, and so(6,H), the largest builder output, has dim 30
 MAX_DIM = 48
+# largest |structure constant| accepted from a document: at dim <= MAX_DIM no Jacobi
+# entry, nor with an identity Gram any Ricci entry, can then overflow (< 2.3e303)
+MAX_CONSTANT = 1e150
 
 __all__ = [
     "TOL_EXACT",
     "TOL_OPT",
     "MAX_DIM",
+    "MAX_CONSTANT",
     "MetricLieAlgebra",
     "ValidationReport",
     "IwasawaReport",
@@ -139,15 +143,18 @@ class MetricLieAlgebra:
 
 
 def from_sparse(dim, entries, gram=None, labels=(), a_indices=(), n_indices=(), roots=()):
-    """Build an algebra from sparse entries [(i, j, k, value)] with i < j.
+    """Build an algebra from sparse entries [(i, j, k, value)] with
+    0 <= i < j < dim and 0 <= k < dim; any other entry raises ValueError.
 
     The j > i half of the tensor is filled by antisymmetry, so the result
     satisfies c[i][j][k] = -c[j][i][k] exactly.
     """
     c = np.zeros((dim, dim, dim))
     for i, j, k, v in entries:
-        if not (0 <= i < j < dim and 0 <= k < dim):
-            raise ValueError(f"bad sparse entry ({i},{j},{k}): need 0 <= i < j < dim")
+        if not 0 <= i < j < dim:
+            raise ValueError(f"structure entry ({i},{j},{k}) violates i<j canonical order")
+        if not 0 <= k < dim:
+            raise ValueError(f"structure entry ({i},{j},{k}) has k outside 0..{dim - 1}")
         c[i, j, k] += v
         c[j, i, k] -= v
     if gram is None:
@@ -209,7 +216,8 @@ def validate(alg, tol=TOL_EXACT):
         jacobi = cc + np.transpose(cc, (1, 2, 0, 3)) + np.transpose(cc, (2, 0, 1, 3))
     jac = float(np.max(np.abs(jacobi))) if alg.dim else 0.0
     sym_defect = float(np.max(np.abs(alg.gram - alg.gram.T)))
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * (alg.gram + alg.gram.T))))
+    # halved before the sum, so a Gram entry near the largest double cannot overflow
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * alg.gram + 0.5 * alg.gram.T)))
     ok = antisym <= tol and jac <= tol and sym_defect <= tol and min_eig > 0
     return ValidationReport(
         jacobi_residual=jac, antisym_residual=antisym, gram_min_eig=min_eig,
@@ -439,6 +447,9 @@ def _is_int_list(values):
 
 
 def deserialize(text):
+    """Parse an algebra document, checking only what it states: JSON types,
+    indices, finiteness, MAX_DIM, MAX_CONSTANT and a symmetric positive-definite
+    Gram matrix.  Anything else raises ValueError; Jacobi is left to `validate`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -468,16 +479,16 @@ def _from_document(doc):
         if not (isinstance(row, list) and len(row) == 4 and _is_int_list(row[:3])):
             raise ValueError(f"structure entry {row!r} is not [i, j, k, value] "
                              "with integer i, j, k")
-        i, j, k, v = row[0], row[1], row[2], float(row[3])
-        if not (0 <= i < j < dim):
-            raise ValueError(f"structure entry ({i},{j},{k}) violates i<j canonical order")
-        if not 0 <= k < dim:
-            raise ValueError(f"structure entry ({i},{j},{k}) has k outside 0..{dim - 1}")
+        v = float(row[3])
         if not math.isfinite(v):
             raise ValueError("non-finite structure constant")
-        entries.append((i, j, k, v))
+        entries.append((row[0], row[1], row[2], v))
     if not np.all(np.isfinite(gram)):
         raise ValueError("non-finite gram entry")
+    with np.errstate(over="ignore"):
+        sym_defect = float(np.max(np.abs(gram - gram.T)))
+    if sym_defect > TOL_EXACT:
+        raise ValueError(f"gram is not symmetric (defect {sym_defect:.3e})")
     dec = doc.get("decoration") or {}
     if not isinstance(dec, dict):
         raise ValueError("'decoration' must be an object")
@@ -492,13 +503,6 @@ def _from_document(doc):
         dim, entries, gram=gram, labels=labels, a_indices=a_idx, n_indices=n_idx,
         roots=roots,
     )
-    rep = validate(alg)
-    residuals = (rep.antisym_residual, rep.jacobi_residual, rep.gram_min_eig)
-    if not all(map(math.isfinite, residuals)):
-        raise ValueError("a validation residual is not finite: the document "
-                         "overflows double precision")
-    if rep.gram_min_eig <= 0:
-        raise ValueError(f"gram is not positive definite (min eig {rep.gram_min_eig:.3e})")
-    if rep.gram_symmetry_defect > TOL_EXACT:
-        raise ValueError(f"gram is not symmetric (defect {rep.gram_symmetry_defect:.3e})")
+    if not np.max(np.abs(alg.c)) <= MAX_CONSTANT:
+        raise ValueError(f"a structure constant is above {MAX_CONSTANT:g} in absolute value")
     return alg

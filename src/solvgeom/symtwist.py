@@ -23,16 +23,13 @@ import numpy as np
 
 from .algebra import (MAX_DIM, MetricLieAlgebra, _nonzero_constants, ad_matrix,
                       from_sparse, orthonormal_frame)
-from .curvature import einstein_verdict
 
 __all__ = [
     "RootDecoratedAlgebra",
     "TwistAssignment",
     "TwistClosureReport",
-    "PreservationReport",
     "twist_closure_check",
     "twist",
-    "einstein_preservation_check",
     "restricted_height_twist",
     "enumerate_twists",
     "wa_twist",
@@ -236,27 +233,6 @@ def twist(rda, assignment):
     return RootDecoratedAlgebra(
         base=new, tag=tag, simple_roots=rda.simple_roots, meta=rda.meta,
         params=dict(rda.params),
-    )
-
-
-@dataclass
-class PreservationReport:
-    before: object
-    after: object
-    lambda_drift: float
-
-    @property
-    def ok(self):
-        return self.before.is_einstein and self.after.is_einstein
-
-
-def einstein_preservation_check(rda, assignment, tol=1e-10):
-    """Einstein verdicts before and after twisting, with the drift of the
-    Einstein constant."""
-    before = einstein_verdict(rda.base, tol=tol)
-    after = einstein_verdict(twist(rda, assignment).base, tol=tol)
-    return PreservationReport(
-        before=before, after=after, lambda_drift=abs(before.lam - after.lam)
     )
 
 

@@ -76,6 +76,7 @@ REFUSALS = (
     ["symmetric", "table", "--space", "sl_nH", "--n", "3", "--twist", "enumerate"],
     ["verify", "TMP/missing.json"],
     ["verify", "TMP/bad.json"],
+    ["verify", "TMP/big.json"],
     ["verify", "carnot"],
     ["carnot", "search", "--r", "1", "--s", "1"],
     ["carnot", "classify-so4", "--s", "1", "--trials", "0"],
@@ -172,6 +173,7 @@ def main_battery():
         for _, _, name in GOLDENS:
             shutil.copyfile(tables / f"{name}_brackets.tsv", f"{tmp}/{name}_brackets.tsv")
         Path(f"{tmp}/bad.json").write_text('{"dim": 3, "structure": [[0, 1, 3, 1.0]]}')
+        Path(f"{tmp}/big.json").write_text('{"dim": 3, "structure": [[0, 1, 2, 1e160]]}')
         for argv, files in battery(tmp):
             print(run(argv, files, tmp), flush=True)
 

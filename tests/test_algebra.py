@@ -59,11 +59,11 @@ def test_from_sparse_antisymmetry_exact():
 
 
 def test_from_sparse_rejects_bad_entries():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="i<j canonical order"):
         from_sparse(3, [(1, 1, 0, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="i<j canonical order"):
         from_sparse(3, [(2, 1, 0, 1.0)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"k outside 0\.\.2"):
         from_sparse(3, [(0, 1, 3, 1.0)])
 
 
@@ -510,7 +510,8 @@ def test_deserialize_rejects_malformed():
         '{"dim": 2, "decoration": {"a_indices": 0, "n_indices": [1]}}',
         '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": [null, [1.5]]}}',
         '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": [null, "1"]}}',
-        '{"dim": 2, "structure": [[0, 1, 1, 1e200]]}',              # Jacobi overflows
+        '{"dim": 2, "structure": [[0, 1, 1, 1e200]]}',              # above MAX_CONSTANT
+        '{"dim": 3, "structure": [[0, 1, 2, 1e160]]}',              # Jacobi 0, Ricci overflows
     ):
         with pytest.raises(ValueError):
             deserialize(doc)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from solvgeom import symtwist
+from solvgeom import algebra, cli, symtwist
 from solvgeom.algebra import serialize
 from solvgeom.carnot import build_solvmanifold, complex_hyperbolic_triple, random_triple
 from solvgeom.cli import DEFAULT_SEED, main
@@ -109,20 +109,26 @@ def test_verify_corrupted_file_exits_2(tmp_path):
     '{"dim": 2, "structure": [[0, 1, 1, 1.0]], '
     '"decoration": {"a_indices": [0.0], "n_indices": [1]}}',
     '{"dim": 2, "structure": [], "decoration": {"a_indices": [0, 1], "n_indices": []}}',
-    # structure constants that overflow, and ad(A) = 0
+    # structure constants above MAX_CONSTANT (Jacobi 0 at 1e160, Ricci overflows), ad(A) = 0
     '{"dim": 2, "structure": [[0, 1, 1, 1e308]], '
     '"decoration": {"a_indices": [0], "n_indices": [1]}}',
     '{"dim": 2, "structure": [[0, 1, 1, 1e200]], '
     '"decoration": {"a_indices": [0], "n_indices": [1]}}',
+    '{"dim": 3, "structure": [[0, 1, 2, 1e160]]}',
+    '{"dim": 3, "structure": [[0, 1, 2, 1e160]], '
+    '"decoration": {"a_indices": [0], "n_indices": [1, 2]}}',
     '{"dim": 2, "structure": [], "decoration": {"a_indices": [0], "n_indices": [1]}}',
-    # a non-symmetric and an indefinite Gram matrix, and a fractional structure index
+    # a non-symmetric Gram matrix, one whose defect overflows, an indefinite one,
+    # and a fractional structure index
     '{"dim": 2, "gram": [1, 0.5, 0, 1], "structure": []}',
+    '{"dim": 2, "gram": [1.7e308, 1e308, -1e308, 1.7e308], "structure": []}',
     '{"dim": 2, "gram": [1, 2, 2, 1], "structure": []}',
     '{"dim": 3, "structure": [[0.5, 1, 2, 1.0]]}',
     # refused before anything of size dim is allocated
     '{"dim": 100000}',
-], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "ad-zero",
-        "gram-nonsymmetric", "gram-indefinite", "row-float", "dim-huge"])
+], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "c-1e160", "c-1e160-decorated",
+        "ad-zero", "gram-nonsymmetric", "gram-defect-overflow", "gram-indefinite", "row-float",
+        "dim-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -132,6 +138,38 @@ def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     assert out == ""
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", [
+    '{"dim": 3, "structure": [[0, 1, 2, 1e150]]}',
+    '{"dim": 2, "gram": [1e308, 0, 0, 1e308], "structure": []}',
+], ids=["c-1e150", "gram-1e308"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_document_at_the_bounds_gives_a_report(tmp_path, text):
+    """The largest constant accepted (MAX_CONSTANT) and a Gram entry near the
+    largest double are verified with a report and nothing on stderr."""
+    path = tmp_path / "edge.json"
+    path.write_text(text)
+    code, out, err = run(["verify", str(path)])
+    assert code in (0, 1)
+    assert err == ""
+    assert out.startswith("# command: verify ")
+
+
+def test_verify_document_validates_once(tmp_path, monkeypatch):
+    path = tmp_path / "alg.json"
+    path.write_text(serialize(build_solvmanifold(complex_hyperbolic_triple(2))))
+    calls, validate = [], algebra.validate
+
+    def counting(alg, *args, **kwargs):
+        calls.append(alg)
+        return validate(alg, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "validate", counting)
+    monkeypatch.setattr(algebra, "validate", counting)
+    code, _, _ = run(["verify", str(path)])
+    assert code == 0
+    assert len(calls) == 1
 
 
 def _fuzz_base_document():

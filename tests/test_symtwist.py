@@ -20,7 +20,6 @@ from solvgeom.symtwist import (
     build_sp_pq,
     build_su_pq,
     build_type_iv_sl,
-    einstein_preservation_check,
     enumerate_twists,
     paper_twist_sl_nH,
     paper_twist_so_nH,
@@ -340,10 +339,10 @@ def test_twist_toggles_labels_and_tag():
 def test_einstein_preserved_with_zero_drift(key):
     rda = space(key)
     a = PAPER_TWISTS[key](rda)
-    rep = einstein_preservation_check(rda, a)
-    assert rep.ok
-    assert rep.lambda_drift == 0.0
-    assert rep.before.is_einstein and rep.after.is_einstein
+    before = einstein_verdict(rda.base)
+    after = einstein_verdict(twist(rda, a).base)
+    assert before.is_einstein and after.is_einstein
+    assert abs(before.lam - after.lam) == 0.0
 
 
 @pytest.mark.parametrize("key", ["so13", "so24", "sl3h", "type4"])
