@@ -17,8 +17,9 @@ import numpy as np
 
 TOL_EXACT = 1e-10   # identities among closed-form constants entered as doubles
 TOL_OPT = 1e-6      # optimizer-derived quantities
-# largest dim accepted from a document or a size parameter; each dim^4 array in
-# validate is then about 42 MB, and so(6,H), the largest builder output, has dim 30
+# largest dim accepted from a document or a size parameter; validate's one dim^4
+# product is then about 42 MB (63 MB peak, dense), and so(6,H), the largest
+# builder output, has dim 30
 MAX_DIM = 48
 # largest |structure constant| accepted from a document: at dim <= MAX_DIM no Jacobi
 # entry, nor with an identity Gram any Ricci entry, can then overflow (< 2.3e303)
@@ -214,16 +215,28 @@ class ValidationReport:
 
 def validate(alg, tol=TOL_EXACT):
     """Check antisymmetry, Jacobi, and symmetry and positive-definiteness of the
-    metric.  A residual that overflows double precision is reported as inf or NaN."""
-    c = alg.c
-    antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))))) if alg.dim else 0.0
+    metric.  A residual that overflows double precision is reported as inf or NaN.
+
+    Jacobi takes one matmul, cc[i, j, k] = [[e_i, e_j], e_k], and reads the
+    cyclic sum only on triples i < j < k, in its three summation orders.  When c
+    is exactly antisymmetric (checked separately), those are the cyclic sums of
+    all six orderings up to sign, and a triple with a repeated index sums to 0.
+    """
+    c, n = alg.c, alg.dim
+    antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))), initial=0.0))
+    r = np.arange(n)
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
     with np.errstate(over="ignore", invalid="ignore"):
-        cc = np.einsum("ijm,mkl->ijkl", c, c)
-        jacobi = cc + np.transpose(cc, (1, 2, 0, 3)) + np.transpose(cc, (2, 0, 1, 3))
-    jac = float(np.max(np.abs(jacobi))) if alg.dim else 0.0
-    sym_defect = float(np.max(np.abs(alg.gram - alg.gram.T)))
+        cc = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
+        finite = np.isfinite(cc).all()  # also at dim <= 2, where no triple exists
+        a, b, d = cc[i, j, k], cc[j, k, i], cc[k, i, j]
+        del cc                          # the dim^4 product is not held while summing
+        jac = max(float(np.max(np.abs(x + y + z), initial=0.0))
+                  for x, y, z in ((a, b, d), (b, d, a), (a, d, b))) if finite else math.inf
+    sym_defect = float(np.max(np.abs(alg.gram - alg.gram.T), initial=0.0))
     # halved before the sum, so a Gram entry near the largest double cannot overflow
-    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * alg.gram + 0.5 * alg.gram.T)))
+    min_eig = float(np.min(np.linalg.eigvalsh(0.5 * alg.gram + 0.5 * alg.gram.T),
+                           initial=math.inf))
     ok = antisym <= tol and jac <= tol and sym_defect <= tol and min_eig > 0
     return ValidationReport(
         jacobi_residual=jac, antisym_residual=antisym, gram_min_eig=min_eig, ok=ok,
@@ -514,6 +527,11 @@ def _from_document(doc):
     c = _structure_tensor(dim, entries)
     if not np.all(np.abs(c) <= MAX_CONSTANT):
         raise ValueError(f"a structure constant is above {MAX_CONSTANT:g} in absolute value")
-    return MetricLieAlgebra(
-        c=c, gram=gram, labels=labels, a_indices=a_idx, n_indices=n_idx, roots=roots,
-    )
+    # a tiny Gram can still overflow the frame transform of constants inside the bound
+    with np.errstate(over="ignore", invalid="ignore"):
+        alg = MetricLieAlgebra(
+            c=c, gram=gram, labels=labels, a_indices=a_idx, n_indices=n_idx, roots=roots,
+        )
+    if not (np.isfinite(alg.frame).all() and np.isfinite(alg.c_frame).all()):
+        raise ValueError("the structure constants overflow in the orthonormal frame")
+    return alg

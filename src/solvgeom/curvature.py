@@ -148,7 +148,9 @@ def eigenvalue_type(alg, direction=None, tol=1e-8):
     """Spectrum of ad(A)|n as coprime positive integers with multiplicities.
 
     A defaults to the unit mean-curvature direction.  scale * eigenvalues
-    recovers the actual spectrum.
+    recovers the actual spectrum.  The cut-offs are relative: |H| against the
+    largest frame constant, and the eigenvalues against the largest one in
+    absolute value, so rescaling the metric gives the same type.
     """
     if not alg.decorated:
         raise ValueError("eigenvalue_type needs an Iwasawa decoration")
@@ -157,22 +159,23 @@ def eigenvalue_type(alg, direction=None, tol=1e-8):
     if direction is None:
         h = mean_curvature(alg)
         nh = alg.norm(h)
-        if nh <= 1e-14:
+        if nh <= 1e-14 * np.max(np.abs(alg.c_frame)):
             raise ValueError("mean curvature vanishes; no direction in a to take")
         direction = h / nh
     m = ad_matrix(alg, np.asarray(direction, dtype=float))
     (sym,) = restricted_symmetric(alg, [m], list(alg.n_indices))
     vals = np.sort(np.linalg.eigvalsh(sym))
+    unit = np.max(np.abs(vals))
 
     reps, mults = [], []
     for v in vals:
-        if reps and abs(v - reps[-1]) <= tol * max(1.0, abs(reps[-1])):
+        if reps and abs(v - reps[-1]) <= tol * unit:
             reps[-1] = (reps[-1] * mults[-1] + v) / (mults[-1] + 1)
             mults[-1] += 1
         else:
             reps.append(float(v))
             mults.append(1)
-    if reps[0] <= tol:
+    if reps[0] <= tol * unit:
         raise ValueError("ad(A)|n has a non-positive eigenvalue; not of Iwasawa type")
 
     fracs = [Fraction(r / reps[0]).limit_denominator(64) for r in reps]

@@ -10,8 +10,9 @@ CLI output, document or table moved:
 
 The battery covers every `symmetric` space with the paper, enumerate and
 restricted-height twists and the shipped goldens; `verify` on the builtin
-targets, on the serialized documents of every builder and on the benchmark's
-verify-stream documents of seeds 1 and 2; small `family` and `carnot`
+targets, on the serialized documents of every builder, on CH^2 with its Gram
+matrix rescaled to s * Id, and on the benchmark's verify-stream documents of
+seeds 1 and 2; small `family` and `carnot`
 commands, the default `family report` and one whose 5000 samples a point
 cross a 4096-row block; and the exit-2 refusals.  The temporary directory's
 path is written as TMP in argv and hashed output, so the lines do not depend
@@ -20,6 +21,7 @@ pytest does not collect this file.
 """
 
 import contextlib
+import dataclasses
 import hashlib
 import io
 import shutil
@@ -77,6 +79,8 @@ REFUSALS = (
     ["verify", "TMP/missing.json"],
     ["verify", "TMP/bad.json"],
     ["verify", "TMP/big.json"],
+    ["verify", "TMP/frame.json"],
+    ["verify", "TMP/frame-decorated.json"],
     ["verify", "carnot"],
     ["carnot", "search", "--r", "1", "--s", "1"],
     ["carnot", "classify-so4", "--s", "1", "--trials", "0"],
@@ -122,6 +126,9 @@ def battery(tmp):
     carnot_algs += [build_solvmanifold(random_triple(r, s, rng)) for r, s in ((3, 1), (4, 3))]
     for t, alg in enumerate(carnot_algs):
         cmds.append(_document(tmp, f"carnot-{t}", alg))
+    for scale in (1e10, 1e20, 1e30):
+        alg = dataclasses.replace(carnot_algs[0], gram=scale * np.eye(carnot_algs[0].dim))
+        cmds.append(_document(tmp, f"ch2-gram-{scale:g}", alg))
     for seed in (1, 2):
         for t, (_, alg, _) in enumerate(verify_documents(seed)):
             cmds.append(_document(tmp, f"stream{seed}-{t}", alg))
@@ -174,6 +181,10 @@ def main_battery():
             shutil.copyfile(tables / f"{name}_brackets.tsv", f"{tmp}/{name}_brackets.tsv")
         Path(f"{tmp}/bad.json").write_text('{"dim": 3, "structure": [[0, 1, 3, 1.0]]}')
         Path(f"{tmp}/big.json").write_text('{"dim": 3, "structure": [[0, 1, 2, 1e160]]}')
+        frame = '{"dim": 2, "gram": [1e-300, 0, 0, 1e-300], "structure": [[0, 1, 1, 1e10]]'
+        Path(f"{tmp}/frame.json").write_text(frame + "}")
+        Path(f"{tmp}/frame-decorated.json").write_text(
+            frame + ', "decoration": {"a_indices": [0], "n_indices": [1]}}')
         for argv, files in battery(tmp):
             print(run(argv, files, tmp), flush=True)
 

@@ -2,6 +2,7 @@
 
 import math
 import time
+import tracemalloc
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,6 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from solvgeom.algebra import (
+    MAX_DIM,
+    TOL_EXACT,
     MetricLieAlgebra,
     _best_positive_direction,
     ad_matrix,
@@ -149,6 +152,78 @@ def test_validate_flags_jacobi_violation():
     rep = validate(alg)
     assert not rep.ok
     assert rep.jacobi_residual > 1e-3
+
+
+# validate and jacobi_reference add the same products in different orders, so
+# their residuals agree to a few ulp of the largest sum of |products|,
+# max over i, j, k, l of sum_m |c_ijm c_mkl|: the scale of a dot product's rounding
+JACOBI_ULPS = 8
+# dense c at MAX_DIM: one 42 MB dim^4 product, then the gathered i < j < k triples
+# (the full-tensor reference with its two transposed copies peaks at 127 MB)
+VALIDATE_PEAK_MB = 70
+
+
+def jacobi_reference(c):
+    """(max |[[e_i,e_j],e_k] + [[e_j,e_k],e_i] + [[e_k,e_i],e_j]| over the full
+    dim^4 tensor, max_ijkl sum_m |c_ijm c_mkl|), by einsum."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        cc = np.einsum("ijm,mkl->ijkl", c, c)
+        jacobi = cc + np.transpose(cc, (1, 2, 0, 3)) + np.transpose(cc, (2, 0, 1, 3))
+        scale = np.einsum("ijm,mkl->ijkl", np.abs(c), np.abs(c))
+    return float(np.max(np.abs(jacobi), initial=0.0)), float(np.max(scale, initial=0.0))
+
+
+def _semidirect(act):
+    """R acting on the abelian ideal R^m by the m x m matrix act: a Lie algebra."""
+    m = len(act)
+    c = np.zeros((m + 1,) * 3)
+    c[0, 1:, 1:] = act.T
+    c[1:, 0, 1:] = -act.T
+    return c
+
+
+@given(st.integers(0, 14), st.sampled_from(["dense", "sparse"]), st.booleans(),
+       st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_validate_jacobi_matches_full_tensor_reference(dim, density, lie, seed):
+    rng = np.random.default_rng(seed)
+    if lie and dim:
+        act = rng.standard_normal((dim - 1, dim - 1))
+        if density == "sparse":
+            c = _semidirect(act * (rng.random(act.shape) < 0.2))
+        else:   # a basis change fills the tensor
+            p = rng.standard_normal((dim, dim)) + 3.0 * np.eye(dim)
+            c = np.einsum("ia,jb,ijk,lk->abl", p, p, _semidirect(act), np.linalg.inv(p))
+    else:
+        c = rng.standard_normal((dim,) * 3) * 10.0 ** rng.integers(-3, 4)
+        if density == "sparse":
+            c = c * (rng.random(c.shape) < 0.05)
+    c = 0.5 * (c - c.transpose(1, 0, 2))   # exactly antisymmetric
+    ref, scale = jacobi_reference(c)
+    rep = validate(MetricLieAlgebra(c=c, gram=np.eye(dim)))
+    assert rep.antisym_residual == 0.0
+    assert abs(rep.jacobi_residual - ref) <= JACOBI_ULPS * np.spacing(scale)
+
+
+def test_builder_jacobi_status_matches_full_tensor_reference():
+    rda = build_so_nH(4)
+    for alg in _round_trip_algebras() + [twist(rda, paper_twist_so_nH(rda)).base]:
+        ref, scale = jacobi_reference(alg.c)
+        got = validate(alg).jacobi_residual
+        assert (got <= TOL_EXACT) == (ref <= TOL_EXACT)
+        assert abs(got - ref) <= JACOBI_ULPS * np.spacing(scale)
+
+
+def test_validate_memory_at_max_dim():
+    c = np.random.default_rng(0).standard_normal((MAX_DIM,) * 3)
+    alg = MetricLieAlgebra(c=c - c.transpose(1, 0, 2), gram=np.eye(MAX_DIM))
+    tracemalloc.start()
+    try:
+        validate(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < VALIDATE_PEAK_MB * 1e6
 
 
 def test_indefinite_metric_rejected_at_construction():

@@ -135,10 +135,15 @@ def test_verify_corrupted_file_exits_2(tmp_path):
     '{"dim": 2, "gram": [0.1, 1, 1, 10], "structure": []}',
     # refused before anything of size dim is allocated
     '{"dim": 100000}',
+    # constants inside the bound whose transform into the frame of a tiny Gram overflows
+    '{"dim": 2, "gram": [1e-300, 0, 0, 1e-300], "structure": [[0, 1, 1, 1e10]]}',
+    '{"dim": 2, "gram": [1e-300, 0, 0, 1e-300], "structure": [[0, 1, 1, 1e10]], '
+    '"decoration": {"a_indices": [0], "n_indices": [1]}}',
 ], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "c-1e160", "c-1e160-decorated",
         "ad-zero", "c-rows-overflow", "c-tiny-gram", "gram-nonsymmetric",
         "gram-defect-overflow", "gram-indefinite", "row-float", "gram-upper-triangle",
-        "gram-lower-triangle", "gram-singular", "dim-huge"])
+        "gram-lower-triangle", "gram-singular", "dim-huge", "frame-overflow",
+        "frame-overflow-decorated"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -164,6 +169,20 @@ def test_verify_document_at_the_bounds_gives_a_report(tmp_path, text):
     assert code in (0, 1)
     assert err == ""
     assert out.startswith("# command: verify ")
+
+
+@pytest.mark.parametrize("scale", [1e-20, 1e-10, 1.0, 1e10, 1e20, 1e30])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_verify_rescaled_complex_hyperbolic_keeps_its_type(tmp_path, scale):
+    """CH^2 with its Gram matrix replaced by scale * Id is still Einstein, of
+    eigenvalue type (1,2;2,1): no cut-off depends on the scale of the metric."""
+    doc = json.loads(serialize(build_solvmanifold(complex_hyperbolic_triple(2))))
+    doc["gram"] = (scale * np.eye(doc["dim"])).ravel().tolist()
+    path = tmp_path / "ch2.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(["verify", str(path)])
+    assert (code, err) == (0, "")
+    assert "eigenvalue-type\tpass\t(1,2;2,1)\t" in out
 
 
 def test_verify_document_validates_once(tmp_path, monkeypatch):

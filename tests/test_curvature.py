@@ -353,6 +353,20 @@ def test_eigenvalue_type_requires_decoration():
         eigenvalue_type(alg)
 
 
+@pytest.mark.parametrize("scale", [1e-20, 1.0, 1e30])
+def test_eigenvalue_type_refuses_degenerate_nilradical_at_any_scale(scale):
+    gram = scale * np.eye(3)
+    # ad(A)|n = diag(1, -1): the mean curvature vanishes
+    unimodular = from_sparse(3, [(0, 1, 1, 1.0), (0, 2, 2, -1.0)], gram=gram,
+                             a_indices=(0,), n_indices=(1, 2))
+    with pytest.raises(ValueError, match="mean curvature vanishes"):
+        eigenvalue_type(unimodular)
+    # ad(A)|n = diag(1, 0): a zero eigenvalue
+    kernel = from_sparse(3, [(0, 1, 1, 1.0)], gram=gram, a_indices=(0,), n_indices=(1, 2))
+    with pytest.raises(ValueError, match="non-positive eigenvalue"):
+        eigenvalue_type(kernel)
+
+
 def test_eigenvalue_type_scale_recovers_spectrum():
     alg = build_solvmanifold(complex_hyperbolic_triple(2))
     t = eigenvalue_type(alg)
