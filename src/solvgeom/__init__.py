@@ -25,8 +25,6 @@ from .algebra import (
     from_sparse,
     bracket,
     ad_matrix,
-    metric_adjoint,
-    killing_form,
     validate,
     iwasawa_check,
     serialize,
@@ -35,7 +33,6 @@ from .algebra import (
 from .curvature import (
     EinsteinVerdict,
     EigenvalueType,
-    U_map,
     mean_curvature,
     ricci,
     einstein_verdict,
@@ -48,7 +45,6 @@ from .carnot import (
     DataTriple,
     EinsteinConditions,
     UniformSubspaceCandidate,
-    so_inner,
     so_basis,
     build_solvmanifold,
     brackets_from_j,

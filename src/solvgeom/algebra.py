@@ -8,6 +8,7 @@ only needs to worry about Jacobi and the metric.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -21,8 +22,9 @@ TOL_OPT = 1e-6      # optimizer-derived quantities
 # product is then about 42 MB (63 MB peak, dense), and so(6,H), the largest
 # builder output, has dim 30
 MAX_DIM = 48
-# largest |structure constant| accepted from a document: at dim <= MAX_DIM no Jacobi
-# entry, nor with an identity Gram any Ricci entry, can then overflow (< 2.3e303)
+# largest |structure constant| accepted from a document, in its basis and in the
+# orthonormal frame: at dim <= MAX_DIM a Jacobi entry sums at most dim^2 products of
+# two constants (< 2.3e303) and a frame Ricci entry a few such sums, so neither overflows
 MAX_CONSTANT = 1e150
 
 __all__ = [
@@ -36,9 +38,7 @@ __all__ = [
     "from_sparse",
     "bracket",
     "validate",
-    "killing_form",
     "ad_matrix",
-    "metric_adjoint",
     "iwasawa_check",
     "serialize",
     "deserialize",
@@ -68,11 +68,11 @@ def orthonormal_frame(gram):
     return _cholesky_frame(gram)[0]
 
 
-def restricted_symmetric(alg, mats, idx):
-    """Symmetric parts of the blocks m[idx, idx] of a stack of matrices,
-    written in an orthonormal frame of span{e_i : i in idx}."""
-    block = np.ix_(idx, idx)
-    f, f_inv = _cholesky_frame(alg.gram[block])
+def restricted_symmetric(alg, mats):
+    """Symmetric parts of the nilradical blocks m[n, n] of a stack of matrices,
+    written in the orthonormal frame `alg.n_frame` of span{e_i : i in n_indices}."""
+    f, f_inv = alg.n_frame
+    block = np.ix_(alg.n_indices, alg.n_indices)
     mo = f_inv @ np.asarray(mats)[:, block[0], block[1]] @ f
     return 0.5 * (mo + mo.transpose(0, 2, 1))
 
@@ -117,8 +117,14 @@ class MetricLieAlgebra:
         # cached orthonormal frame; every curvature formula sums over it
         self.frame, self.frame_inv = _cholesky_frame(self.gram)
         t = np.tensordot(np.tensordot(self.frame, self.c, (0, 0)), self.frame, (1, 0))
-        # frame_inv leads: (l, a, b) strides, the order that ricci's einsums sum in
-        self.c_frame = np.tensordot(self.frame_inv, t, (1, 1)).transpose(1, 2, 0)
+        self.c_frame = np.tensordot(t, self.frame_inv, (1, 1))
+
+    @functools.cached_property
+    def n_frame(self):
+        """(F, F^-1) of the Gram block on n_indices, factored on first use: the
+        Iwasawa check and the eigenvalue type both restrict ad(A) to it."""
+        n = list(self.n_indices)
+        return _cholesky_frame(self.gram[np.ix_(n, n)])
 
     @property
     def dim(self):
@@ -193,16 +199,6 @@ def ad_matrix(alg, x):
     """Matrix of ad(x): ad_matrix(x) @ y == bracket(x, y)."""
     x = np.asarray(x, dtype=float)
     return np.einsum("ijk,i->kj", alg.c, x)
-
-
-def metric_adjoint(alg, mat):
-    """Adjoint of a matrix w.r.t. gram: G^{-1} M^T G."""
-    return np.linalg.solve(alg.gram, np.asarray(mat).T @ alg.gram)
-
-
-def killing_form(alg):
-    """B[i][j] = tr(ad e_i . ad e_j)."""
-    return np.einsum("iba,jab->ij", alg.c, alg.c)
 
 
 @dataclass
@@ -388,7 +384,7 @@ def iwasawa_check(alg, tol=TOL_EXACT):
     min_pos = -np.inf
     witness = np.zeros(alg.dim)
     if a_idx and n_idx:
-        sym_ops = restricted_symmetric(alg, ads, n_idx)
+        sym_ops = restricted_symmetric(alg, ads)
         w, min_pos = _best_positive_direction(sym_ops)
         cond_iii = min_pos > tol
         for wi, i in zip(w, a_idx):
@@ -466,8 +462,9 @@ def _is_int_list(values):
 
 def deserialize(text):
     """Parse an algebra document, checking only what it states: JSON types,
-    indices, finiteness, MAX_DIM, MAX_CONSTANT and a symmetric positive-definite
-    Gram matrix.  Anything else raises ValueError; Jacobi is left to `validate`."""
+    indices, finiteness, MAX_DIM, MAX_CONSTANT (in the basis and in the
+    orthonormal frame) and a symmetric positive-definite Gram matrix.  Anything
+    else raises ValueError; Jacobi is left to `validate`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -523,15 +520,16 @@ def _from_document(doc):
     roots = _sized(dec, "roots", dim)
     if not all(r is None or _is_int_list(r) for r in roots):
         raise ValueError("'roots' entries must be null or lists of integers")
-    # bounded before MetricLieAlgebra transforms it into the frame, where it could overflow
+    # bounded in the basis (validate sums products of c) and, below, in the frame
+    # (the curvature formulas sum products of c_frame), where a tiny Gram can scale it up
     c = _structure_tensor(dim, entries)
     if not np.all(np.abs(c) <= MAX_CONSTANT):
         raise ValueError(f"a structure constant is above {MAX_CONSTANT:g} in absolute value")
-    # a tiny Gram can still overflow the frame transform of constants inside the bound
     with np.errstate(over="ignore", invalid="ignore"):
         alg = MetricLieAlgebra(
             c=c, gram=gram, labels=labels, a_indices=a_idx, n_indices=n_idx, roots=roots,
         )
-    if not (np.isfinite(alg.frame).all() and np.isfinite(alg.c_frame).all()):
-        raise ValueError("the structure constants overflow in the orthonormal frame")
+    if not (np.isfinite(alg.frame).all() and np.all(np.abs(alg.c_frame) <= MAX_CONSTANT)):
+        raise ValueError(f"a structure constant in the orthonormal frame is above "
+                         f"{MAX_CONSTANT:g} in absolute value")
     return alg

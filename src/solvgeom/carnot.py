@@ -21,7 +21,6 @@ __all__ = [
     "DataTriple",
     "EinsteinConditions",
     "UniformSubspaceCandidate",
-    "so_inner",
     "so_gram",
     "so_basis",
     "build_solvmanifold",
@@ -40,12 +39,6 @@ __all__ = [
     "real_hyperbolic_triple",
     "complex_hyperbolic_triple",
 ]
-
-
-def so_inner(a, b):
-    """(a, b) = -tr(ab)/r on so(r)."""
-    a = np.asarray(a, dtype=float)
-    return -float(np.trace(a @ b)) / a.shape[0]
 
 
 def so_gram(a, b):
@@ -434,11 +427,6 @@ def centralizer(mats, tol):
     u, sing, _ = np.linalg.svd(_commutator_map(mats, basis), full_matrices=False)
     nullity = int(_nullity(sing, tol))
     return nullity, np.einsum("uc,uij->cij", u[:, basis.shape[0] - nullity:], basis)
-
-
-def centralizer_dimension(mats, tol=1e-8):
-    """dim of {b in so(r): [b, a_i] = 0 for all i}."""
-    return centralizer(mats, tol)[0]
 
 
 def _equivalence_invariants(families):

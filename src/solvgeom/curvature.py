@@ -1,12 +1,12 @@
 """Curvature of left-invariant metrics from structure constants.
 
 Every formula runs in the orthonormal frame cached by `MetricLieAlgebra`
-(`frame`, `frame_inv`, `c_frame`), so a non-identity Gram matrix costs no
-linear solve; `einstein_verdict` alone solves once, for the Einstein constant.
-`sectionals` (and `sectional`, its one-row call) and `U_map` read every
-bracket and every U from ad stacks, ad[n, j] = [v_n, f_j], each one matmul
-of the row stack with `c_frame`; a batch keeps one (N, dim, dim) stack alive
-at a time.
+(`frame`, `frame_inv` and the C-contiguous `c_frame`), so a non-identity Gram
+matrix costs no linear solve.  `ricci` is four BLAS products on `c_frame`, and
+`einstein_verdict` decides ric = lam * gram on the frame Ricci form itself.
+`sectionals` (and `sectional`, its one-row call) reads every bracket and every
+U from ad stacks, ad[n, j] = [v_n, f_j], each one matmul of the row stack with
+`c_frame`; a batch keeps one (N, dim, dim) stack alive at a time.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .algebra import MetricLieAlgebra, ad_matrix, restricted_symmetric
 __all__ = [
     "EinsteinVerdict",
     "EigenvalueType",
-    "U_map",
     "mean_curvature",
     "ricci",
     "einstein_verdict",
@@ -33,23 +32,11 @@ __all__ = [
 ]
 
 
-def _ad_stack(c_flat, vs):
+def _ad_stack(alg, vs):
     """ad stacks of the rows of vs in frame coordinates, ad[n, j] = [vs[n], f_j],
-    from c_flat = c_frame.reshape(dim, dim * dim) (a copy: `c_frame` is not
-    C-contiguous, so callers reshape it once)."""
+    one matmul with the (dim, dim * dim) view of the C-contiguous `c_frame`."""
     n, d = vs.shape
-    return (vs @ c_flat).reshape(n, d, d)
-
-
-def U_map(alg, x, y):
-    """Symmetric bilinear U with 2<U(x,y),z> = <[z,x],y> + <[z,y],x> for all z.
-
-    In the orthonormal frame U(x, y) = -(ad_x^T y + ad_y^T x) / 2, and with
-    the rows ad[j] = [x, f_j] of an ad stack, ad_x^T y is `ad @ y`.
-    """
-    xy = np.asarray([x, y], dtype=float) @ alg.frame_inv.T
-    ad_x, ad_y = _ad_stack(alg.c_frame.reshape(alg.dim, -1), xy)
-    return alg.frame @ (-0.5 * (ad_x @ xy[1] + ad_y @ xy[0]))
+    return (vs @ alg.c_frame.reshape(d, d * d)).reshape(n, d, d)
 
 
 def mean_curvature(alg):
@@ -57,21 +44,26 @@ def mean_curvature(alg):
     return alg.frame @ np.einsum("zkk->z", alg.c_frame)
 
 
-def ricci(alg):
-    """Ricci form as a symmetric matrix in the original basis.
-
-    In an orthonormal frame {f_i},
+def _ricci_frame(alg):
+    """Ricci form in the orthonormal frame {f_i}:
       ric(x,y) = -1/2 sum_i <[x,f_i],[y,f_i]> - 1/2 B(x,y)
-                 + 1/4 sum_ij <[f_i,f_j],x><[f_i,f_j],y> - <U(x,y),H>.
-    """
+                 + 1/4 sum_ij <[f_i,f_j],x><[f_i,f_j],y> - <U(x,y),H>,
+    as BLAS products on C = c_frame: the first term is -1/2 A A^T with
+    A = C.reshape(d, d^2), the Killing form B is A against the (0, 2, 1)
+    transpose, the third term is 1/4 D^T D with D = C.reshape(d^2, d), and
+    <U(x,y),H> is the symmetric part of the contraction of H = tr C[z] with C."""
     C = alg.c_frame
-    term1 = -0.5 * np.einsum("xik,yik->xy", C, C)
-    B = np.einsum("iba,jab->ij", C, C)
-    term3 = 0.25 * np.einsum("ijx,ijy->xy", C, C)
-    h = np.einsum("zkk->z", C)
-    t4 = np.einsum("zxy,z->xy", C, h)
-    r_frame = term1 - 0.5 * B + term3 - 0.5 * (t4 + t4.T)
-    r = alg.frame_inv.T @ r_frame @ alg.frame_inv
+    d = alg.dim
+    A = C.reshape(d, d * d)
+    D = C.reshape(d * d, d)
+    B = A @ C.transpose(0, 2, 1).reshape(d, d * d).T
+    t4 = np.tensordot(np.einsum("zkk->z", C), C, (0, 0))
+    return -0.5 * (A @ A.T) - 0.5 * B + 0.25 * (D.T @ D) - 0.5 * (t4 + t4.T)
+
+
+def ricci(alg):
+    """Ricci form as a symmetric matrix in the original basis."""
+    r = alg.frame_inv.T @ _ricci_frame(alg) @ alg.frame_inv
     return 0.5 * (r + r.T)
 
 
@@ -83,11 +75,19 @@ class EinsteinVerdict:
 
 
 def einstein_verdict(alg, tol=1e-9):
-    """Decide ric = lam * gram; residual is max-norm relative to ric (absolute if tiny)."""
-    r = ricci(alg)
-    lam = float(np.trace(np.linalg.solve(alg.gram, r))) / alg.dim
-    denom = max(1.0, float(np.max(np.abs(r))))
-    residual = float(np.max(np.abs(r - lam * alg.gram))) / denom
+    """Decide ric = lam * gram, in the frame: ric_frame = lam * Id.
+
+    The residual max|ric_frame - lam * Id| is divided by max|c_frame|^2, the
+    scale of a form quadratic in c_frame, so a homothety (c -> s c, or
+    gram -> s gram) leaves the verdict as it is.  c_frame = 0 is flat: lam = 0.
+    """
+    scale = float(np.max(np.abs(alg.c_frame)))
+    if scale == 0.0:
+        return EinsteinVerdict(is_einstein=True, lam=0.0, residual=0.0)
+    r = _ricci_frame(alg)
+    lam = float(np.trace(r)) / alg.dim
+    # divided twice: scale**2 can underflow where the residual does not
+    residual = float(np.max(np.abs(r - lam * np.eye(alg.dim)))) / scale / scale
     return EinsteinVerdict(is_einstein=residual <= tol, lam=lam, residual=residual)
 
 
@@ -125,12 +125,11 @@ def sectionals(alg, xs, ys):
     """
     pair = _frame_pairs(alg, xs, ys)
     u, w = pair[:, 0], pair[:, 1]
-    c_flat = alg.c_frame.reshape(alg.dim, -1)
-    ad = _ad_stack(c_flat, u)
+    ad = _ad_stack(alg, u)
     uw = (w[:, None] @ ad)[:, 0]
     au = pair @ ad.mT                   # rows ad_u^T u, ad_u^T w
     del ad                              # one (N, dim, dim) stack at a time
-    aw = pair @ _ad_stack(c_flat, w).mT
+    aw = pair @ _ad_stack(alg, w).mT
     uxy = -0.5 * (au[:, 1] + aw[:, 0])
     terms = (-0.75 * uw * uw - 0.5 * uw * au[:, 1] + 0.5 * uw * aw[:, 0]
              + uxy * uxy - au[:, 0] * aw[:, 1])
@@ -163,7 +162,7 @@ def eigenvalue_type(alg, direction=None, tol=1e-8):
             raise ValueError("mean curvature vanishes; no direction in a to take")
         direction = h / nh
     m = ad_matrix(alg, np.asarray(direction, dtype=float))
-    (sym,) = restricted_symmetric(alg, [m], list(alg.n_indices))
+    (sym,) = restricted_symmetric(alg, [m])
     vals = np.sort(np.linalg.eigvalsh(sym))
     unit = np.max(np.abs(vals))
 

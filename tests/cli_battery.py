@@ -11,8 +11,9 @@ CLI output, document or table moved:
 The battery covers every `symmetric` space with the paper, enumerate and
 restricted-height twists and the shipped goldens; `verify` on the builtin
 targets, on the serialized documents of every builder, on CH^2 with its Gram
-matrix rescaled to s * Id, and on the benchmark's verify-stream documents of
-seeds 1 and 2; small `family` and `carnot`
+matrix rescaled to s * Id, on a non-Einstein extension with its constants
+rescaled, and on the benchmark's verify-stream documents of seeds 1 and 2;
+small `family` and `carnot`
 commands, the default `family report` and one whose 5000 samples a point
 cross a 4096-row block; and the exit-2 refusals.  The temporary directory's
 path is written as TMP in argv and hashed output, so the lines do not depend
@@ -81,6 +82,8 @@ REFUSALS = (
     ["verify", "TMP/big.json"],
     ["verify", "TMP/frame.json"],
     ["verify", "TMP/frame-decorated.json"],
+    ["verify", "TMP/frame-bound.json"],
+    ["verify", "TMP/frame-bound-3.json"],
     ["verify", "carnot"],
     ["carnot", "search", "--r", "1", "--s", "1"],
     ["carnot", "classify-so4", "--s", "1", "--trials", "0"],
@@ -129,6 +132,10 @@ def battery(tmp):
     for scale in (1e10, 1e20, 1e30):
         alg = dataclasses.replace(carnot_algs[0], gram=scale * np.eye(carnot_algs[0].dim))
         cmds.append(_document(tmp, f"ch2-gram-{scale:g}", alg))
+    generic = build_solvmanifold(random_triple(4, 2, np.random.default_rng(8)))
+    for scale in (1e-8, 1e-6):
+        alg = dataclasses.replace(generic, c=scale * generic.c)
+        cmds.append(_document(tmp, f"generic-c-{scale:g}", alg))
     for seed in (1, 2):
         for t, (_, alg, _) in enumerate(verify_documents(seed)):
             cmds.append(_document(tmp, f"stream{seed}-{t}", alg))
@@ -185,6 +192,11 @@ def main_battery():
         Path(f"{tmp}/frame.json").write_text(frame + "}")
         Path(f"{tmp}/frame-decorated.json").write_text(
             frame + ', "decoration": {"a_indices": [0], "n_indices": [1]}}')
+        Path(f"{tmp}/frame-bound.json").write_text(
+            '{"dim": 2, "gram": [1e-300, 0, 0, 1e-300], "structure": [[0, 1, 1, 1e5]]}')
+        Path(f"{tmp}/frame-bound-3.json").write_text(
+            '{"dim": 3, "gram": [1e-300, 0, 0, 0, 1e-300, 0, 0, 0, 1e-300], '
+            '"structure": [[0, 1, 2, 1e5]]}')
         for argv, files in battery(tmp):
             print(run(argv, files, tmp), flush=True)
 

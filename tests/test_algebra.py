@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from solvgeom import algebra
 from solvgeom.algebra import (
     MAX_DIM,
     TOL_EXACT,
@@ -20,10 +21,7 @@ from solvgeom.algebra import (
     deserialize,
     from_sparse,
     iwasawa_check,
-    killing_form,
-    metric_adjoint,
     orthonormal_frame,
-    restricted_symmetric,
     serialize,
     validate,
 )
@@ -34,6 +32,7 @@ from solvgeom.carnot import (
     random_triple,
     real_hyperbolic_triple,
 )
+from solvgeom.curvature import eigenvalue_type
 from solvgeom.symtwist import (
     build_sl_nH,
     build_sl_nR,
@@ -46,6 +45,8 @@ from solvgeom.symtwist import (
     restricted_height_twist,
     twist,
 )
+
+from oracles import killing_form, metric_adjoint
 
 
 def so3():
@@ -293,9 +294,9 @@ def test_cholesky_frame_is_gram_schmidt(n, seed, spread, scale):
 def test_non_positive_gram_raises_value_error(gram):
     with pytest.raises(ValueError, match="not positive definite"):
         MetricLieAlgebra(c=np.zeros((2, 2, 2)), gram=gram)
-    # only alg.gram is read
+    # the n-block factor that restricted_symmetric uses reads only gram and n_indices
     with pytest.raises(ValueError, match="not positive definite"):
-        restricted_symmetric(SimpleNamespace(gram=np.asarray(gram)), np.zeros((1, 2, 2)), [0, 1])
+        MetricLieAlgebra.n_frame.func(SimpleNamespace(gram=np.asarray(gram), n_indices=(0, 1)))
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
     with pytest.raises(ValueError, match="not positive definite"):
         _orthonormalize_family([rot, rot])
@@ -346,8 +347,8 @@ def test_identity_gram_builders_keep_c_frame_exact():
     for alg in algs:
         assert np.array_equal(alg.gram, np.eye(alg.dim))
         assert np.array_equal(alg.c_frame, alg.c)
-        # stored (l, a, b)-contiguous: ricci's einsum sums run in that order
-        assert alg.c_frame.transpose(2, 0, 1).flags.c_contiguous
+        # stored C-contiguous: ricci and the ad stacks reshape it without a copy
+        assert alg.c_frame.flags.c_contiguous
 
 
 def test_so6H_and_paper_twist_construct_within_one_second():
@@ -367,6 +368,25 @@ def test_iwasawa_check_on_hyperbolic_build():
     assert rep.symmetry_residual <= 1e-12
     assert rep.min_positive_eig > 0.4  # spectrum is {1/2, 1}
     assert abs(alg.norm(rep.witness) - 1.0) <= 1e-12
+
+
+def test_n_block_factored_once_per_algebra(monkeypatch):
+    # a verify of a decorated document: construction factors the Gram, and the
+    # Iwasawa check and the eigenvalue type share one factor of its n-block
+    doc, calls, factor = serialize(build_sl_nH(3).base), [], algebra._cholesky_frame
+
+    def counting(gram):
+        calls.append(np.shape(gram))
+        return factor(gram)
+
+    monkeypatch.setattr(algebra, "_cholesky_frame", counting)
+    alg = deserialize(doc)
+    assert calls == [(alg.dim, alg.dim)]
+    assert "n_frame" not in vars(alg)   # factored on first use, not at construction
+    iwasawa_check(alg)
+    eigenvalue_type(alg)
+    n = len(alg.n_indices)
+    assert calls == [(alg.dim, alg.dim), (n, n)]
 
 
 def test_iwasawa_check_requires_decoration():

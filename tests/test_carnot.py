@@ -13,7 +13,7 @@ from solvgeom.carnot import (
     DataTriple,
     UniformSubspaceCandidate,
     build_solvmanifold,
-    centralizer_dimension,
+    centralizer,
     classify_uniform_so4,
     complement_uniform,
     complex_hyperbolic_triple,
@@ -27,12 +27,12 @@ from solvgeom.carnot import (
     so4_split_basis,
     so_basis,
     so_gram,
-    so_inner,
 )
 from solvgeom.carnot import _descend, _equivalence_invariants, _fingerprints_match
 from solvgeom.curvature import einstein_verdict
 
 from conftest import SEED
+from oracles import so_inner
 
 
 def test_so_basis_orthonormal():
@@ -185,6 +185,11 @@ def test_complement_uniform_duality():
     assert fp_a[2] == fp_b[2]
     assert np.allclose(fp_a[0], fp_b[0], atol=1e-10)
     assert np.allclose(fp_a[1], fp_b[1], atol=1e-10)
+
+
+def centralizer_dimension(mats, tol=1e-8):
+    """dim of {b in so(r): [b, a_i] = 0 for all i}."""
+    return centralizer(mats, tol)[0]
 
 
 def test_centralizer_dimensions_of_model_families():

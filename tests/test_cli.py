@@ -139,11 +139,15 @@ def test_verify_corrupted_file_exits_2(tmp_path):
     '{"dim": 2, "gram": [1e-300, 0, 0, 1e-300], "structure": [[0, 1, 1, 1e10]]}',
     '{"dim": 2, "gram": [1e-300, 0, 0, 1e-300], "structure": [[0, 1, 1, 1e10]], '
     '"decoration": {"a_indices": [0], "n_indices": [1]}}',
+    # frame constants near 1e155: the transform is finite, but the Ricci form overflows
+    '{"dim": 2, "gram": [1e-300, 0, 0, 1e-300], "structure": [[0, 1, 1, 1e5]]}',
+    '{"dim": 3, "gram": [1e-300, 0, 0, 0, 1e-300, 0, 0, 0, 1e-300], '
+    '"structure": [[0, 1, 2, 1e5]]}',
 ], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "c-1e160", "c-1e160-decorated",
         "ad-zero", "c-rows-overflow", "c-tiny-gram", "gram-nonsymmetric",
         "gram-defect-overflow", "gram-indefinite", "row-float", "gram-upper-triangle",
         "gram-lower-triangle", "gram-singular", "dim-huge", "frame-overflow",
-        "frame-overflow-decorated"])
+        "frame-overflow-decorated", "frame-above-bound", "frame-above-bound-dim3"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -158,7 +162,10 @@ def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
 @pytest.mark.parametrize("text", [
     '{"dim": 3, "structure": [[0, 1, 2, 1e150]]}',
     '{"dim": 2, "gram": [1e308, 0, 0, 1e308], "structure": []}',
-], ids=["c-1e150", "gram-1e308"])
+    # c_frame at the bound along one long axis: the Ricci form is finite in the frame,
+    # though not in the document's basis, where one entry is about 1e599
+    '{"dim": 3, "gram": [1, 0, 0, 0, 1, 0, 0, 0, 1e300], "structure": [[0, 1, 2, 1.0]]}',
+], ids=["c-1e150", "gram-1e308", "gram-1e300-one-axis"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_verify_document_at_the_bounds_gives_a_report(tmp_path, text):
     """The largest constant accepted (MAX_CONSTANT) and a Gram entry near the

@@ -13,7 +13,6 @@ from solvgeom.algebra import (
     ad_matrix,
     bracket,
     from_sparse,
-    metric_adjoint,
 )
 from solvgeom.carnot import (
     DataTriple,
@@ -23,7 +22,6 @@ from solvgeom.carnot import (
     real_hyperbolic_triple,
 )
 from solvgeom.curvature import (
-    U_map,
     eigenvalue_type,
     einstein_verdict,
     mean_curvature,
@@ -34,6 +32,8 @@ from solvgeom.curvature import (
 )
 from solvgeom.so6family import induced_triple
 from solvgeom.symtwist import build_sl_nH, build_so_pq
+
+from oracles import killing_form, metric_adjoint
 
 
 def test_real_hyperbolic_constant_curvature():
@@ -224,6 +224,14 @@ def test_sectionals_empty_batch():
     assert sectionals(alg, empty, empty).shape == (0,)
 
 
+def U_map(alg, x, y):
+    """Symmetric bilinear U with 2<U(x,y),z> = <[z,x],y> + <[z,y],x> for all z:
+    U(x, y) = -(ad_x* y + ad_y* x) / 2 with the metric adjoints, in the
+    original basis."""
+    return -0.5 * (metric_adjoint(alg, ad_matrix(alg, x)) @ y
+                   + metric_adjoint(alg, ad_matrix(alg, y)) @ x)
+
+
 def test_u_map_adjunction_identity():
     # 2 <U(x,y), z> = <[z,x], y> + <[z,y], x>, with a non-identity metric
     rng = np.random.default_rng(3)
@@ -270,6 +278,42 @@ def test_mean_curvature_equals_frame_trace_of_u():
     assert np.allclose(total, mean_curvature(alg), atol=1e-10)
 
 
+# |ricci - ricci_reference| <= RICCI_VS_REFERENCE * max|ricci_reference|
+RICCI_VS_REFERENCE = 1e-13
+
+
+def ricci_reference(alg):
+    """The Ricci form as einsum contractions over `c_frame`, one per term, with
+    the Killing form taken in the original basis and moved into the frame:
+    what the BLAS kernel must reproduce."""
+    c = alg.c_frame
+    term1 = -0.5 * np.einsum("xik,yik->xy", c, c)
+    b = alg.frame.T @ killing_form(alg) @ alg.frame
+    term3 = 0.25 * np.einsum("ijx,ijy->xy", c, c)
+    h = np.einsum("zkk->z", c)
+    t4 = np.einsum("zxy,z->xy", c, h)
+    r_frame = term1 - 0.5 * b + term3 - 0.5 * (t4 + t4.T)
+    r = alg.frame_inv.T @ r_frame @ alg.frame_inv
+    return 0.5 * (r + r.T)
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=25, deadline=None)
+def test_ricci_matches_einsum_reference(seed):
+    rng = np.random.default_rng(seed)
+    alg = _random_metric_algebra(rng)
+    assert not np.allclose(alg.gram, np.eye(alg.dim))
+    ref = ricci_reference(alg)
+    assert np.max(np.abs(ricci(alg) - ref)) <= RICCI_VS_REFERENCE * np.max(np.abs(ref))
+
+
+def test_ricci_matches_einsum_reference_on_builders():
+    for alg in (build_sl_nH(4).base, build_so_pq(2, 3).base,
+                build_solvmanifold(induced_triple(0.6, 0.64, 0.48))):
+        ref = ricci_reference(alg)
+        assert np.max(np.abs(ricci(alg) - ref)) <= RICCI_VS_REFERENCE * np.max(np.abs(ref))
+
+
 def test_ricci_symmetric():
     rng = np.random.default_rng(6)
     alg = build_solvmanifold(random_triple(4, 3, rng))
@@ -298,6 +342,10 @@ def test_ricci_diagonal_is_sum_of_sectionals():
 def test_ricci_flat_abelian():
     alg = MetricLieAlgebra(c=np.zeros((4, 4, 4)), gram=np.eye(4))
     assert np.allclose(ricci(alg), 0.0)
+    # c_frame = 0 is decided as flat, whatever the scale of the Gram matrix
+    alg = MetricLieAlgebra(c=np.zeros((3, 3, 3)), gram=np.diag([1e-300, 1.0, 1e300]))
+    v = einstein_verdict(alg)
+    assert (v.is_einstein, v.lam, v.residual) == (True, 0.0, 0.0)
 
 
 def test_metric_scaling_covariance():
@@ -331,6 +379,25 @@ def test_einstein_verdict_rejects_generic_triple():
     rng = np.random.default_rng(8)
     alg = build_solvmanifold(random_triple(4, 2, rng))
     assert not einstein_verdict(alg).is_einstein
+
+
+@pytest.mark.parametrize("k", range(-8, 9))
+def test_einstein_verdict_is_scale_free(k):
+    # a homothety, c -> s c with the Gram fixed or gram -> s gram, keeps the verdict
+    # and the relative residual; lam scales by s^2 and by 1/s
+    s = 10.0 ** k
+    generic = build_solvmanifold(random_triple(4, 2, np.random.default_rng(8)))
+    sl3h = build_sl_nH(3).base
+    for alg, einstein in ((generic, False), (sl3h, True)):
+        unscaled = einstein_verdict(alg)
+        for scaled, lam in ((MetricLieAlgebra(c=s * alg.c, gram=alg.gram), s * s * unscaled.lam),
+                            (MetricLieAlgebra(c=alg.c, gram=s * alg.gram), unscaled.lam / s)):
+            v = einstein_verdict(scaled)
+            assert v.is_einstein == einstein
+            assert abs(v.lam - lam) <= 1e-12 * abs(lam)
+            if not einstein:
+                assert abs(v.residual - unscaled.residual) <= 1e-12 * unscaled.residual
+
 
 
 def test_eigenvalue_type_carnot_33():

@@ -15,7 +15,6 @@ from solvgeom.carnot import (
     einstein_conditions,
     random_triple,
     real_hyperbolic_triple,
-    so_inner,
 )
 from solvgeom.curvature import einstein_verdict, sectional, sectionals
 from solvgeom.so6family import (
@@ -39,6 +38,7 @@ from solvgeom.so6family import (
 )
 
 from conftest import SEED
+from oracles import so_inner
 
 
 def sphere_point(rng):
