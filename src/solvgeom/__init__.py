@@ -83,6 +83,7 @@ from .symtwist import (
     twist,
     restricted_height_twist,
     enumerate_twists,
+    mask_twist,
     wa_twist,
     paper_twist_so_nH,
     paper_twist_sl_nH,

@@ -209,14 +209,17 @@ class ValidationReport:
     ok: bool
 
 
-def validate(alg, tol=TOL_EXACT):
+def validate(alg):
     """Check antisymmetry, Jacobi, and symmetry and positive-definiteness of the
-    metric.  A residual that overflows double precision is reported as inf or NaN.
+    metric, each at TOL_EXACT.  A residual that overflows double precision is
+    reported as inf or NaN.
 
     Jacobi takes one matmul, cc[i, j, k] = [[e_i, e_j], e_k], and reads the
     cyclic sum only on triples i < j < k, in its three summation orders.  When c
     is exactly antisymmetric (checked separately), those are the cyclic sums of
     all six orderings up to sign, and a triple with a repeated index sums to 0.
+    The Jacobi residual is divided by max|c|^2, the scale of a sum quadratic in
+    c, so a homothety c -> s c leaves it as it is; c = 0 has residual 0.
     """
     c, n = alg.c, alg.dim
     antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))), initial=0.0))
@@ -229,11 +232,16 @@ def validate(alg, tol=TOL_EXACT):
         del cc                          # the dim^4 product is not held while summing
         jac = max(float(np.max(np.abs(x + y + z), initial=0.0))
                   for x, y, z in ((a, b, d), (b, d, a), (a, d, b))) if finite else math.inf
+    scale = float(np.max(np.abs(c), initial=0.0))
+    if finite:
+        # divided twice: scale**2 can underflow where the residual does not
+        jac = jac / scale / scale if scale > 0.0 else 0.0
     sym_defect = float(np.max(np.abs(alg.gram - alg.gram.T), initial=0.0))
     # halved before the sum, so a Gram entry near the largest double cannot overflow
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * alg.gram + 0.5 * alg.gram.T),
                            initial=math.inf))
-    ok = antisym <= tol and jac <= tol and sym_defect <= tol and min_eig > 0
+    ok = (antisym <= TOL_EXACT and jac <= TOL_EXACT and sym_defect <= TOL_EXACT
+          and min_eig > 0)
     return ValidationReport(
         jacobi_residual=jac, antisym_residual=antisym, gram_min_eig=min_eig, ok=ok,
     )
@@ -349,8 +357,8 @@ def _best_positive_direction(sym_ops):
     return w, float(np.min(np.linalg.eigvalsh(np.einsum("a,aij->ij", w, ops))))
 
 
-def iwasawa_check(alg, tol=TOL_EXACT):
-    """Check the three Iwasawa-type conditions for a decorated algebra.
+def iwasawa_check(alg):
+    """Check the three Iwasawa-type conditions for a decorated algebra, at TOL_EXACT.
 
     (i) the a-part is abelian; (ii) every ad(A) with A in a is symmetric
     w.r.t. gram and ad is injective on a; (iii) some A in a has
@@ -366,7 +374,7 @@ def iwasawa_check(alg, tol=TOL_EXACT):
     not_n = [k for k in range(alg.dim) if k not in n_idx]
     if n_idx and not_n:
         leak = float(np.max(np.abs(alg.c[np.ix_(range(alg.dim), n_idx, not_n)])))
-        if leak > tol:
+        if leak > TOL_EXACT:
             raise ValueError(f"n_indices do not span an ideal (leak {leak:.2e})")
 
     abelian = float(np.max(np.abs(alg.c[np.ix_(a_idx, a_idx)]), initial=0.0))
@@ -386,13 +394,13 @@ def iwasawa_check(alg, tol=TOL_EXACT):
     if a_idx and n_idx:
         sym_ops = restricted_symmetric(alg, ads)
         w, min_pos = _best_positive_direction(sym_ops)
-        cond_iii = min_pos > tol
+        cond_iii = min_pos > TOL_EXACT
         for wi, i in zip(w, a_idx):
             witness[i] = wi
 
     return IwasawaReport(
-        cond_i=abelian <= tol,
-        cond_ii=sym_res <= tol and injective,
+        cond_i=abelian <= TOL_EXACT,
+        cond_ii=sym_res <= TOL_EXACT and injective,
         cond_iii=cond_iii,
         abelian_residual=abelian,
         symmetry_residual=sym_res,

@@ -171,7 +171,7 @@ def einstein_conditions(triple):
     return EinsteinConditions(gram_residual=res_i, uniform_residual=res_ii)
 
 
-def is_uniform(mats, tol=1e-8):
+def is_uniform(mats):
     """sum_i a_i^2 = -s Id for an orthonormal family (basis-independent)."""
     mats = np.asarray(mats, dtype=float)
     if mats.ndim == 2:
@@ -180,10 +180,10 @@ def is_uniform(mats, tol=1e-8):
     if s == 0:
         return True
     ss = np.einsum("aij,ajk->ik", mats, mats)
-    return float(np.max(np.abs(ss + s * np.eye(r)))) <= tol
+    return float(np.max(np.abs(ss + s * np.eye(r)))) <= 1e-8
 
 
-def complement_uniform(mats, tol=1e-8):
+def complement_uniform(mats):
     """Orthonormal basis of the (,)-orthogonal complement of span(mats) in so(r).
 
     A subspace is uniform iff its complement is: the full basis sums to
@@ -194,7 +194,7 @@ def complement_uniform(mats, tol=1e-8):
     basis = so_basis(r)
     coords = so_gram(mats, basis)  # (s, d)
     _, sing, vt = np.linalg.svd(coords, full_matrices=True)
-    rank = int(np.sum(sing > tol))
+    rank = int(np.sum(sing > 1e-8))
     comp = vt[rank:]  # (d - rank, d) orthonormal rows
     return np.einsum("cu,uij->cij", comp, basis)
 
@@ -215,7 +215,7 @@ def so4_split_basis():
     return np.array([_LI, _LJ, _LK]), np.array([_RI, _RJ, _RK])
 
 
-def so4_criterion(mats, tol=1e-8):
+def so4_criterion(mats):
     """Uniformity test special to so(4).
 
     Writing each a_i = L(q_i) + R(p_i), an orthonormal family is uniform iff
@@ -227,7 +227,7 @@ def so4_criterion(mats, tol=1e-8):
     left, right = so4_split_basis()
     m = so_gram(mats, left).T @ so_gram(mats, right)
     res = float(np.max(np.abs(m)))
-    return res, res <= tol
+    return res, res <= 1e-8
 
 
 # --- uniform subspace search ------------------------------------------------
@@ -456,16 +456,16 @@ def equivalence_invariants(mats):
     return tuple(eig1[0]), tuple(eig2[0]), int(cdim[0])
 
 
-def _fingerprints_match(fa, fb, tol=1e-6):
+def _fingerprints_match(fa, fb):
     if fa[2] != fb[2]:
         return False
     return (
-        max(abs(x - y) for x, y in zip(fa[0], fb[0])) <= tol
-        and max(abs(x - y) for x, y in zip(fa[1], fb[1])) <= tol
+        max(abs(x - y) for x, y in zip(fa[0], fb[0])) <= 1e-6
+        and max(abs(x - y) for x, y in zip(fa[1], fb[1])) <= 1e-6
     )
 
 
-def classify_uniform_so4(s, trials=200, seed=0, tol=1e-8, cluster_tol=1e-6):
+def classify_uniform_so4(s, trials=200, seed=0):
     """Collect uniform s-subspaces of so(4) by repeated search and cluster
     their invariant fingerprints.
 
@@ -481,14 +481,14 @@ def classify_uniform_so4(s, trials=200, seed=0, tol=1e-8, cluster_tol=1e-6):
     hits = []
     for start in range(0, trials, _LOCKSTEP):
         _, alpha, dft, _ = _descend(basis, _starts(rng, min(_LOCKSTEP, trials - start), d, s), s)
-        hits.append(alpha[np.max(np.abs(dft), axis=(1, 2)) <= tol])
+        hits.append(alpha[np.max(np.abs(dft), axis=(1, 2)) <= 1e-8])
     hits = np.concatenate(hits)
     eig1, eig2, cdim = _equivalence_invariants(hits)
     classes = []
     for k, mats in enumerate(hits):
         fp = (tuple(eig1[k]), tuple(eig2[k]), int(cdim[k]))
         for entry in classes:
-            if _fingerprints_match(entry[0], fp, cluster_tol):
+            if _fingerprints_match(entry[0], fp):
                 entry[1] += 1
                 break
         else:

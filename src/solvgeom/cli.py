@@ -57,6 +57,7 @@ from .symtwist import (
     build_su_pq,
     build_type_iv_sl,
     enumerate_twists,
+    mask_twist,
     paper_twist_sl_nH,
     paper_twist_so_nH,
     positive_curvature_witness,
@@ -64,7 +65,6 @@ from .symtwist import (
     twist,
     twist_closure_check,
     type_iv_twist,
-    TwistAssignment,
     wa_twist,
 )
 
@@ -120,25 +120,25 @@ class Report:
 # --- shared check batteries ---------------------------------------------------
 
 
-def _algebra_records(rep, alg, tol):
+def _algebra_records(rep, alg):
     val = validate(alg)
-    rep.check("antisymmetry", val.antisym_residual <= tol,
-              val.antisym_residual, tol, "jacobi-identity")
-    rep.check("jacobi", val.jacobi_residual <= tol,
-              val.jacobi_residual, tol, "jacobi-identity")
+    rep.check("antisymmetry", val.antisym_residual <= TOL_EXACT,
+              val.antisym_residual, TOL_EXACT, "jacobi-identity")
+    rep.check("jacobi", val.jacobi_residual <= TOL_EXACT,
+              val.jacobi_residual, TOL_EXACT, "jacobi-identity")
     rep.check("metric-positive", val.gram_min_eig > 0,
               val.gram_min_eig, None, "plumbing")
     if alg.decorated:
         iwa = iwasawa_check(alg)
         rep.check("iwasawa-abelian-a", iwa.cond_i,
-                  iwa.abelian_residual, tol, "iwasawa-type")
+                  iwa.abelian_residual, TOL_EXACT, "iwasawa-type")
         rep.check("iwasawa-symmetric-ad", iwa.cond_ii,
-                  iwa.symmetry_residual, tol, "iwasawa-type")
+                  iwa.symmetry_residual, TOL_EXACT, "iwasawa-type")
         rep.check("iwasawa-positive-direction", iwa.cond_iii,
                   iwa.min_positive_eig, None, "iwasawa-type")
-    verdict = einstein_verdict(alg, tol=tol)
+    verdict = einstein_verdict(alg, tol=TOL_EXACT)
     rep.check("einstein", verdict.is_einstein,
-              verdict.residual, tol, "einstein-criterion")
+              verdict.residual, TOL_EXACT, "einstein-criterion")
     rep.add("einstein-constant", "pass" if verdict.is_einstein else "evidence",
             verdict.lam, None, "einstein-constant")
     if alg.decorated:
@@ -175,15 +175,10 @@ def _resolve_twist(rda, spec):
         subset = [int(tok) for tok in rest.split(",") if tok != ""]
         return restricted_height_twist(rda, subset)
     if spec.startswith("bits:"):
-        mask = int(spec[5:], 0)
-        n_idx = list(rda.base.n_indices)
-        if mask < 0 or mask >= (1 << len(n_idx)):
-            raise ValueError(f"bit mask {spec[5:]} out of range for {len(n_idx)} vectors")
-        parities = [0] * rda.dim
-        for t, v in enumerate(n_idx):
-            if (mask >> t) & 1:
-                parities[v] = 1
-        return TwistAssignment(parities=tuple(parities), tag=f"bits:{mask:#x}")
+        mask, nn = int(spec[5:], 0), len(rda.base.n_indices)
+        if mask < 0 or mask >= (1 << nn):
+            raise ValueError(f"bit mask {spec[5:]} out of range for {nn} vectors")
+        return mask_twist(rda, mask)
     raise ValueError(f"unknown twist spec {spec!r}")
 
 
@@ -203,7 +198,7 @@ def _root_spaces_one_dimensional(rda):
     return all(v == 1 for v in counts.values())
 
 
-def _twist_records(rep, rda, assignment, tol):
+def _twist_records(rep, rda, assignment):
     closure = twist_closure_check(rda, assignment)
     rep.check("twist-closed", closure.ok, len(closure.violations), None,
               "twist-closure")
@@ -215,16 +210,17 @@ def _twist_records(rep, rda, assignment, tol):
     back = twist(twisted, assignment)
     invol = float(np.max(np.abs(back.base.c - rda.base.c)))
     rep.check("twist-involution", invol == 0.0, invol, 0.0, "twist-involution")
-    before = einstein_verdict(rda.base, tol=tol)
-    after = einstein_verdict(twisted.base, tol=tol)
-    rep.check("einstein-before-twist", before.is_einstein, before.lam, tol,
+    before = einstein_verdict(rda.base, tol=TOL_EXACT)
+    after = einstein_verdict(twisted.base, tol=TOL_EXACT)
+    rep.check("einstein-before-twist", before.is_einstein, before.lam, TOL_EXACT,
               "einstein-criterion")
-    rep.check("einstein-after-twist", after.is_einstein, after.lam, tol,
+    rep.check("einstein-after-twist", after.is_einstein, after.lam, TOL_EXACT,
               "einstein-preservation")
     drift = abs(before.lam - after.lam)
-    rep.check("lambda-drift", drift <= tol, drift, tol, "einstein-preservation")
+    rep.check("lambda-drift", drift <= TOL_EXACT, drift, TOL_EXACT,
+              "einstein-preservation")
     ricci_drift = float(np.max(np.abs(ricci(twisted.base) - ricci(rda.base))))
-    rep.check("ricci-drift", ricci_drift <= tol, ricci_drift, tol,
+    rep.check("ricci-drift", ricci_drift <= TOL_EXACT, ricci_drift, TOL_EXACT,
               "einstein-preservation")
     try:
         x, y = positive_curvature_witness(twisted)
@@ -232,7 +228,7 @@ def _twist_records(rep, rda, assignment, tol):
         pass
     else:
         lie_xy = float(np.max(np.abs(bracket(twisted.base, x, y))))
-        rep.check("witness-commutes", lie_xy <= tol, lie_xy, tol,
+        rep.check("witness-commutes", lie_xy <= TOL_EXACT, lie_xy, TOL_EXACT,
                   "positive-curvature-witness")
         k = sectional(twisted.base, x, y)
         rep.check("witness-positive-curvature", k > 1e-6, k, 1e-6,
@@ -326,17 +322,16 @@ def cmd_verify(args):
     else:
         with open(target) as fh:
             alg = deserialize(fh.read())
-    _algebra_records(rep, alg, args.tol)
+    _algebra_records(rep, alg)
     return rep.emit(args.out)
 
 
 def cmd_carnot_search(args):
     rep = Report(_echo(args), args.seed)
-    tol = args.tol
     cand = search_uniform(args.r, args.s, restarts=args.trials, seed=args.seed)
-    found = cand.residual <= tol
+    found = cand.residual <= SEARCH_TOL
     rep.add("best-residual", "pass" if found else "evidence",
-            cand.residual, tol, "uniform-subspace" if found
+            cand.residual, SEARCH_TOL, "uniform-subspace" if found
             else "uniform-nonexistence-evidence")
     if found:
         rep.check("is-uniform", is_uniform(cand.matrices), None, None,
@@ -417,16 +412,15 @@ def cmd_family_margin(args):
 
 def cmd_symmetric_build(args):
     rep = Report(_echo(args), args.seed)
-    tol = args.tol
     rda = _build_space(args)
     rep.add("space", "pass", rda.tag, None, "plumbing")
     rep.add("dim", "pass", rda.dim, None, "plumbing")
-    _algebra_records(rep, rda.base, tol)
+    _algebra_records(rep, rda.base)
     assignment = _resolve_twist(rda, args.twist)
     if assignment == "enumerate":
         _enumerate_records(rep, rda)
     elif assignment is not None:
-        _twist_records(rep, rda, assignment, tol)
+        _twist_records(rep, rda, assignment)
     if args.out:
         # reported only if the write below succeeds, since errors exit 2
         rep.add("table-written", "pass", args.out, None, "plumbing")
@@ -438,7 +432,6 @@ def cmd_symmetric_build(args):
 
 def cmd_symmetric_twist(args):
     rep = Report(_echo(args), args.seed)
-    tol = args.tol
     rda = _build_space(args)
     rep.add("space", "pass", rda.tag, None, "plumbing")
     assignment = _resolve_twist(rda, args.twist or "paper")
@@ -448,7 +441,7 @@ def cmd_symmetric_twist(args):
         raise ValueError("nothing to do: twist spec resolved to none")
     else:
         rep.add("twist", "pass", assignment.tag, None, "plumbing")
-        _twist_records(rep, rda, assignment, tol)
+        _twist_records(rep, rda, assignment)
     return rep.emit(args.out)
 
 
@@ -475,9 +468,8 @@ def _echo(args):
     return " ".join(args._argv)
 
 
-def _add_common(p, tol=TOL_EXACT):
+def _add_common(p):
     p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--tol", type=float, default=tol)
     p.add_argument("--out", default=None, help="also write the report/output here")
 
 
@@ -507,7 +499,7 @@ def build_parser():
     ps.add_argument("--r", type=int, required=True)
     ps.add_argument("--s", type=int, required=True)
     ps.add_argument("--trials", type=int, default=200)
-    _add_common(ps, tol=SEARCH_TOL)
+    _add_common(ps)
     ps.set_defaults(func=cmd_carnot_search)
     pk = csub.add_parser("classify-so4")
     pk.add_argument("--s", type=int, default=None, choices=range(1, 7))

@@ -143,38 +143,37 @@ class EigenvalueType:
     scale: float
 
 
-def eigenvalue_type(alg, direction=None, tol=1e-8):
-    """Spectrum of ad(A)|n as coprime positive integers with multiplicities.
+def eigenvalue_type(alg):
+    """Spectrum of ad(A)|n as coprime positive integers with multiplicities,
+    for A the unit mean-curvature direction.
 
-    A defaults to the unit mean-curvature direction.  scale * eigenvalues
-    recovers the actual spectrum.  The cut-offs are relative: |H| against the
-    largest frame constant, and the eigenvalues against the largest one in
-    absolute value, so rescaling the metric gives the same type.
+    scale * eigenvalues recovers the actual spectrum.  The cut-offs are
+    relative: |H| against the largest frame constant, and the eigenvalues
+    against 1e-8 times the largest one in absolute value, so rescaling the
+    metric gives the same type.
     """
     if not alg.decorated:
         raise ValueError("eigenvalue_type needs an Iwasawa decoration")
     if not alg.n_indices:
         raise ValueError("eigenvalue_type needs a non-empty nilradical (n_indices)")
-    if direction is None:
-        h = mean_curvature(alg)
-        nh = alg.norm(h)
-        if nh <= 1e-14 * np.max(np.abs(alg.c_frame)):
-            raise ValueError("mean curvature vanishes; no direction in a to take")
-        direction = h / nh
-    m = ad_matrix(alg, np.asarray(direction, dtype=float))
+    h = mean_curvature(alg)
+    nh = alg.norm(h)
+    if nh <= 1e-14 * np.max(np.abs(alg.c_frame)):
+        raise ValueError("mean curvature vanishes; no direction in a to take")
+    m = ad_matrix(alg, h / nh)
     (sym,) = restricted_symmetric(alg, [m])
     vals = np.sort(np.linalg.eigvalsh(sym))
-    unit = np.max(np.abs(vals))
+    cut = 1e-8 * np.max(np.abs(vals))
 
     reps, mults = [], []
     for v in vals:
-        if reps and abs(v - reps[-1]) <= tol * unit:
+        if reps and abs(v - reps[-1]) <= cut:
             reps[-1] = (reps[-1] * mults[-1] + v) / (mults[-1] + 1)
             mults[-1] += 1
         else:
             reps.append(float(v))
             mults.append(1)
-    if reps[0] <= tol * unit:
+    if reps[0] <= cut:
         raise ValueError("ad(A)|n has a non-positive eigenvalue; not of Iwasawa type")
 
     fracs = [Fraction(r / reps[0]).limit_denominator(64) for r in reps]

@@ -69,7 +69,7 @@ def basis_ABC(signs=None):
     return a, b, c
 
 
-def W_of(r, s, t, signs=None):
+def W_of(r, s, t):
     """Spanning matrices D_i = r A_i + s B_i + t C_i.
 
     (r, s, t) is renormalized to the unit sphere, where the D_i are
@@ -85,17 +85,17 @@ def W_of(r, s, t, signs=None):
     if nrm <= 1e-12:
         raise ValueError("need (r, s, t) != 0")
     r, s, t = r / nrm, s / nrm, t / nrm
-    a, b, c = basis_ABC(signs)
+    a, b, c = basis_ABC()
     return r * a + s * b + t * c
 
 
-def induced_triple(r, s, t, signs=None):
-    return DataTriple(r=6, s=3, j_mats=W_of(r, s, t, signs))
+def induced_triple(r, s, t):
+    return DataTriple(r=6, s=3, j_mats=W_of(r, s, t))
 
 
-def centralizer_in_so6(mats, tol=1e-10):
+def centralizer_in_so6(mats):
     """(dimension, basis matrices) of {P in so(6): [P, D_i] = 0 for all i}."""
-    return centralizer(mats, tol)
+    return centralizer(mats, 1e-10)
 
 
 def _principal_cos(mats_a, mats_b):
@@ -107,16 +107,16 @@ def _principal_cos(mats_a, mats_b):
     return float(min(sing[0], 1.0))
 
 
-def angle_to_centralizer(r, s, t, signs=None):
+def angle_to_centralizer(r, s, t):
     """cos of the angle between W(r,s,t) and its centralizer in so(6) (equals |t|)."""
-    w = W_of(r, s, t, signs)
+    w = W_of(r, s, t)
     _, cz = centralizer_in_so6(w)
     return _principal_cos(cz, w)
 
 
-def bracket_angle(r, s, t, signs=None):
+def bracket_angle(r, s, t):
     """cos of the angle between span[W, W] and W; NaN when the brackets vanish."""
-    w = W_of(r, s, t, signs)
+    w = W_of(r, s, t)
     brs = []
     for i in range(3):
         for j in range(i + 1, 3):
@@ -317,7 +317,7 @@ class FamilyPoint:
     max_sectional: float
 
 
-def family_report(points=None, samples=200, seed=0, signs=None):
+def family_report(points=None, samples=200, seed=0):
     """Scan the family: Einstein residuals, the two angle invariants, and the
     range of sampled sectional curvatures of the attached solvable extension
     (drawn and evaluated in blocks of `_BLOCK` sample pairs).
@@ -333,10 +333,10 @@ def family_report(points=None, samples=200, seed=0, signs=None):
     rng = np.random.default_rng(seed)
     rows = []
     for (r, s, t) in points:
-        triple = induced_triple(r, s, t, signs)
+        triple = induced_triple(r, s, t)
         res = einstein_conditions(triple).max_residual
-        cos_c = angle_to_centralizer(r, s, t, signs)
-        cos_b = bracket_angle(r, s, t, signs)
+        cos_c = angle_to_centralizer(r, s, t)
+        cos_b = bracket_angle(r, s, t)
         alg = build_solvmanifold(triple)
         lo, hi = math.inf, -math.inf
         for start in range(0, samples, _BLOCK):

@@ -32,6 +32,7 @@ __all__ = [
     "twist",
     "restricted_height_twist",
     "enumerate_twists",
+    "mask_twist",
     "wa_twist",
     "paper_twist_so_nH",
     "paper_twist_sl_nH",
@@ -98,7 +99,7 @@ _PAIR_BLOCK = 256
 
 
 def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
-              simple_roots, params, tol=1e-10):
+              simple_roots, params):
     """Orthogonality of the basis is asserted (each builder asserts its own
     common norm), structure constants are computed by exact expansion of
     matrix commutators, and the root decoration is validated against the
@@ -125,7 +126,7 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
         targets = _flat(left @ right - right @ left)
         coeffs = (targets @ basis_flat.T) / norms
         resid = np.max(np.abs(coeffs @ basis_flat - targets), axis=1, initial=0.0)
-        bad = np.flatnonzero(resid > tol)
+        bad = np.flatnonzero(resid > 1e-10)
         if bad.size:
             t = bad[0]
             raise ValueError(
@@ -152,7 +153,7 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
         adm = ad_matrix(alg, alg.basis_vector(ai))
         block = adm[la:, la:]
         off = block - np.diag(np.diag(block))
-        if float(np.max(np.abs(off))) > tol:
+        if float(np.max(np.abs(off))) > 1e-10:
             raise ValueError(f"{tag}: ad({names[ai]}) is not diagonal on n")
         lam = np.diag(block)
         kappa, res, *_ = np.linalg.lstsq(root_mat, lam, rcond=None)
@@ -187,7 +188,7 @@ class TwistClosureReport:
     violations: tuple
 
 
-def twist_closure_check(rda, assignment, tol=1e-12):
+def twist_closure_check(rda, assignment):
     """Parity closure: parity(k) = parity(i) + parity(j) mod 2 on every nonzero
     structure constant.  Also reports whether every basis bracket is a scalar
     multiple of a single basis vector."""
@@ -197,7 +198,7 @@ def twist_closure_check(rda, assignment, tol=1e-12):
         raise ValueError("parity assignment has wrong length")
     if any(par[i] for i in alg.a_indices):
         raise ValueError("parities must vanish on a")
-    i, j, k = _nonzero_constants(alg.c, tol)
+    i, j, k = _nonzero_constants(alg.c, 1e-12)
     odd = np.asarray(par) % 2
     bad = (odd[i] + odd[j] + odd[k]) % 2 != 0
     violations = tuple(zip(i[bad].tolist(), j[bad].tolist(), k[bad].tolist()))
@@ -266,7 +267,16 @@ def restricted_height_twist(rda, subset):
     return TwistAssignment(parities=tuple(parities), tag="rh:" + ",".join(map(str, subset)))
 
 
-def enumerate_twists(rda, tol=1e-12, max_solutions=4096):
+def mask_twist(rda, mask):
+    """Parity 1 on the t-th nilradical vector for each bit t set in mask."""
+    parities = [0] * rda.dim
+    for t, v in enumerate(rda.n_indices):
+        if (mask >> t) & 1:
+            parities[v] = 1
+    return TwistAssignment(parities=tuple(parities), tag=f"bits:{mask:#x}")
+
+
+def enumerate_twists(rda):
     """All closed parity assignments, by GF(2) elimination of the closure system."""
     alg = rda.base
     n_idx = list(alg.n_indices)
@@ -275,7 +285,7 @@ def enumerate_twists(rda, tol=1e-12, max_solutions=4096):
     # Python ints so that any number of them fits
     bit = np.zeros(alg.dim, dtype=object)
     bit[n_idx] = [1 << t for t in range(nn)]
-    i, j, k = _nonzero_constants(alg.c, tol)
+    i, j, k = _nonzero_constants(alg.c, 1e-12)
     masks = bit[i] ^ bit[j] ^ bit[k]
     rows = set(masks[masks != 0].tolist())
     # forward elimination into an xor basis, then full reduction so each pivot
@@ -298,7 +308,7 @@ def enumerate_twists(rda, tol=1e-12, max_solutions=4096):
                     changed = True
     pivots = {b.bit_length() - 1 for b in basis}
     free = [t for t in range(nn) if t not in pivots]
-    if 2 ** len(free) > max_solutions:
+    if len(free) > 12:                  # at most 2^12 = 4096 solutions
         raise ValueError(f"twist solution space too large (2^{len(free)})")
     sols = []
     for bits in itertools.product((0, 1), repeat=len(free)):
@@ -310,11 +320,7 @@ def enumerate_twists(rda, tol=1e-12, max_solutions=4096):
             piv = b.bit_length() - 1
             if bin(b & x).count("1") % 2 == 1:
                 x ^= 1 << piv
-        parities = [0] * alg.dim
-        for t in range(nn):
-            if (x >> t) & 1:
-                parities[n_idx[t]] = 1
-        sols.append(TwistAssignment(parities=tuple(parities), tag=f"bits:{x:#x}"))
+        sols.append(mask_twist(rda, x))
     return sols
 
 

@@ -11,8 +11,9 @@ CLI output, document or table moved:
 The battery covers every `symmetric` space with the paper, enumerate and
 restricted-height twists and the shipped goldens; `verify` on the builtin
 targets, on the serialized documents of every builder, on CH^2 with its Gram
-matrix rescaled to s * Id, on a non-Einstein extension with its constants
-rescaled, and on the benchmark's verify-stream documents of seeds 1 and 2;
+matrix rescaled to s * Id, on a non-Einstein extension, sl(4,H) and a random
+antisymmetric tensor with their constants rescaled, on CH^2 with an ad(a) that
+is not symmetric, and on the benchmark's verify-stream documents of seeds 1 and 2;
 small `family` and `carnot`
 commands, the default `family report` and one whose 5000 samples a point
 cross a 4096-row block; and the exit-2 refusals.  The temporary directory's
@@ -35,7 +36,7 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
 from perfbench.workloads import verify_documents  # noqa: E402
 from solvgeom import symtwist  # noqa: E402
-from solvgeom.algebra import serialize  # noqa: E402
+from solvgeom.algebra import MetricLieAlgebra, serialize  # noqa: E402
 from solvgeom.carnot import (  # noqa: E402
     build_solvmanifold,
     complex_hyperbolic_triple,
@@ -136,6 +137,17 @@ def battery(tmp):
     for scale in (1e-8, 1e-6):
         alg = dataclasses.replace(generic, c=scale * generic.c)
         cmds.append(_document(tmp, f"generic-c-{scale:g}", alg))
+    # the Jacobi verdict under c -> s c, on a Lie algebra and on a random tensor
+    sl4h = symtwist.build_sl_nH(4).base
+    cmds.append(_document(tmp, "sl_nH4-c-1e+04", dataclasses.replace(sl4h, c=1e4 * sl4h.c)))
+    noise = np.random.default_rng(0).standard_normal((6,) * 3)
+    noise = MetricLieAlgebra(c=1e-6 * (noise - noise.transpose(1, 0, 2)), gram=np.eye(6))
+    cmds.append(_document(tmp, "noise-c-1e-06", noise))
+    # CH^2 with ad(e0) off symmetric by 1e-8: fails at the fixed Iwasawa tolerance
+    c = carnot_algs[0].c.copy()
+    c[0, 1, 2] += 1e-8
+    c[1, 0, 2] -= 1e-8
+    cmds.append(_document(tmp, "ch2-asymmetric-ad", dataclasses.replace(carnot_algs[0], c=c)))
     for seed in (1, 2):
         for t, (_, alg, _) in enumerate(verify_documents(seed)):
             cmds.append(_document(tmp, f"stream{seed}-{t}", alg))

@@ -1,5 +1,6 @@
 """Core tensor machinery: construction, validation, Iwasawa checks, serialization."""
 
+import dataclasses
 import math
 import time
 import tracemalloc
@@ -157,7 +158,9 @@ def test_validate_flags_jacobi_violation():
 
 # validate and jacobi_reference add the same products in different orders, so
 # their residuals agree to a few ulp of the largest sum of |products|,
-# max over i, j, k, l of sum_m |c_ijm c_mkl|: the scale of a dot product's rounding
+# max over i, j, k, l of sum_m |c_ijm c_mkl|: the scale of a dot product's rounding.
+# validate divides its residual by max|c|^2, so the reference and the bound are
+# divided by it too (`relative`)
 JACOBI_ULPS = 8
 # dense c at MAX_DIM: one 42 MB dim^4 product, then the gathered i < j < k triples
 # (the full-tensor reference with its two transposed copies peaks at 127 MB)
@@ -172,6 +175,12 @@ def jacobi_reference(c):
         jacobi = cc + np.transpose(cc, (1, 2, 0, 3)) + np.transpose(cc, (2, 0, 1, 3))
         scale = np.einsum("ijm,mkl->ijkl", np.abs(c), np.abs(c))
     return float(np.max(np.abs(jacobi), initial=0.0)), float(np.max(scale, initial=0.0))
+
+
+def relative(x, c):
+    """x / max|c|^2, divided as validate divides its Jacobi residual (c = 0: x)."""
+    m = float(np.max(np.abs(c), initial=0.0)) or 1.0
+    return x / m / m
 
 
 def _semidirect(act):
@@ -203,16 +212,30 @@ def test_validate_jacobi_matches_full_tensor_reference(dim, density, lie, seed):
     ref, scale = jacobi_reference(c)
     rep = validate(MetricLieAlgebra(c=c, gram=np.eye(dim)))
     assert rep.antisym_residual == 0.0
-    assert abs(rep.jacobi_residual - ref) <= JACOBI_ULPS * np.spacing(scale)
+    assert abs(rep.jacobi_residual - relative(ref, c)) <= \
+        relative(JACOBI_ULPS * np.spacing(scale), c)
 
 
 def test_builder_jacobi_status_matches_full_tensor_reference():
     rda = build_so_nH(4)
     for alg in _round_trip_algebras() + [twist(rda, paper_twist_so_nH(rda)).base]:
         ref, scale = jacobi_reference(alg.c)
+        ref, bound = relative(ref, alg.c), relative(JACOBI_ULPS * np.spacing(scale), alg.c)
         got = validate(alg).jacobi_residual
         assert (got <= TOL_EXACT) == (ref <= TOL_EXACT)
-        assert abs(got - ref) <= JACOBI_ULPS * np.spacing(scale)
+        assert abs(got - ref) <= bound
+
+
+def test_jacobi_verdict_is_scale_free():
+    """c -> s c keeps the Jacobi verdict at every s = 10^k, k = -8..8: every
+    builder up to sl(4,H) passes, and a random antisymmetric tensor fails."""
+    lie = _round_trip_algebras() + [build_sl_nH(4).base]
+    c = np.random.default_rng(0).standard_normal((6,) * 3)
+    not_lie = MetricLieAlgebra(c=c - c.transpose(1, 0, 2), gram=np.eye(6))
+    for s in 10.0 ** np.arange(-8, 9):
+        res = [validate(dataclasses.replace(alg, c=s * alg.c)).jacobi_residual
+               for alg in lie + [not_lie]]
+        assert max(res[:-1]) <= TOL_EXACT < res[-1], s
 
 
 def test_validate_memory_at_max_dim():

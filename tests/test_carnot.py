@@ -243,7 +243,7 @@ def test_search_uniform_finds_known_solutions():
     # r = 3, s = 3: all of so(3)
     cand = search_uniform(3, 3, restarts=5, seed=SEED)
     assert cand.residual <= 1e-10
-    assert is_uniform(cand.matrices, tol=1e-8)
+    assert is_uniform(cand.matrices)
     cond = einstein_conditions(
         DataTriple(3, 3, cand.matrices)
     )

@@ -271,6 +271,12 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
+    # the tolerances are fixed: no subcommand takes --tol
+    for argv in (["verify", "complex-hyperbolic", "--tol", "1e-3"],
+                 ["symmetric", "build", "--space", "sl_nH", "--n", "3", "--tol", "1"]):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2
 
 
 def test_version_flag():
