@@ -209,33 +209,59 @@ class ValidationReport:
     ok: bool
 
 
+@functools.lru_cache(maxsize=None)
+def _jacobi_triples(n):
+    """Over the triples i < j < k, as two (3, triples) arrays: the flat pair
+    indices (i n + j, j n + k, k n + i) and the third indices (k, i, j) of the
+    three brackets [[e_i, e_j], e_k], [[e_j, e_k], e_i] and [[e_k, e_i], e_j]."""
+    r = np.arange(n)
+    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    table = np.stack([i * n + j, j * n + k, k * n + i, k, i, j])
+    table.flags.writeable = False       # shared by every call at this dim
+    return table[:3], table[3:]
+
+
 def validate(alg):
     """Check antisymmetry, Jacobi, and symmetry and positive-definiteness of the
     metric, each at TOL_EXACT.  A residual that overflows double precision is
     reported as inf or NaN.
 
-    Jacobi takes one matmul, cc[i, j, k] = [[e_i, e_j], e_k], and reads the
-    cyclic sum only on triples i < j < k, in its three summation orders.  When c
-    is exactly antisymmetric (checked separately), those are the cyclic sums of
-    all six orderings up to sign, and a triple with a repeated index sums to 0.
+    Jacobi takes one matmul, cc[i, j, k] = [[e_i, e_j], e_k], over the nonzero
+    brackets [e_i, e_j] only, plus one zero row that every zero bracket reads.
+    It reads the cyclic sum only on triples i < j < k with a nonzero bracket,
+    in its three summation orders.  When c is exactly antisymmetric (checked
+    separately), those are the cyclic sums of all six orderings up to sign, and
+    a triple with a repeated index sums to 0.
     The Jacobi residual is divided by max|c|^2, the scale of a sum quadratic in
     c, so a homothety c -> s c leaves it as it is; c = 0 has residual 0.
     """
     c, n = alg.c, alg.dim
     antisym = float(np.max(np.abs(c + np.transpose(c, (1, 0, 2))), initial=0.0))
-    r = np.arange(n)
-    i, j, k = np.nonzero((r[:, None, None] < r[:, None]) & (r[:, None] < r))
+    flat = c.reshape(n * n, n)
+    nonzero = np.flatnonzero(flat.any(axis=1))      # NaN counts as nonzero
+    row = np.full(n * n, nonzero.size)  # row of cc holding [e_i, e_j]; zero ones: the last
+    row[nonzero] = np.arange(nonzero.size)
+    pairs, thirds = _jacobi_triples(n)
+    rows = row[pairs]
+    # a triple whose three brackets vanish has cyclic sum exactly 0
+    live = (rows < nonzero.size).any(axis=0)
     with np.errstate(over="ignore", invalid="ignore"):
-        cc = (c.reshape(n * n, n) @ c.reshape(n, n * n)).reshape(n, n, n, n)
-        finite = np.isfinite(cc).all()  # also at dim <= 2, where no triple exists
-        a, b, d = cc[i, j, k], cc[j, k, i], cc[k, i, j]
-        del cc                          # the dim^4 product is not held while summing
-        jac = max(float(np.max(np.abs(x + y + z), initial=0.0))
-                  for x, y, z in ((a, b, d), (b, d, a), (a, d, b))) if finite else math.inf
+        cc = np.concatenate([flat[nonzero], np.zeros((1, n))]) @ c.reshape(n, n * n)
+        # the zero row times an inf constant is NaN, as in the full product
+        finite = np.isfinite(cc).all()
+        a, b, d = cc.reshape(nonzero.size + 1, n, n)[rows[:, live], thirds[:, live]]
+        del cc                          # the product is not held while summing
+        jac, total = 0.0, np.empty_like(a)
+        for x, y, z in ((a, b, d), (b, d, a), (a, d, b)):
+            np.add(x, y, out=total)
+            total += z
+            jac = max(jac, float(np.max(np.abs(total, out=total), initial=0.0)))
     scale = float(np.max(np.abs(c), initial=0.0))
-    if finite:
+    if not finite:
+        jac = math.inf
+    elif scale > 0.0:
         # divided twice: scale**2 can underflow where the residual does not
-        jac = jac / scale / scale if scale > 0.0 else 0.0
+        jac = jac / scale / scale
     sym_defect = float(np.max(np.abs(alg.gram - alg.gram.T), initial=0.0))
     # halved before the sum, so a Gram entry near the largest double cannot overflow
     min_eig = float(np.min(np.linalg.eigvalsh(0.5 * alg.gram + 0.5 * alg.gram.T),

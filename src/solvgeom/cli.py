@@ -135,7 +135,7 @@ def _algebra_records(rep, alg):
         rep.check("iwasawa-symmetric-ad", iwa.cond_ii,
                   iwa.symmetry_residual, TOL_EXACT, "iwasawa-type")
         rep.check("iwasawa-positive-direction", iwa.cond_iii,
-                  iwa.min_positive_eig, None, "iwasawa-type")
+                  iwa.min_positive_eig, TOL_EXACT, "iwasawa-type")
     verdict = einstein_verdict(alg, tol=TOL_EXACT)
     rep.check("einstein", verdict.is_einstein,
               verdict.residual, TOL_EXACT, "einstein-criterion")
@@ -212,10 +212,13 @@ def _twist_records(rep, rda, assignment):
     rep.check("twist-involution", invol == 0.0, invol, 0.0, "twist-involution")
     before = einstein_verdict(rda.base, tol=TOL_EXACT)
     after = einstein_verdict(twisted.base, tol=TOL_EXACT)
-    rep.check("einstein-before-twist", before.is_einstein, before.lam, TOL_EXACT,
-              "einstein-criterion")
-    rep.check("einstein-after-twist", after.is_einstein, after.lam, TOL_EXACT,
-              "einstein-preservation")
+    for when, verdict, claim in (("before", before, "einstein-criterion"),
+                                 ("after", after, "einstein-preservation")):
+        rep.check(f"einstein-{when}-twist", verdict.is_einstein, verdict.residual,
+                  TOL_EXACT, claim)
+        rep.add(f"einstein-constant-{when}-twist",
+                "pass" if verdict.is_einstein else "evidence", verdict.lam, None,
+                "einstein-constant")
     drift = abs(before.lam - after.lam)
     rep.check("lambda-drift", drift <= TOL_EXACT, drift, TOL_EXACT,
               "einstein-preservation")

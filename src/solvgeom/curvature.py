@@ -6,7 +6,8 @@ matrix costs no linear solve.  `ricci` is four BLAS products on `c_frame`, and
 `einstein_verdict` decides ric = lam * gram on the frame Ricci form itself.
 `sectionals` (and `sectional`, its one-row call) reads every bracket and every
 U from ad stacks, ad[n, j] = [v_n, f_j], each one matmul of the row stack with
-`c_frame`; a batch keeps one (N, dim, dim) stack alive at a time.
+`c_frame`; a batch keeps one (N, dim, dim) stack alive at a time, and K is one
+fixed quadratic form in five rows read off the two stacks.
 """
 
 from __future__ import annotations
@@ -96,21 +97,11 @@ def sectional(alg, x, y):
     return float(sectionals(alg, np.asarray(x)[None], np.asarray(y)[None])[0])
 
 
-def _frame_pairs(alg, xs, ys):
-    """(N, 2, dim) stack of the Gram-Schmidt pairs (u, w) of the rows of
-    xs, ys, in frame coordinates.  Its temporaries are freed on return, before
-    `sectionals` builds an ad stack."""
-    xs = np.asarray(xs, dtype=float) @ alg.frame_inv.T
-    ys = np.asarray(ys, dtype=float) @ alg.frame_inv.T
-    nx = np.linalg.norm(xs, axis=1)
-    if np.any(nx <= 1e-14):
-        raise ValueError("x is numerically zero")
-    u = xs / nx[:, None]
-    w = ys - np.sum(ys * u, axis=1)[:, None] * u
-    nw = np.linalg.norm(w, axis=1)
-    if np.any(nw <= 1e-12 * np.maximum(1.0, np.linalg.norm(ys, axis=1))):
-        raise ValueError("x and y are linearly dependent")
-    return np.stack([u, w / nw[:, None]], axis=1)
+# K = sum over a <= b of _FORM[a, b] <r_a, r_b>, over the five rows of `sectionals`
+_FORM = np.zeros((5, 5))
+_FORM[0, 0], _FORM[0, 2], _FORM[0, 3] = -0.75, -0.5, 0.5
+_FORM[2, 2], _FORM[2, 3], _FORM[3, 3] = 0.25, 0.5, 0.25
+_FORM[1, 4] = -1.0
 
 
 def sectionals(alg, xs, ys):
@@ -122,18 +113,32 @@ def sectionals(alg, xs, ys):
     Every term is read off the ad stacks of u and w (`_ad_stack`):
     [u,w] = w ad_u, U(x,y) = -(ad_x^T y + ad_y^T x)/2,
     <[u,[u,w]],w> = <[u,w], ad_u^T w> and <[w,[w,u]],u> = -<[u,w], ad_w^T u>.
+    With the five rows r0 = [u,w], r1 = ad_u^T u, r2 = ad_u^T w, r3 = ad_w^T u
+    and r4 = ad_w^T w, K is the fixed quadratic form `_FORM`:
+    K = -3/4 r0.r0 - 1/2 r0.r2 + 1/2 r0.r3 + 1/4 (r2 + r3).(r2 + r3) - r1.r4.
+    The Gram-Schmidt sums are `add.reduce`, the rounding of `np.linalg.norm`.
     """
-    pair = _frame_pairs(alg, xs, ys)
-    u, w = pair[:, 0], pair[:, 1]
+    xs = np.asarray(xs, dtype=float) @ alg.frame_inv.T
+    ys = np.asarray(ys, dtype=float) @ alg.frame_inv.T
+    n, d = xs.shape
+    nx = np.sqrt((xs * xs).sum(axis=1))
+    if (nx <= 1e-14).any():
+        raise ValueError("x is numerically zero")
+    pair = np.empty((n, 2, d))
+    u = np.divide(xs, nx[:, None], out=pair[:, 0])
+    w = ys - (ys * u).sum(axis=1)[:, None] * u
+    nw = np.sqrt((w * w).sum(axis=1))
+    if (nw <= 1e-12 * np.maximum(1.0, np.sqrt((ys * ys).sum(axis=1)))).any():
+        raise ValueError("x and y are linearly dependent")
+    w = np.divide(w, nw[:, None], out=pair[:, 1])
+    rows = np.empty((5, n, d))          # rows[a, n] = r_a of plane n
     ad = _ad_stack(alg, u)
-    uw = (w[:, None] @ ad)[:, 0]
-    au = pair @ ad.mT                   # rows ad_u^T u, ad_u^T w
+    np.matmul(w[:, None], ad, out=rows[0, :, None])
+    np.matmul(pair, ad.mT, out=rows[1:3].transpose(1, 0, 2))
     del ad                              # one (N, dim, dim) stack at a time
-    aw = pair @ _ad_stack(alg, w).mT
-    uxy = -0.5 * (au[:, 1] + aw[:, 0])
-    terms = (-0.75 * uw * uw - 0.5 * uw * au[:, 1] + 0.5 * uw * aw[:, 0]
-             + uxy * uxy - au[:, 0] * aw[:, 1])
-    return terms.sum(axis=1)
+    np.matmul(pair, _ad_stack(alg, w).mT, out=rows[3:].transpose(1, 0, 2))
+    form = (_FORM @ rows.reshape(5, n * d)).reshape(5, n, d)
+    return np.einsum("anj,anj->n", form, rows)
 
 
 @dataclass

@@ -2,8 +2,10 @@
 
 import dataclasses
 import math
+import sys
 import time
 import tracemalloc
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
@@ -47,7 +49,7 @@ from solvgeom.symtwist import (
     twist,
 )
 
-from oracles import killing_form, metric_adjoint
+from oracles import jacobi_dense, killing_form, metric_adjoint
 
 
 def so3():
@@ -236,6 +238,34 @@ def test_jacobi_verdict_is_scale_free():
         res = [validate(dataclasses.replace(alg, c=s * alg.c)).jacobi_residual
                for alg in lie + [not_lie]]
         assert max(res[:-1]) <= TOL_EXACT < res[-1], s
+
+
+def test_validate_jacobi_equals_dense_product():
+    """Multiplying only the nonzero brackets gives exactly the residual of the
+    full dim^4 product, including its inf when a constant is not finite."""
+    builds = [build_so_pq(p, q) for p, q in ((1, 2), (2, 2), (2, 3), (2, 4), (3, 3))]
+    builds += [build_su_pq(p, q) for p, q in ((1, 3), (2, 2), (2, 3), (2, 4))]
+    builds += [build_sp_pq(p, q) for p, q in ((1, 2), (1, 3), (2, 2))]
+    builds += [build_so_nH(n) for n in (4, 5, 6)] + [build_sl_nH(n) for n in (2, 3, 4)]
+    builds += [build_type_iv_sl(n) for n in (2, 3, 4)] + [build_sl_nR(n) for n in (3, 4)]
+    algs = [rda.base for rda in builds] + _round_trip_algebras()
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import verify_documents
+    algs += [alg for _, alg, _ in verify_documents(1)]
+    rng = np.random.default_rng(3)
+    for dim in (1, 2, 3, 14, 30):
+        c = rng.standard_normal((dim,) * 3)
+        algs.append(MetricLieAlgebra(c=c - c.transpose(1, 0, 2), gram=np.eye(dim)))
+    for alg in algs:
+        assert validate(alg).jacobi_residual == jacobi_dense(alg.c), alg.labels
+    # one inf constant; at dim <= 2 no triple i < j < k reads it
+    for dim, pos in ((1, (0, 0, 0)), (2, (0, 1, 0)), (2, (1, 1, 1)), (3, (0, 1, 2)),
+                     (3, (2, 2, 0)), (5, (1, 3, 4))):
+        c = np.zeros((dim,) * 3)
+        c[pos] = np.inf
+        with np.errstate(invalid="ignore"):
+            alg = MetricLieAlgebra(c=c, gram=np.eye(dim))
+        assert validate(alg).jacobi_residual == jacobi_dense(c) == math.inf
 
 
 def test_validate_memory_at_max_dim():

@@ -14,6 +14,7 @@ from solvgeom import algebra, cli, symtwist
 from solvgeom.algebra import serialize
 from solvgeom.carnot import build_solvmanifold, complex_hyperbolic_triple, random_triple
 from solvgeom.cli import DEFAULT_SEED, main
+from solvgeom.curvature import einstein_verdict
 
 from conftest import SEED, NoNumpy
 
@@ -49,6 +50,13 @@ def test_verify_complex_hyperbolic():
     assert rows["eigenvalue-type"][1] == "(1,2;2,1)"
     assert out.startswith("# command: verify complex-hyperbolic --n 2\n")
     assert "# seed: 14767921" in out
+
+
+def test_iwasawa_positive_direction_prints_its_cut_off():
+    # condition (iii) holds when the least eigenvalue is above TOL_EXACT
+    _, out, _ = run(["verify", "complex-hyperbolic", "--n", "2"])
+    assert records(out)["iwasawa-positive-direction"] == \
+        ("pass", "0.5", "1e-10", "iwasawa-type")
 
 
 def test_verify_real_hyperbolic():
@@ -449,6 +457,21 @@ def test_symmetric_twist_default_paper():
     rows = records(out)
     assert rows["twist"][1] == "paper"
     assert rows["einstein-after-twist"][0] == "pass"
+
+
+def test_twist_einstein_records_print_the_deciding_residual():
+    # the residual beside the tolerance it was compared with, and λ on its own
+    code, out, _ = run(["symmetric", "twist", "--space", "sl_nH", "--n", "3"])
+    assert code == 0
+    rows = records(out)
+    rda = symtwist.build_sl_nH(3)
+    twisted = symtwist.twist(rda, cli._paper_twist(rda))
+    for when, alg in (("before", rda.base), ("after", twisted.base)):
+        verdict = einstein_verdict(alg, tol=algebra.TOL_EXACT)
+        assert rows[f"einstein-{when}-twist"][:3] == \
+            ("pass", cli._fmt(verdict.residual), "1e-10")
+        assert rows[f"einstein-constant-{when}-twist"] == \
+            ("pass", "-12", "-", "einstein-constant")
 
 
 def test_symmetric_table_writes_golden_bytes(tmp_path):

@@ -181,6 +181,25 @@ def test_sectionals_match_einsum_reference(seed, rows):
     assert np.all(np.abs(ks - ref) <= bound)
 
 
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_sectionals_match_einsum_reference_on_nearly_dependent_planes(eps):
+    """y = x + eps * noise: Gram-Schmidt keeps only eps of y, so w carries the
+    rounding of its sums amplified by 1/eps.  The kernel must round them as
+    `sectionals_reference` (`np.linalg.norm`, `np.sum`) does."""
+    rng = np.random.default_rng(13)
+    algs = []
+    for base in (build_solvmanifold(induced_triple(1.0, 0.0, 0.0)),    # dim 10
+                 build_sl_nH(3).base):                                  # dim 14
+        g = rng.standard_normal((base.dim, base.dim))
+        algs += [base, MetricLieAlgebra(c=base.c, gram=g @ g.T + base.dim * np.eye(base.dim))]
+    for alg in algs:
+        xs, noise = rng.standard_normal((2, 200, alg.dim))
+        ys = xs + eps * noise
+        ref = sectionals_reference(alg, xs, ys)
+        bound = KERNEL_VS_REFERENCE * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(sectionals(alg, xs, ys) - ref) <= bound)
+
+
 def test_sectional_rows_within_named_bound_of_batch():
     rng = np.random.default_rng(11)
     algs = (
