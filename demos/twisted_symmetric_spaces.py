@@ -18,7 +18,7 @@ from solvgeom.symtwist import (
     enumerate_twists,
     paper_twist_sl_nH,
     positive_curvature_witness,
-    restricted_height_twist,
+    restricted_height_parities,
     twist,
     type_iv_twist,
     wa_twist,
@@ -56,10 +56,6 @@ for name, rda in [("so(2,2)", build_so_pq(2, 2)),
                   ("so(2,3)", build_so_pq(2, 3)),
                   ("sl(3,R)", build_sl_nR(3))]:
     sols = {a.parities for a in enumerate_twists(rda)}
-    k = len(rda.simple_roots)
-    rh = set()
-    for mask in range(1 << k):
-        subset = [i for i in range(k) if (mask >> i) & 1]
-        rh.add(restricted_height_twist(rda, subset).parities)
+    rh = restricted_height_parities(rda)
     print(f"{name}: {len(sols)} closed parity assignments, "
           f"all isometric to the identity: {sols == rh}")

@@ -17,7 +17,6 @@ if _threads:
 
 from .algebra import (
     TOL_EXACT,
-    TOL_OPT,
     MetricLieAlgebra,
     ValidationReport,
     IwasawaReport,

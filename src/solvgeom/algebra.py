@@ -17,7 +17,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 TOL_EXACT = 1e-10   # identities among closed-form constants entered as doubles
-TOL_OPT = 1e-6      # optimizer-derived quantities
 # largest dim accepted from a document or a size parameter; validate's one dim^4
 # product is then about 42 MB (63 MB peak, dense), and so(6,H), the largest
 # builder output, has dim 30
@@ -29,7 +28,6 @@ MAX_CONSTANT = 1e150
 
 __all__ = [
     "TOL_EXACT",
-    "TOL_OPT",
     "MAX_DIM",
     "MAX_CONSTANT",
     "MetricLieAlgebra",

@@ -17,7 +17,11 @@ import numpy as np
 
 from .algebra import MAX_DIM, from_sparse, orthonormal_frame
 
+# largest max|sum_i a_i^2 + s Id| at which an orthonormal family counts as uniform
+UNIFORM_TOL = 1e-8
+
 __all__ = [
+    "UNIFORM_TOL",
     "DataTriple",
     "EinsteinConditions",
     "UniformSubspaceCandidate",
@@ -180,7 +184,7 @@ def is_uniform(mats):
     if s == 0:
         return True
     ss = np.einsum("aij,ajk->ik", mats, mats)
-    return float(np.max(np.abs(ss + s * np.eye(r)))) <= 1e-8
+    return float(np.max(np.abs(ss + s * np.eye(r)))) <= UNIFORM_TOL
 
 
 def complement_uniform(mats):
@@ -481,7 +485,7 @@ def classify_uniform_so4(s, trials=200, seed=0):
     hits = []
     for start in range(0, trials, _LOCKSTEP):
         _, alpha, dft, _ = _descend(basis, _starts(rng, min(_LOCKSTEP, trials - start), d, s), s)
-        hits.append(alpha[np.max(np.abs(dft), axis=(1, 2)) <= 1e-8])
+        hits.append(alpha[np.max(np.abs(dft), axis=(1, 2)) <= UNIFORM_TOL])
     hits = np.concatenate(hits)
     eig1, eig2, cdim = _equivalence_invariants(hits)
     classes = []

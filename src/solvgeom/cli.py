@@ -15,7 +15,6 @@ Exit codes: 0 = every check passed, 1 = at least one check failed,
 """
 
 import argparse
-import itertools
 import math
 import sys
 
@@ -24,6 +23,7 @@ import numpy as np
 from . import __version__
 from .algebra import TOL_EXACT, bracket, deserialize, iwasawa_check, validate
 from .carnot import (
+    UNIFORM_TOL,
     DataTriple,
     _orthonormalize_family,
     build_solvmanifold,
@@ -48,28 +48,20 @@ from .so6family import (
     W_of,
 )
 from .symtwist import (
+    SPACES,
     bracket_table,
-    build_sl_nH,
-    build_sl_nR,
-    build_so_nH,
-    build_so_pq,
-    build_sp_pq,
-    build_su_pq,
-    build_type_iv_sl,
     enumerate_twists,
     mask_twist,
-    paper_twist_sl_nH,
-    paper_twist_so_nH,
+    paper_twist,
     positive_curvature_witness,
+    restricted_height_parities,
     restricted_height_twist,
     twist,
     twist_closure_check,
-    type_iv_twist,
     wa_twist,
 )
 
 DEFAULT_SEED = 0xE15731  # 14767921
-SEARCH_TOL = 1e-8   # residual below which a uniform-subspace search counts as found
 
 _SO4_EXPECTED_COUNTS = {1: 1, 2: 2, 3: 2, 4: 2, 5: 1, 6: 1}
 
@@ -148,26 +140,13 @@ def _algebra_records(rep, alg):
         rep.add("eigenvalue-type", "pass", type_str, None, "eigenvalue-type")
 
 
-def _paper_twist(rda):
-    fam = rda.params.get("family")
-    if fam == "so_nH":
-        return paper_twist_so_nH(rda)
-    if fam == "sl_nH":
-        return paper_twist_sl_nH(rda)
-    if fam == "type_iv":
-        return type_iv_twist(rda)
-    if fam in ("so_pq", "su_pq", "sp_pq"):
-        return wa_twist(rda, 1)
-    raise ValueError(f"no standard twist for family {fam!r}")
-
-
 def _resolve_twist(rda, spec):
     if spec in (None, "", "none"):
         return None
     if spec == "enumerate":
         return "enumerate"
     if spec == "paper":
-        return _paper_twist(rda)
+        return paper_twist(rda)
     if spec.startswith("wa:"):
         return wa_twist(rda, int(spec[3:]))
     if spec.startswith("rh:"):
@@ -180,22 +159,6 @@ def _resolve_twist(rda, spec):
             raise ValueError(f"bit mask {spec[5:]} out of range for {nn} vectors")
         return mask_twist(rda, mask)
     raise ValueError(f"unknown twist spec {spec!r}")
-
-
-def _rh_parity_set(rda):
-    k = len(rda.simple_roots)
-    seen = set()
-    for size in range(k + 1):
-        for subset in itertools.combinations(range(k), size):
-            seen.add(restricted_height_twist(rda, subset).parities)
-    return seen
-
-
-def _root_spaces_one_dimensional(rda):
-    counts = {}
-    for i in rda.base.n_indices:
-        counts[rda.root_of(i)] = counts.get(rda.root_of(i), 0) + 1
-    return all(v == 1 for v in counts.values())
 
 
 def _twist_records(rep, rda, assignment):
@@ -266,40 +229,25 @@ def _table_files(rep, table, args):
 def _enumerate_records(rep, rda):
     sols = enumerate_twists(rda)
     rep.add("twist-solutions", "pass", len(sols), None, "twist-closure")
-    rh = _rh_parity_set(rda)
+    rh = restricted_height_parities(rda)
     sol_set = {s.parities for s in sols}
     extra = len(sol_set - rh)
     missing = len(rh - sol_set)
-    normal = _root_spaces_one_dimensional(rda)
+    roots = [rda.root_of(i) for i in rda.n_indices]
+    normal = len(set(roots)) == len(roots)     # one-dimensional root spaces
     status = ("pass" if extra == 0 and missing == 0 else "fail") if normal \
         else "evidence"
     rep.add("rh-span-match", status, f"{len(sol_set)}:{len(rh)}+{extra}",
             None, "rh-rigidity")
 
 
-# --- builders -----------------------------------------------------------------
-
-_GRASSMANNIAN = {"so_pq": build_so_pq, "su_pq": build_su_pq, "sp_pq": build_sp_pq}
-_SINGLE_N = {
-    "so_nH": build_so_nH,
-    "sl_nH": build_sl_nH,
-    "type4_sl": build_type_iv_sl,
-    "sl_nR": build_sl_nR,
-}
-SPACES = tuple(_GRASSMANNIAN) + tuple(_SINGLE_N)
-
-
 def _build_space(args):
-    space = args.space
-    if space in _GRASSMANNIAN:
-        if args.p is None or args.q is None:
-            raise ValueError(f"--space {space} needs --p and --q")
-        return _GRASSMANNIAN[space](args.p, args.q)
-    if space in _SINGLE_N:
-        if args.n is None:
-            raise ValueError(f"--space {space} needs --n")
-        return _SINGLE_N[space](args.n)
-    raise ValueError(f"unknown space {space!r}")
+    builder, sizes = SPACES[args.space]
+    values = [getattr(args, name) for name in sizes]
+    if None in values:
+        needs = " and ".join(f"--{name}" for name in sizes)
+        raise ValueError(f"--space {args.space} needs {needs}")
+    return builder(*values)
 
 
 # --- commands -----------------------------------------------------------------
@@ -318,9 +266,9 @@ def cmd_verify(args):
         if args.r is None or args.s is None:
             raise ValueError("builtin carnot needs --r and --s")
         cand = search_uniform(args.r, args.s, restarts=args.trials, seed=args.seed)
-        found = cand.residual <= SEARCH_TOL
+        found = cand.residual <= UNIFORM_TOL
         rep.add("uniform-search", "pass" if found else "evidence",
-                cand.residual, SEARCH_TOL, "uniform-subspace")
+                cand.residual, UNIFORM_TOL, "uniform-subspace")
         alg = build_solvmanifold(_carnot_triple(rep, args.r, args.s, cand.matrices))
     else:
         with open(target) as fh:
@@ -332,9 +280,9 @@ def cmd_verify(args):
 def cmd_carnot_search(args):
     rep = Report(_echo(args), args.seed)
     cand = search_uniform(args.r, args.s, restarts=args.trials, seed=args.seed)
-    found = cand.residual <= SEARCH_TOL
+    found = cand.residual <= UNIFORM_TOL
     rep.add("best-residual", "pass" if found else "evidence",
-            cand.residual, SEARCH_TOL, "uniform-subspace" if found
+            cand.residual, UNIFORM_TOL, "uniform-subspace" if found
             else "uniform-nonexistence-evidence")
     if found:
         rep.check("is-uniform", is_uniform(cand.matrices), None, None,
@@ -458,7 +406,7 @@ def cmd_symmetric_table(args):
         rda = twist(rda, assignment)
     table = bracket_table(rda)
     _table_files(rep, table, args)
-    if args.golden or (args.out and not args.print_table):
+    if args.golden or args.out:
         return rep.emit(None)
     sys.stdout.write(table)
     return 0
@@ -555,8 +503,6 @@ def build_parser():
     pg = ysub.add_parser("table")
     _space_args(pg)
     pg.add_argument("--golden", default=None)
-    pg.add_argument("--print-table", action="store_true",
-                    help="print the table even when --out is given")
     _add_common(pg)
     pg.set_defaults(func=cmd_symmetric_table)
 

@@ -148,6 +148,17 @@ class EigenvalueType:
     scale: float
 
 
+def _mean_curvature_direction(alg, refusal):
+    """H/|H| for the mean-curvature vector H.  |H| counts as vanishing at or
+    below 1e-14 times the largest frame constant, so rescaling the metric or
+    the constants does not move the cut-off."""
+    h = mean_curvature(alg)
+    nh = alg.norm(h)
+    if nh <= 1e-14 * np.max(np.abs(alg.c_frame)):
+        raise ValueError(f"mean curvature vanishes; {refusal}")
+    return h / nh
+
+
 def eigenvalue_type(alg):
     """Spectrum of ad(A)|n as coprime positive integers with multiplicities,
     for A the unit mean-curvature direction.
@@ -161,11 +172,7 @@ def eigenvalue_type(alg):
         raise ValueError("eigenvalue_type needs an Iwasawa decoration")
     if not alg.n_indices:
         raise ValueError("eigenvalue_type needs a non-empty nilradical (n_indices)")
-    h = mean_curvature(alg)
-    nh = alg.norm(h)
-    if nh <= 1e-14 * np.max(np.abs(alg.c_frame)):
-        raise ValueError("mean curvature vanishes; no direction in a to take")
-    m = ad_matrix(alg, h / nh)
+    m = ad_matrix(alg, _mean_curvature_direction(alg, "no direction in a to take"))
     (sym,) = restricted_symmetric(alg, [m])
     vals = np.sort(np.linalg.eigvalsh(sym))
     cut = 1e-8 * np.max(np.abs(vals))
@@ -200,15 +207,10 @@ def rank_one_reduction(alg):
     """
     if not alg.decorated:
         raise ValueError("rank_one_reduction needs an Iwasawa decoration")
-    h = mean_curvature(alg)
+    hu = _mean_curvature_direction(alg, "nothing to reduce to")
     n_idx = list(alg.n_indices)
-    off = [abs(h[i]) for i in n_idx]
-    if off and max(off) > 1e-9:
+    if np.max(np.abs(hu[n_idx]), initial=0.0) > 1e-9:
         raise ValueError("mean-curvature vector does not lie in a")
-    nh = alg.norm(h)
-    if nh <= 1e-14:
-        raise ValueError("mean curvature vanishes; nothing to reduce to")
-    hu = h / nh
 
     dim = 1 + len(n_idx)
     c = np.zeros((dim, dim, dim))

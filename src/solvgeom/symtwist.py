@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .algebra import (MAX_DIM, MetricLieAlgebra, _nonzero_constants, ad_matrix,
-                      from_sparse, orthonormal_frame)
+from .algebra import MAX_DIM, MetricLieAlgebra, _nonzero_constants, orthonormal_frame
 
 __all__ = [
     "RootDecoratedAlgebra",
@@ -31,9 +30,11 @@ __all__ = [
     "twist_closure_check",
     "twist",
     "restricted_height_twist",
+    "restricted_height_parities",
     "enumerate_twists",
     "mask_twist",
     "wa_twist",
+    "paper_twist",
     "paper_twist_so_nH",
     "paper_twist_sl_nH",
     "type_iv_twist",
@@ -44,6 +45,7 @@ __all__ = [
     "build_sl_nH",
     "build_type_iv_sl",
     "build_sl_nR",
+    "SPACES",
     "positive_curvature_witness",
     "bracket_table",
 ]
@@ -119,7 +121,7 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
 
     # project every commutator [e_i, e_j], i < j, onto the orthogonal basis
     rows, cols = np.triu_indices(dim, 1)
-    entries = []
+    c = np.zeros((dim,) * 3)
     for start in range(0, len(rows), _PAIR_BLOCK):
         pi, pj = rows[start:start + _PAIR_BLOCK], cols[start:start + _PAIR_BLOCK]
         left, right = mats[pi], mats[pj]
@@ -133,32 +135,34 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
                 f"{tag}: [{names[pi[t]]}, {names[pj[t]]}] leaves the span "
                 f"(residual {resid[t]:.2e})"
             )
-        entries += [(int(pi[t]), int(pj[t]), int(k), float(coeffs[t, k]))
-                    for t, k in zip(*np.nonzero(np.abs(coeffs) > 1e-12))]
+        coeffs[np.abs(coeffs) <= 1e-12] = 0.0
+        c[pi, pj] = coeffs
+        # subtracted from zero, so a dropped constant stays +0.0 on both halves
+        c[pj, pi] -= coeffs
 
     roots = tuple([None] * la) + tuple(tuple(r) for r in n_roots)
-    alg = from_sparse(
-        dim,
-        entries,
-        gram=np.eye(dim),
-        labels=names,
-        a_indices=tuple(range(la)),
-        n_indices=tuple(range(la, dim)),
-        roots=roots,
+    alg = MetricLieAlgebra(
+        c=c, gram=np.eye(dim), labels=names, a_indices=tuple(range(la)),
+        n_indices=tuple(range(la, dim)), roots=roots,
     )
 
-    # ad(a) must act diagonally on the n-basis, linearly in the root tuples
-    root_mat = np.array([list(r) for r in n_roots], dtype=float)  # (nn, rank)
-    for ai in range(la):
-        adm = ad_matrix(alg, alg.basis_vector(ai))
-        block = adm[la:, la:]
-        off = block - np.diag(np.diag(block))
-        if float(np.max(np.abs(off))) > 1e-10:
+    # ad(a) must act diagonally on the n-basis, linearly in the root tuples:
+    # ad(e_a) e_j = sum_k c[a, j, k] e_k
+    nn = dim - la
+    block = c[:la, la:, la:]
+    off = np.abs(block)
+    off[:, np.arange(nn), np.arange(nn)] = 0.0
+    lam = np.diagonal(block, axis1=1, axis2=2).T            # (nn, la)
+    root_mat = np.array(n_roots, dtype=float)                # (nn, rank)
+    kappa = np.linalg.lstsq(root_mat, lam, rcond=None)[0]
+    off_diagonal = np.max(off, axis=(1, 2)) > 1e-10
+    off_roots = np.max(np.abs(root_mat @ kappa - lam), axis=0) > 1e-8
+    bad = np.flatnonzero(off_diagonal | off_roots)
+    if bad.size:
+        ai = bad[0]
+        if off_diagonal[ai]:
             raise ValueError(f"{tag}: ad({names[ai]}) is not diagonal on n")
-        lam = np.diag(block)
-        kappa, res, *_ = np.linalg.lstsq(root_mat, lam, rcond=None)
-        if float(np.max(np.abs(root_mat @ kappa - lam))) > 1e-8:
-            raise ValueError(f"{tag}: root labels disagree with ad({names[ai]}) spectrum")
+        raise ValueError(f"{tag}: root labels disagree with ad({names[ai]}) spectrum")
 
     meta = tuple(
         {"col": (n_cols[i - la] if i >= la else None),
@@ -237,17 +241,19 @@ def twist(rda, assignment):
     )
 
 
-def _expand_in_base(root, simple_roots):
-    """Integer coordinates of a root in the base; raises if not integral."""
-    a = np.array(simple_roots, dtype=float).T
-    b = np.array(root, dtype=float)
-    coeff, res, *_ = np.linalg.lstsq(a, b, rcond=None)
-    if float(np.max(np.abs(a @ coeff - b))) > 1e-9:
-        raise ValueError(f"root {root} is not in the span of the base")
+def _base_coordinates(rda):
+    """Integer coordinates in the base of every nilradical root, one row per
+    n-index, from one least-squares solve; raises unless each is integral."""
+    base = np.array(rda.simple_roots, dtype=float).T
+    roots = np.array([rda.root_of(i) for i in rda.n_indices], dtype=float).T
+    coeff = np.linalg.lstsq(base, roots, rcond=None)[0]
     ints = np.rint(coeff).astype(int)
-    if float(np.max(np.abs(coeff - ints))) > 1e-9:
-        raise ValueError(f"root {root} has non-integer base coordinates {coeff}")
-    return ints
+    bad = np.flatnonzero((np.max(np.abs(base @ coeff - roots), axis=0) > 1e-9)
+                         | (np.max(np.abs(coeff - ints), axis=0) > 1e-9))
+    if bad.size:
+        root = rda.root_of(rda.n_indices[bad[0]])
+        raise ValueError(f"root {root} is not an integer combination of the base")
+    return ints.T
 
 
 def restricted_height_twist(rda, subset):
@@ -260,19 +266,28 @@ def restricted_height_twist(rda, subset):
     k = len(rda.simple_roots)
     if any(not 0 <= s < k for s in subset):
         raise ValueError(f"subset must contain base indices 0..{k-1}")
-    parities = [0] * rda.dim
-    for i in rda.n_indices:
-        coords = _expand_in_base(rda.root_of(i), rda.simple_roots)
-        parities[i] = int(sum(coords[s] for s in subset)) % 2
-    return TwistAssignment(parities=tuple(parities), tag="rh:" + ",".join(map(str, subset)))
+    parities = np.zeros(rda.dim, dtype=int)
+    parities[list(rda.n_indices)] = _base_coordinates(rda)[:, list(subset)].sum(axis=1) % 2
+    return TwistAssignment(parities=tuple(parities.tolist()),
+                           tag="rh:" + ",".join(map(str, subset)))
+
+
+def restricted_height_parities(rda):
+    """The set of parity tuples of all 2^k restricted-height twists, one per
+    subset of the k simple roots."""
+    coords = _base_coordinates(rda)
+    k = coords.shape[1]
+    subsets = (np.arange(1 << k)[:, None] >> np.arange(k)) & 1
+    parities = np.zeros((1 << k, rda.dim), dtype=int)
+    parities[:, list(rda.n_indices)] = (subsets @ coords.T) % 2
+    return set(map(tuple, parities.tolist()))
 
 
 def mask_twist(rda, mask):
     """Parity 1 on the t-th nilradical vector for each bit t set in mask."""
     parities = [0] * rda.dim
     for t, v in enumerate(rda.n_indices):
-        if (mask >> t) & 1:
-            parities[v] = 1
+        parities[v] = (mask >> t) & 1
     return TwistAssignment(parities=tuple(parities), tag=f"bits:{mask:#x}")
 
 
@@ -287,58 +302,100 @@ def enumerate_twists(rda):
     bit[n_idx] = [1 << t for t in range(nn)]
     i, j, k = _nonzero_constants(alg.c, 1e-12)
     masks = bit[i] ^ bit[j] ^ bit[k]
-    rows = set(masks[masks != 0].tolist())
-    # forward elimination into an xor basis, then full reduction so each pivot
-    # bit appears in exactly one row (the remaining support is free bits only)
-    basis = []
-    for row in rows:
-        for b in basis:
-            row = min(row, row ^ b)
+    # xor basis {pivot bit: row}, fully reduced as each row arrives: every pivot
+    # bit occurs in its own row only, so the rest of a row's support is free bits
+    basis = {}
+    for row in set(masks[masks != 0].tolist()):
+        for piv, b in basis.items():
+            if (row >> piv) & 1:
+                row ^= b
         if row:
-            basis.append(row)
-            basis.sort(reverse=True)
-    changed = True
-    while changed:
-        changed = False
-        for t in range(len(basis)):
-            piv = basis[t].bit_length() - 1
-            for u in range(len(basis)):
-                if u != t and (basis[u] >> piv) & 1:
-                    basis[u] ^= basis[t]
-                    changed = True
-    pivots = {b.bit_length() - 1 for b in basis}
-    free = [t for t in range(nn) if t not in pivots]
+            top = row.bit_length() - 1
+            for piv, b in basis.items():
+                if (b >> top) & 1:
+                    basis[piv] = b ^ row
+            basis[top] = row
+    free = [t for t in range(nn) if t not in basis]
     if len(free) > 12:                  # at most 2^12 = 4096 solutions
         raise ValueError(f"twist solution space too large (2^{len(free)})")
     sols = []
     for bits in itertools.product((0, 1), repeat=len(free)):
-        x = 0
-        for t, v in zip(free, bits):
-            if v:
-                x ^= 1 << t
-        for b in basis:
-            piv = b.bit_length() - 1
-            if bin(b & x).count("1") % 2 == 1:
+        x = sum(1 << t for t, v in zip(free, bits) if v)
+        for piv, b in basis.items():
+            if (b & x).bit_count() % 2 == 1:
                 x ^= 1 << piv
         sols.append(mask_twist(rda, x))
     return sols
 
 
+_GRASSMANNIANS = ("so_pq", "su_pq", "sp_pq")
+
+
 def wa_twist(rda, a):
     """Parity 1 on the omega_k vectors whose column exceeds a (needs 1 <= a < m)."""
-    if rda.params.get("family") not in ("so_pq", "su_pq", "sp_pq"):
+    if rda.params.get("family") not in _GRASSMANNIANS:
         raise ValueError("column twists apply to the Grassmannian families only")
     m = rda.params.get("m")
     if m is None or m < 2:
         raise ValueError("this algebra has no column split to twist (need m >= 2)")
     if not 1 <= a < m:
         raise ValueError(f"need 1 <= a < m = {m}")
-    parities = [0] * rda.dim
-    for i in rda.n_indices:
-        col = rda.meta[i]["col"]
-        if col is not None and col > a:
-            parities[i] = 1
-    return TwistAssignment(parities=tuple(parities), tag=f"wa:{a}")
+    parities = tuple(int(v["col"] is not None and v["col"] > a) for v in rda.meta)
+    return TwistAssignment(parities=parities, tag=f"wa:{a}")
+
+
+# the groups of odd vectors of the paper's twist of each family without a column
+# split, keyed by family; so(n,H) has one set for even n and one for odd n
+_PAPER_GROUPS = {
+    ("so_nH", 0): {"B-", "C-", "A+", "D+", "G"},
+    ("so_nH", 1): {"X", "Z", "B+", "C+", "B-", "C-"},
+    "sl_nH": {"A", "C"},
+    "type_iv": {"JX"},
+}
+
+
+def paper_twist(rda):
+    """The paper's twist of each family: the column twist wa:1 on the
+    Grassmannians, otherwise parity 1 on the family's groups of vectors."""
+    fam = rda.params.get("family")
+    if fam in _GRASSMANNIANS:
+        return wa_twist(rda, 1)
+    key = (fam, rda.params["n"] % 2) if fam == "so_nH" else fam
+    if key not in _PAPER_GROUPS:
+        raise ValueError(f"no standard twist for family {fam!r}")
+    groups = _PAPER_GROUPS[key]
+    return TwistAssignment(parities=tuple(int(v["group"] in groups) for v in rda.meta),
+                           tag="paper")
+
+
+def paper_twist_so_nH(rda):
+    """Even: odd vectors are B-, C-, A+, D+, G.  Odd n: X, Z, B+, C+, B-, C-."""
+    if rda.params.get("family") != "so_nH":
+        raise ValueError("paper_twist_so_nH expects a so(n,H) build")
+    return paper_twist(rda)
+
+
+def paper_twist_sl_nH(rda):
+    """Odd vectors are A_jk and C_jk for all j < k."""
+    if rda.params.get("family") != "sl_nH":
+        raise ValueError("paper_twist_sl_nH expects a sl(n,H) build")
+    return paper_twist(rda)
+
+
+def type_iv_twist(rda):
+    """Odd vectors are the J-rotated root vectors."""
+    if rda.params.get("family") != "type_iv":
+        raise ValueError("type_iv_twist expects a type-IV build")
+    return paper_twist(rda)
+
+
+# (size parameter, its least value, (label, coefficient) terms of x, terms of y)
+# of the positive-curvature pair of each family without a column split
+_WITNESSES = {
+    "so_nH": ("m", 3, (("A-_12", 1.0), ("B-_12'", 1.0)), (("C-_23'", 1.0), ("D-_23", 1.0))),
+    "sl_nH": ("n", 3, (("A_12'", 1.0), ("B_12", 1.0)), (("C_23'", 1.0), ("D_23", 1.0))),
+    "type_iv": ("n", 3, (("X_12", 1.0), ("JX_12'", 1.0)), (("X_23", 1.0), ("JX_23'", -1.0))),
+}
 
 
 def positive_curvature_witness(twisted):
@@ -348,10 +405,9 @@ def positive_curvature_witness(twisted):
     adjacent root spaces; the input must already carry the appropriate twist
     (primed labels).  Raises ValueError when no standard pair applies.
     """
-    labels = list(twisted.labels)
-    index = {lab: i for i, lab in enumerate(labels)}
+    index = {lab: i for i, lab in enumerate(twisted.labels)}
 
-    def unit(*terms):
+    def unit(terms):
         v = np.zeros(twisted.dim)
         for lab, coeff in terms:
             if lab not in index:
@@ -360,73 +416,24 @@ def positive_curvature_witness(twisted):
         return v / np.linalg.norm(v)
 
     fam = twisted.params.get("family")
-    if fam in ("so_pq", "su_pq", "sp_pq"):
+    if fam in _GRASSMANNIANS:
         if twisted.params.get("p", 0) < 2:
             raise ValueError("the column-twist pair needs p >= 2")
-        plain = sorted(
-            c for c in range(1, twisted.params["m"] + 1) if f"w1c{c}" in index
-        )
-        primed = sorted(
-            c for c in range(1, twisted.params["m"] + 1) if f"w1c{c}'" in index
-        )
+        cols = range(1, twisted.params["m"] + 1)
+        plain = [c for c in cols if f"w1c{c}" in index]
+        primed = [c for c in cols if f"w1c{c}'" in index]
         if not plain or not primed or max(plain) >= min(primed):
             raise ValueError("need a column split: plain columns then twisted ones")
         i, j = max(plain), min(primed)
-        x = unit((f"w1c{i}", 1.0), (f"w1c{j}'", 1.0))
-        y = unit((f"w2c{i}", 1.0), (f"w2c{j}'", 1.0))
-        return x, y
-    if fam == "so_nH":
-        if twisted.params.get("m", 0) < 3:
-            raise ValueError("the minus-family pair needs m >= 3")
-        x = unit(("A-_12", 1.0), ("B-_12'", 1.0))
-        y = unit(("C-_23'", 1.0), ("D-_23", 1.0))
-        return x, y
-    if fam == "sl_nH":
-        if twisted.params.get("n", 0) < 3:
-            raise ValueError("the two-step pair needs n >= 3")
-        x = unit(("A_12'", 1.0), ("B_12", 1.0))
-        y = unit(("C_23'", 1.0), ("D_23", 1.0))
-        return x, y
-    if fam == "type_iv":
-        if twisted.params.get("n", 0) < 3:
-            raise ValueError("the two-step pair needs n >= 3")
-        x = unit(("X_12", 1.0), ("JX_12'", 1.0))
-        y = unit(("X_23", 1.0), ("JX_23'", -1.0))
-        return x, y
-    raise ValueError(f"no standard positive-curvature pair for family {fam!r}")
-
-
-def _group_twist(rda, groups, tag):
-    parities = [0] * rda.dim
-    for i in rda.n_indices:
-        if rda.meta[i]["group"] in groups:
-            parities[i] = 1
-    return TwistAssignment(parities=tuple(parities), tag=tag)
-
-
-def paper_twist_so_nH(rda):
-    """Even: odd vectors are B-, C-, A+, D+, G.  Odd n: X, Z, B+, C+, B-, C-."""
-    if rda.params.get("family") != "so_nH":
-        raise ValueError("paper_twist_so_nH expects a so(n,H) build")
-    if rda.params["n"] % 2 == 0:
-        groups = {"B-", "C-", "A+", "D+", "G"}
+        xs = ((f"w1c{i}", 1.0), (f"w1c{j}'", 1.0))
+        ys = ((f"w2c{i}", 1.0), (f"w2c{j}'", 1.0))
+    elif fam in _WITNESSES:
+        param, least, xs, ys = _WITNESSES[fam]
+        if twisted.params.get(param, 0) < least:
+            raise ValueError(f"the {fam} pair needs {param} >= {least}")
     else:
-        groups = {"X", "Z", "B+", "C+", "B-", "C-"}
-    return _group_twist(rda, groups, "paper")
-
-
-def paper_twist_sl_nH(rda):
-    """Odd vectors are A_jk and C_jk for all j < k."""
-    if rda.params.get("family") != "sl_nH":
-        raise ValueError("paper_twist_sl_nH expects a sl(n,H) build")
-    return _group_twist(rda, {"A", "C"}, "paper")
-
-
-def type_iv_twist(rda):
-    """Odd vectors are the J-rotated root vectors."""
-    if rda.params.get("family") != "type_iv":
-        raise ValueError("type_iv_twist expects a type-IV build")
-    return _group_twist(rda, {"JX"}, "paper")
+        raise ValueError(f"no standard positive-curvature pair for family {fam!r}")
+    return unit(xs), unit(ys)
 
 
 # --- Grassmannian families so(p,q), su(p,q), sp(p,q) -------------------------
@@ -707,6 +714,18 @@ def build_sl_nR(n):
     """Iwasawa algebra of the normal real form sl(n, R): one-dimensional root
     spaces, so every closed twist is a restricted-height twist."""
     return _build_sl("R", n)
+
+
+# CLI space name -> (builder, names of its size parameters)
+SPACES = {
+    "so_pq": (build_so_pq, ("p", "q")),
+    "su_pq": (build_su_pq, ("p", "q")),
+    "sp_pq": (build_sp_pq, ("p", "q")),
+    "so_nH": (build_so_nH, ("n",)),
+    "sl_nH": (build_sl_nH, ("n",)),
+    "type4_sl": (build_type_iv_sl, ("n",)),
+    "sl_nR": (build_sl_nR, ("n",)),
+}
 
 
 # --- bracket tables -----------------------------------------------------------

@@ -43,7 +43,7 @@ from solvgeom.carnot import (  # noqa: E402
     random_triple,
     real_hyperbolic_triple,
 )
-from solvgeom.cli import _paper_twist, main  # noqa: E402
+from solvgeom.cli import main  # noqa: E402
 
 import numpy as np  # noqa: E402
 
@@ -60,10 +60,6 @@ SPACES = (
     + [("type4_sl", ["--n", str(n)], (n,)) for n in (2, 3, 4, 7)]
     + [("sl_nR", ["--n", str(n)], (n,)) for n in (2, 3, 4, 5, 9)]
 )
-BUILDERS = {"so_pq": symtwist.build_so_pq, "su_pq": symtwist.build_su_pq,
-            "sp_pq": symtwist.build_sp_pq, "so_nH": symtwist.build_so_nH,
-            "sl_nH": symtwist.build_sl_nH, "type4_sl": symtwist.build_type_iv_sl,
-            "sl_nR": symtwist.build_sl_nR}
 TWISTS = (None, "paper", "enumerate", "rh:0", "rh:0,1", "bits:0x1")
 GOLDENS = (("so_nH", "4", "so4h"), ("so_nH", "5", "so5h"), ("sl_nH", "3", "sl3h"))
 
@@ -78,6 +74,7 @@ REFUSALS = (
     ["symmetric", "twist", "--space", "so_nH", "--n", "4", "--twist", "nonsense"],
     ["symmetric", "twist", "--space", "sl_nR", "--n", "3", "--twist", "rh:7"],
     ["symmetric", "table", "--space", "sl_nH", "--n", "3", "--twist", "enumerate"],
+    ["symmetric", "table", "--space", "sl_nH", "--n", "3", "--print-table"],
     ["verify", "TMP/missing.json"],
     ["verify", "TMP/bad.json"],
     ["verify", "TMP/big.json"],
@@ -111,10 +108,10 @@ def battery(tmp):
         out = f"{tmp}/{space}{''.join(size)}.tsv"
         cmds.append((["symmetric", "table"] + base + ["--twist", "paper", "--out", out], [out]))
         # the serialized documents of the build and of its rh:0 and paper twists
-        rda = BUILDERS[space](*args)
+        rda = symtwist.SPACES[space][0](*args)
         docs = [rda.base, symtwist.twist(rda, symtwist.restricted_height_twist(rda, [0])).base]
         try:
-            docs.append(symtwist.twist(rda, _paper_twist(rda)).base)
+            docs.append(symtwist.twist(rda, symtwist.paper_twist(rda)).base)
         except ValueError:      # sl(n,R) and the Grassmannians with q - p < 2
             pass
         for t, alg in enumerate(docs):

@@ -279,9 +279,10 @@ def test_usage_error_exits_2():
     with pytest.raises(SystemExit) as exc:
         run(["no-such-command"])
     assert exc.value.code == 2
-    # the tolerances are fixed: no subcommand takes --tol
+    # the tolerances are fixed: no subcommand takes --tol; nor --print-table
     for argv in (["verify", "complex-hyperbolic", "--tol", "1e-3"],
-                 ["symmetric", "build", "--space", "sl_nH", "--n", "3", "--tol", "1"]):
+                 ["symmetric", "build", "--space", "sl_nH", "--n", "3", "--tol", "1"],
+                 ["symmetric", "table", "--space", "sl_nH", "--n", "3", "--print-table"]):
         with pytest.raises(SystemExit) as exc:
             run(argv)
         assert exc.value.code == 2
@@ -465,7 +466,7 @@ def test_twist_einstein_records_print_the_deciding_residual():
     assert code == 0
     rows = records(out)
     rda = symtwist.build_sl_nH(3)
-    twisted = symtwist.twist(rda, cli._paper_twist(rda))
+    twisted = symtwist.twist(rda, symtwist.paper_twist(rda))
     for when, alg in (("before", rda.base), ("after", twisted.base)):
         verdict = einstein_verdict(alg, tol=algebra.TOL_EXACT)
         assert rows[f"einstein-{when}-twist"][:3] == \

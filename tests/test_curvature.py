@@ -476,6 +476,21 @@ def test_rank_one_reduction_preserves_einstein_data():
     assert abs(v.lam - vr.lam) <= 1e-9
 
 
+@pytest.mark.parametrize("k", range(-16, 13))
+def test_rank_one_reduction_is_scale_free(k):
+    # c -> s c with the Gram fixed: the mean-curvature cut-off scales with c, as
+    # in eigenvalue_type, so the reduction exists at every s with lam / s^2 kept
+    s = 10.0 ** k
+    for base, etype, lam in ((build_so_pq(2, 2).base, (1,), -1.0),
+                             (build_sl_nH(3).base, (1, 2), -12.0)):
+        alg = MetricLieAlgebra(c=s * base.c, gram=base.gram, a_indices=base.a_indices,
+                               n_indices=base.n_indices, roots=base.roots)
+        assert eigenvalue_type(alg).eigenvalues == etype
+        v = einstein_verdict(rank_one_reduction(alg))
+        assert v.is_einstein
+        assert abs(v.lam / (s * s) - lam) <= 1e-12 * abs(lam)
+
+
 def test_rank_one_reduction_requires_decoration():
     with pytest.raises(ValueError):
         rank_one_reduction(from_sparse(3, [(0, 1, 2, 1.0)]))

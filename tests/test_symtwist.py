@@ -24,6 +24,7 @@ from solvgeom.symtwist import (
     paper_twist_sl_nH,
     paper_twist_so_nH,
     positive_curvature_witness,
+    restricted_height_parities,
     restricted_height_twist,
     twist,
     twist_closure_check,
@@ -434,6 +435,7 @@ def test_restricted_height_twists_closed_everywhere():
             a = restricted_height_twist(rda, subset)
             assert twist_closure_check(rda, a).ok
         assert not any(restricted_height_twist(rda, []).parities)
+        assert restricted_height_parities(rda) == rh_parity_set(rda)
 
 
 def test_restricted_height_twist_validates_subset():

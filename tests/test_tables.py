@@ -8,6 +8,7 @@ from importlib import resources
 import numpy as np
 import pytest
 
+from solvgeom import symtwist
 from solvgeom.symtwist import (
     bracket_table,
     build_sl_nH,
@@ -16,7 +17,7 @@ from solvgeom.symtwist import (
     paper_twist_sl_nH,
     twist,
 )
-from cli_battery import BUILDERS, SPACES
+from cli_battery import SPACES
 from table_oracle import GOLDEN_SPACES, expected_table
 
 _BUILDERS = {
@@ -104,8 +105,13 @@ _RENDERED = list(dict.fromkeys(
                          ids=[space + "".join(map(str, args)) for space, args in _RENDERED])
 def test_every_builder_renders(space, args):
     # sp(p,q) with p >= 2 has bracket coefficients +-1/sqrt(2)
-    table = bracket_table(BUILDERS[space](*args))
+    table = bracket_table(symtwist.SPACES[space][0](*args))
     assert table.endswith("\n")
+
+
+def test_battery_covers_every_space():
+    # a space missing from the battery would escape its byte-for-byte lock
+    assert set(symtwist.SPACES) <= {space for space, _, _ in SPACES}
 
 
 _COEFF = {"": 1.0, "-": -1.0, "r2": math.sqrt(2), "-r2": -math.sqrt(2),
