@@ -47,7 +47,6 @@ from .carnot import (
     so_basis,
     build_solvmanifold,
     brackets_from_j,
-    j_from_brackets,
     einstein_conditions,
     is_uniform,
     complement_uniform,

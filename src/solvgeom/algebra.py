@@ -351,6 +351,15 @@ def _best_direction_by_subsets(roots):
     return best_w
 
 
+@functools.lru_cache(maxsize=None)
+def _generic_weights(k):
+    """The fixed generic combination of k operators: one draw of a seeded
+    normal, made once per k and shared read-only."""
+    weights = np.random.default_rng(0).standard_normal(k)
+    weights.flags.writeable = False
+    return weights
+
+
 def _best_positive_direction(sym_ops):
     """Maximize the least eigenvalue of sum_a w_a S_a over unit w.
 
@@ -369,8 +378,7 @@ def _best_positive_direction(sym_ops):
     k = len(ops)
     if not np.all(np.isfinite(ops)):
         return np.zeros(k), math.nan
-    weights = np.random.default_rng(0).standard_normal(k)
-    _, v = np.linalg.eigh(np.einsum("a,aij->ij", weights, ops))
+    _, v = np.linalg.eigh(np.einsum("a,aij->ij", _generic_weights(k), ops))
     roots = np.einsum("ij,aik,kj->ja", v, ops, v)
     p = _min_norm_point(roots)
     length = np.linalg.norm(p)
@@ -408,7 +416,9 @@ def iwasawa_check(alg):
     ads = np.ascontiguousarray(alg.c[a_idx].transpose(0, 2, 1))
     sym_res = float(np.max(np.abs(g @ ads - ads.transpose(0, 2, 1) @ g), initial=0.0))
     if a_idx:
-        injective = np.linalg.matrix_rank(ads.reshape(len(a_idx), -1), tol=1e-8) == len(a_idx)
+        # a singular value counts as zero below 1e-8 times the largest constant of ad(a)
+        injective = np.linalg.matrix_rank(
+            ads.reshape(len(a_idx), -1), tol=1e-8 * np.max(np.abs(ads))) == len(a_idx)
     else:
         injective = True
 

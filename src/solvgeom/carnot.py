@@ -10,6 +10,7 @@ The inner product on so(r) throughout is (a, b) = -tr(ab)/r.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -29,7 +30,6 @@ __all__ = [
     "so_basis",
     "build_solvmanifold",
     "brackets_from_j",
-    "j_from_brackets",
     "einstein_conditions",
     "is_uniform",
     "complement_uniform",
@@ -52,8 +52,10 @@ def so_gram(a, b):
     return -np.einsum("...iuv,...jvu->...ij", a, b) / a.shape[-1]
 
 
+@functools.lru_cache(maxsize=None)
 def so_basis(r):
-    """Orthonormal basis of so(r): sqrt(r/2) (E_ab - E_ba), a < b."""
+    """Orthonormal basis of so(r): sqrt(r/2) (E_ab - E_ba), a < b.  Built
+    once per r; the array is shared and read-only."""
     mats = []
     scale = math.sqrt(r / 2.0)
     for a in range(r):
@@ -62,7 +64,9 @@ def so_basis(r):
             m[a, b] = scale
             m[b, a] = -scale
             mats.append(m)
-    return np.array(mats)
+    mats = np.array(mats)
+    mats.flags.writeable = False
+    return mats
 
 
 @dataclass
@@ -135,24 +139,6 @@ def complex_hyperbolic_triple(n):
     return DataTriple(2 * h, 1, j[None])
 
 
-def j_from_brackets(alg):
-    """Recover the data triple from an algebra in the canonical layout.
-
-    The X/Z split is read off the ad(A) eigenvalues (1/2 on X, 1 on Z).
-    """
-    if alg.a_indices != (0,):
-        raise ValueError("expected a one-dimensional a in position 0")
-    diag = np.array([alg.c[0, k, k] for k in range(1, alg.dim)])
-    x_idx = [1 + k for k, v in enumerate(diag) if abs(v - 0.5) <= 1e-12]
-    z_idx = [1 + k for k, v in enumerate(diag) if abs(v - 1.0) <= 1e-12]
-    if len(x_idx) + len(z_idx) != alg.dim - 1 or x_idx + z_idx != list(range(1, alg.dim)):
-        raise ValueError("ad(A) spectrum is not the canonical (1/2, 1) layout")
-    r, s = len(x_idx), len(z_idx)
-    # j[a, k, i] = c[1 + i, 1 + k, 1 + r + a]
-    j = alg.c[1:1 + r, 1:1 + r, 1 + r:].transpose(2, 1, 0).copy()
-    return DataTriple(r=r, s=s, j_mats=j)
-
-
 @dataclass
 class EinsteinConditions:
     gram_residual: float      # max |(J_a, J_b) - delta_ab|
@@ -213,10 +199,13 @@ _RJ = np.array([[0, 0, -1, 0], [0, 0, 0, -1], [1, 0, 0, 0], [0, 1, 0, 0]], dtype
 _RK = np.array([[0, 0, 0, -1], [0, 0, 1, 0], [0, -1, 0, 0], [1, 0, 0, 0]], dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
 def so4_split_basis():
     """Left/right quaternion multiplications: orthonormal basis adapted to
-    so(4) = L(Im H) + R(Im H)."""
-    return np.array([_LI, _LJ, _LK]), np.array([_RI, _RJ, _RK])
+    so(4) = L(Im H) + R(Im H).  Built once; the arrays are shared and read-only."""
+    left, right = np.array([_LI, _LJ, _LK]), np.array([_RI, _RJ, _RK])
+    left.flags.writeable = right.flags.writeable = False
+    return left, right
 
 
 def so4_criterion(mats):

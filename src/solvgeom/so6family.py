@@ -7,6 +7,7 @@ products on so(6) are (P, Q) = -tr(PQ)/6.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -51,12 +52,14 @@ _X2 = _S32 * np.array([[0, 0, -1], [0, 0, 0], [1, 0, 0]], dtype=float)
 _X3 = _S32 * np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
 
 
+@functools.lru_cache(maxsize=None)
 def basis_ABC(signs=None):
     """Three orthonormal triples A_i, B_i, C_i in so(6).
 
-    A_i = tau(X_i), B_i = tau(i|X_i|), C_i = tau(i sqrt(3) e_ii); `signs`
-    optionally flips individual B_i.  Identities used elsewhere:
+    A_i = tau(X_i), B_i = tau(i|X_i|), C_i = tau(i sqrt(3) e_ii); `signs`,
+    a tuple, optionally flips individual B_i.  Identities used elsewhere:
     sum A_i^2 = sum B_i^2 = sum C_i^2 = -3 Id and A_i B_i + B_i A_i = 0.
+    Built once per sign tuple; the arrays are shared and read-only.
     """
     if signs is None:
         signs = (1, 1, 1)
@@ -66,6 +69,8 @@ def basis_ABC(signs=None):
     c = np.array(
         [tau(1j * math.sqrt(3.0) * np.diag(np.eye(3)[i])) for i in range(3)]
     )
+    for m in (a, b, c):
+        m.flags.writeable = False
     return a, b, c
 
 

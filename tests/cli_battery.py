@@ -13,8 +13,8 @@ restricted-height twists and the shipped goldens; `verify` on the builtin
 targets, on the serialized documents of every builder, on CH^2 with its Gram
 matrix rescaled to s * Id, on a non-Einstein extension, sl(4,H) and a random
 antisymmetric tensor with their constants rescaled, on CH^2 with an ad(a) that
-is not symmetric, and on the benchmark's verify-stream documents of seeds 1 and 2;
-small `family` and `carnot`
+is not symmetric, on CH^3 with its constants rescaled by 1e-9, and on the
+benchmark's verify-stream documents of seeds 1 and 2; small `family` and `carnot`
 commands, the default `family report` and one whose 5000 samples a point
 cross a 4096-row block; and the exit-2 refusals.  The temporary directory's
 path is written as TMP in argv and hashed output, so the lines do not depend
@@ -145,6 +145,9 @@ def battery(tmp):
     c[0, 1, 2] += 1e-8
     c[1, 0, 2] -= 1e-8
     cmds.append(_document(tmp, "ch2-asymmetric-ad", dataclasses.replace(carnot_algs[0], c=c)))
+    # CH^3 with c -> 1e-9 c: ad stays injective on a, the rank cut-off is relative
+    ch3 = carnot_algs[1]
+    cmds.append(_document(tmp, "ch3-c-1e-09", dataclasses.replace(ch3, c=1e-9 * ch3.c)))
     for seed in (1, 2):
         for t, (_, alg, _) in enumerate(verify_documents(seed)):
             cmds.append(_document(tmp, f"stream{seed}-{t}", alg))

@@ -8,6 +8,8 @@ import math
 
 import numpy as np
 
+from solvgeom.carnot import DataTriple
+
 
 def killing_form(alg):
     """B[i][j] = tr(ad e_i . ad e_j)."""
@@ -41,3 +43,62 @@ def jacobi_dense(c):
                   for x, y, z in ((a, b, d), (b, d, a), (a, d, b)))
     scale = float(np.max(np.abs(c), initial=0.0))
     return jac / scale / scale if scale > 0.0 else 0.0
+
+
+def j_from_brackets(alg):
+    """Recover the data triple from an algebra in the canonical layout.
+
+    The X/Z split is read off the ad(A) eigenvalues (1/2 on X, 1 on Z).
+    """
+    if alg.a_indices != (0,):
+        raise ValueError("expected a one-dimensional a in position 0")
+    diag = np.array([alg.c[0, k, k] for k in range(1, alg.dim)])
+    x_idx = [1 + k for k, v in enumerate(diag) if abs(v - 0.5) <= 1e-12]
+    z_idx = [1 + k for k, v in enumerate(diag) if abs(v - 1.0) <= 1e-12]
+    if len(x_idx) + len(z_idx) != alg.dim - 1 or x_idx + z_idx != list(range(1, alg.dim)):
+        raise ValueError("ad(A) spectrum is not the canonical (1/2, 1) layout")
+    r, s = len(x_idx), len(z_idx)
+    # j[a, k, i] = c[1 + i, 1 + k, 1 + r + a]
+    j = alg.c[1:1 + r, 1:1 + r, 1 + r:].transpose(2, 1, 0).copy()
+    return DataTriple(r=r, s=s, j_mats=j)
+
+
+# --- constant tables, built from scratch on every call ----------------------
+
+
+def _tau(z):
+    """X + iY -> [[X, Y], [-Y, X]]."""
+    z = np.asarray(z, dtype=complex)
+    return np.block([[z.real, z.imag], [-z.imag, z.real]])
+
+
+def basis_abc(signs):
+    """The so(6) triples A_i = tau(X_i), B_i = sign_i tau(i|X_i|) and
+    C_i = tau(i sqrt(3) e_ii), by nine realifications."""
+    s32 = math.sqrt(1.5)
+    xs = [s32 * np.array(m, dtype=float) for m in (
+        [[0, 0, 0], [0, 0, -1], [0, 1, 0]],
+        [[0, 0, -1], [0, 0, 0], [1, 0, 0]],
+        [[0, -1, 0], [1, 0, 0], [0, 0, 0]],
+    )]
+    a = np.array([_tau(x) for x in xs])
+    b = np.array([sg * _tau(1j * np.abs(x)) for sg, x in zip(signs, xs)])
+    c = np.array([_tau(1j * math.sqrt(3.0) * np.diag(np.eye(3)[i])) for i in range(3)])
+    return a, b, c
+
+
+def so_basis(r):
+    """sqrt(r/2) (E_ab - E_ba) for a < b, in lexicographic order."""
+    mats = []
+    for a in range(r):
+        for b in range(a + 1, r):
+            m = np.zeros((r, r))
+            m[a, b] = math.sqrt(r / 2.0)
+            m[b, a] = -math.sqrt(r / 2.0)
+            mats.append(m)
+    return np.array(mats)
+
+
+def generic_weights(k):
+    """The generic combination of k Iwasawa operators: a seeded normal draw."""
+    return np.random.default_rng(0).standard_normal(k)

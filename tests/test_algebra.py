@@ -472,6 +472,20 @@ def test_iwasawa_nonsymmetric_ad_fails_cond_ii():
     assert rep.symmetry_residual > 0.1
 
 
+@pytest.mark.parametrize("k", range(-14, 9))
+@pytest.mark.parametrize("build", [
+    lambda: build_solvmanifold(complex_hyperbolic_triple(3)),
+    lambda: build_sl_nH(3).base,
+    lambda: build_so_pq(2, 4).base,
+], ids=["CH3", "sl3H", "so24"])
+def test_iwasawa_injectivity_is_scale_free(build, k):
+    # ad is injective on a at every homothety c -> 10^k c: the rank cut-off
+    # is relative to the largest constant of ad(a)
+    alg = build()
+    rep = iwasawa_check(dataclasses.replace(alg, c=10.0 ** k * alg.c))
+    assert rep.cond_i and rep.cond_ii
+
+
 @pytest.mark.parametrize("builder, args, expected", [
     (build_so_pq, (2, 2), math.sqrt(1 / 2)),
     (build_sl_nR, (3,), math.sqrt(1 / 2)),

@@ -20,7 +20,6 @@ from solvgeom.carnot import (
     einstein_conditions,
     equivalence_invariants,
     is_uniform,
-    j_from_brackets,
     random_triple,
     search_uniform,
     so4_criterion,
@@ -32,7 +31,7 @@ from solvgeom.carnot import _descend, _equivalence_invariants, _fingerprints_mat
 from solvgeom.curvature import einstein_verdict
 
 from conftest import SEED
-from oracles import so_inner
+from oracles import j_from_brackets, so_inner
 
 
 def test_so_basis_orthonormal():
