@@ -242,6 +242,90 @@ def _margin_and_grad(j_mats, raw, r, s):
     return np.where(ok, margin, 10.0), grad * ok[:, None]
 
 
+# L-BFGS: pairs kept per start, and the stop tests of L-BFGS-B's defaults
+# (max |g| <= 1e-5, relative decrease <= 1e7 machine epsilons, 15 000 iterations).
+_MEMORY = 10
+_GTOL = 1e-5
+_FTOL = 1e7 * np.finfo(float).eps
+_MAX_ITER = 15000
+
+
+def _two_loop(g, s_hist, y_hist, rho, h0):
+    """The L-BFGS direction -H g of each row, from its pairs stored newest
+    first and the initial scale h0 (s'y/y'y of the newest pair, 1 before the
+    first).  Empty slots hold zeros with rho = 0 and leave q and r exactly as
+    they are."""
+    q, alpha = g, np.empty((len(g), _MEMORY))
+    for i in range(_MEMORY):
+        alpha[:, i] = rho[:, i] * _dot(s_hist[:, i], q)
+        q = q - alpha[:, i, None] * y_hist[:, i]
+    r = h0[:, None] * q
+    for i in reversed(range(_MEMORY)):
+        beta = rho[:, i] * _dot(y_hist[:, i], r)
+        r = r - s_hist[:, i] * (beta - alpha[:, i])[:, None]
+    return -r
+
+
+def _lbfgs(value_and_grad, starts):
+    """L-BFGS (Liu and Nocedal, Math. Prog. 45, 1989) from each row of the
+    (n, dim) stack `starts`, run in lockstep.
+
+    `value_and_grad` maps an (m, dim) stack to its values (m,) and gradients
+    (m, dim), row by row.  Every start keeps its own `_MEMORY` pairs (stored
+    only when s'y > 0), its own backtracking line search (halving from the
+    unit step under Armijo's condition with c1 = 1e-4, at most 20 trials)
+    and its own stop tests; a start that stops leaves the working arrays.
+    Every reduction is row-wise, so a start ends on the same bits in any
+    stack.  Returns the final points and values.
+    """
+    x = np.array(starts, dtype=float)
+    n, dim = x.shape
+    out_x, out_f = np.empty_like(x), np.empty(n)
+    f, g = value_and_grad(x)
+    ids = np.arange(n)
+    s_hist, y_hist = np.zeros((n, _MEMORY, dim)), np.zeros((n, _MEMORY, dim))
+    rho, h0 = np.zeros((n, _MEMORY)), np.ones(n)  # 1/s'y; s'y/y'y of the newest pair
+    stop = np.max(np.abs(g), axis=1) <= _GTOL
+    for _ in range(_MAX_ITER):
+        if stop.any():
+            out_x[ids[stop]], out_f[ids[stop]] = x[stop], f[stop]
+            keep = ~stop
+            ids, x, f, g, s_hist, y_hist, rho, h0 = (
+                a[keep] for a in (ids, x, f, g, s_hist, y_hist, rho, h0))
+        if not ids.size:
+            break
+        d = _two_loop(g, s_hist, y_hist, rho, h0)
+        slope = 1e-4 * _dot(g, d)
+        x_new, f_new, g_new = x.copy(), f.copy(), g.copy()
+        step, todo = np.ones(len(ids)), np.arange(len(ids))
+        for _ in range(20):
+            xt = x[todo] + step[todo, None] * d[todo]
+            ft, gt = value_and_grad(xt)
+            ok = ft <= f[todo] + step[todo] * slope[todo]
+            done = todo[ok]
+            x_new[done], f_new[done], g_new[done] = xt[ok], ft[ok], gt[ok]
+            todo = todo[~ok]
+            if not todo.size:
+                break
+            step[todo] *= 0.5
+        # a start whose line search failed (todo) stays put: s = 0 stores no
+        # pair, and its zero decrease stops it
+        sk, yk = x_new - x, g_new - g
+        sy = _dot(sk, yk)
+        store = sy > 0.0
+        if store.any():
+            sk, yk, sy = sk[store], yk[store], sy[store]
+            for hist, new in ((s_hist, sk), (y_hist, yk), (rho, 1.0 / sy)):
+                hist[store, 1:] = hist[store, :-1]
+                hist[store, 0] = new
+            h0[store] = sy / _dot(yk, yk)
+        scale = np.maximum(np.maximum(np.abs(f), np.abs(f_new)), 1.0)
+        stop = (f - f_new <= _FTOL * scale) | (np.max(np.abs(g_new), axis=1) <= _GTOL)
+        x, f, g = x_new, f_new, g_new
+    out_x[ids], out_f[ids] = x, f
+    return out_x, out_f
+
+
 def negative_curvature_margin(triple, samples=10000, descents=100, seed=0):
     """Estimate the minimum of the curvature margin over admissible 4-tuples.
 
@@ -250,22 +334,20 @@ def negative_curvature_margin(triple, samples=10000, descents=100, seed=0):
     with x _|_ y in R^r, z _|_ w in R^s, unit mixed norms.  A positive
     minimum certifies negative sectional curvature of the extension.
 
-    The samples are drawn and evaluated in blocks of `_BLOCK` rows (the
-    same rows as one draw at a time); the best sample starts the first
-    L-BFGS-B descent, and every descent is given the analytic gradient.
+    The samples, then the descent starts, are drawn and evaluated in blocks
+    of `_BLOCK` rows (the same rows as one draw at a time); the best sample
+    starts the first descent, and each block of starts descends as one
+    lockstep L-BFGS stack on the analytic gradient.
     """
     if samples < 0 or descents < 0 or samples + descents < 1:
         raise ValueError("need samples >= 0, descents >= 0 and at least one of them "
                          f"positive, got samples={samples}, descents={descents}")
-    from scipy.optimize import minimize
-
     rng = np.random.default_rng(seed)
     r, s, j_mats = triple.r, triple.s, triple.j_mats
     dim = 2 * (r + s)
 
-    def objective(raw):
-        value, grad = _margin_and_grad(j_mats, raw[None], r, s)
-        return float(value[0]), grad[0]
+    def value_and_grad(raw):
+        return _margin_and_grad(j_mats, raw, r, s)
 
     best = math.inf
     best_raw = None
@@ -275,13 +357,11 @@ def negative_curvature_margin(triple, samples=10000, descents=100, seed=0):
         i = int(np.argmin(v))
         if v[i] < best:
             best, best_raw = float(v[i]), raw[i]
-    starts = rng.standard_normal((descents, dim))
-    if best_raw is not None and descents:
-        starts[0] = best_raw
-    for raw in starts:
-        res = minimize(objective, raw, jac=True, method="L-BFGS-B")
-        if res.fun < best:
-            best = float(res.fun)
+    for start in range(0, descents, _BLOCK):
+        starts = rng.standard_normal((min(_BLOCK, descents - start), dim))
+        if start == 0 and best_raw is not None:
+            starts[0] = best_raw
+        best = min(best, float(np.min(_lbfgs(value_and_grad, starts)[1])))
     return best
 
 

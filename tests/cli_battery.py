@@ -16,7 +16,8 @@ antisymmetric tensor with their constants rescaled, on CH^2 with an ad(a) that
 is not symmetric, on CH^3 with its constants rescaled by 1e-9, and on the
 benchmark's verify-stream documents of seeds 1 and 2; small `family` and `carnot`
 commands, the default `family report` and one whose 5000 samples a point
-cross a 4096-row block; and the exit-2 refusals.  The temporary directory's
+cross a 4096-row block, the default `family margin` at W(1,0,0) (the value
+the README quotes); and the exit-2 refusals.  The temporary directory's
 path is written as TMP in argv and hashed output, so the lines do not depend
 on where it is.
 pytest does not collect this file.
@@ -163,6 +164,7 @@ def battery(tmp):
         ["family", "report", "--grid", "3", "--samples", "5000"],
         ["family", "report"],
         ["family", "margin", "--samples", "200", "--descents", "3"],
+        ["family", "margin", "--r", "1", "--s", "0", "--t", "0"],
         ["family", "margin", "--r", "0.6", "--s", "0.64", "--t", "0.48",
          "--samples", "200", "--descents", "3"],
     )]

@@ -3,7 +3,11 @@
 import io
 import contextlib
 import json
+import os
+import subprocess
+import sys
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -365,6 +369,22 @@ def test_family_margin_reference_point():
     assert status == "evidence"
     assert claim == "curvature-margin"
     assert float(value) > 0.0
+
+
+def test_family_margin_loads_no_scipy():
+    # a fresh process: the margin's descents need numpy only (scipy.optimize
+    # alone took about 0.4 s and 42 MB to import)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = ("import sys\n"
+              "from solvgeom import cli\n"
+              "code = cli.main(['family', 'margin', '--samples', '50', '--descents', '3'])\n"
+              "print(code, sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
+    proc = subprocess.run([sys.executable, "-c", script], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 []"
 
 
 def test_family_margin_huge_parameters_name_the_same_point():

@@ -453,38 +453,104 @@ def test_margin_closed_forms():
 
 
 def test_margin_counted_work(monkeypatch):
-    import scipy.optimize
-    from scipy.optimize import _differentiable_functions, _numdiff
+    # every descent evaluation is one analytic `_margin_and_grad` call (no
+    # finite-difference gradient), and the first one is the whole stack of starts
+    descent_rows, kernel_rows = [], []
 
-    def no_numdiff(*args, **kwargs):
-        raise AssertionError("finite-difference gradient")
-
-    monkeypatch.setattr(_numdiff, "approx_derivative", no_numdiff)
-    monkeypatch.setattr(_differentiable_functions, "approx_derivative", no_numdiff)
-    jacs = []
-    minimize = scipy.optimize.minimize
-
-    def counted_minimize(*args, **kwargs):
-        jacs.append(kwargs.get("jac"))
-        return minimize(*args, **kwargs)
-
-    monkeypatch.setattr(scipy.optimize, "minimize", counted_minimize)
-    kernel_rows = []
+    def counted_grad(j_mats, raw, r, s):
+        descent_rows.append(len(raw))
+        return _margin_and_grad(j_mats, raw, r, s)
 
     def counted_kernel(j_mats, raw, r, s):
         kernel_rows.append(len(raw))
         return _sample_margins(j_mats, raw, r, s)
 
+    lbfgs, requests = so6family._lbfgs, []
+
+    def counted_lbfgs(value_and_grad, starts):
+        def requested(raw):
+            requests.append(len(raw))
+            return value_and_grad(raw)
+        return lbfgs(requested, starts)
+
+    monkeypatch.setattr(so6family, "_margin_and_grad", counted_grad)
     monkeypatch.setattr(so6family, "_sample_margins", counted_kernel)
+    monkeypatch.setattr(so6family, "_lbfgs", counted_lbfgs)
     triple = induced_triple(1.0, 0.0, 0.0)
     whole = negative_curvature_margin(triple, samples=20, descents=4, seed=SEED)
-    assert jacs == [True] * 4
     assert kernel_rows == [20]
+    assert descent_rows[0] == 4
+    assert descent_rows == requests
     kernel_rows.clear()
     monkeypatch.setattr(so6family, "_BLOCK", 7)
     assert negative_curvature_margin(triple, samples=20, descents=4, seed=SEED) == whole
     assert kernel_rows == [7, 7, 6]  # ceil(20 / 7) blocks, the same rows
-    assert jacs == [True] * 8
+
+
+# --- the lockstep L-BFGS ----------------------------------------------------
+
+
+def _margin_objective(triple):
+    def value_and_grad(raw):
+        return _margin_and_grad(triple.j_mats, raw, triple.r, triple.s)
+    return value_and_grad
+
+
+@pytest.mark.parametrize("k", [0, 1, 4])
+def test_lbfgs_start_ends_on_the_same_bits_in_any_stack(k):
+    # W(1,0,0), W(0.6,0.64,0.48) and random_triple(5, 3, default_rng(1))
+    triple = _kernel_triples()[k]
+    value_and_grad = _margin_objective(triple)
+    starts = np.random.default_rng(40 + k).standard_normal((20, 2 * (triple.r + triple.s)))
+    x20, f20 = so6family._lbfgs(value_and_grad, starts)
+    alone = [so6family._lbfgs(value_and_grad, row[None]) for row in starts]
+    assert np.array_equal(np.concatenate([f for _, f in alone]), f20)
+    assert np.array_equal(np.concatenate([x for x, _ in alone]), x20)
+    fours = [so6family._lbfgs(value_and_grad, starts[i:i + 4])[1] for i in range(0, 20, 4)]
+    assert np.array_equal(np.concatenate(fours), f20)
+
+
+def test_margin_descent_blocks_match_one_stack(monkeypatch):
+    # 20 descents in blocks of 7, 7 and 6 starts: the same rows, the same bits
+    triple = induced_triple(0.6, 0.64, 0.48)
+    whole = negative_curvature_margin(triple, samples=30, descents=20, seed=SEED)
+    monkeypatch.setattr(so6family, "_BLOCK", 7)
+    assert negative_curvature_margin(triple, samples=30, descents=20, seed=SEED) == whole
+
+
+def test_lbfgs_separable_quadratic():
+    # f(x) = sum_i c_i (x_i - m_i)^2 / 2 + f0 with curvatures in [1, 2].  The
+    # stop on a relative decrease <= 2.2e-9 can end a start before
+    # max|g| <= 1e-5 (at f - f0 ~ 1e-10..1e-8): on worse-conditioned stacks it does,
+    # as in L-BFGS-B, so this one is well conditioned
+    rng = np.random.default_rng(SEED)
+    c = np.linspace(1.0, 2.0, 12)
+    m = rng.standard_normal(12)
+    f0 = -0.75
+
+    def value_and_grad(x):
+        return f0 + 0.5 * np.sum(c * (x - m) ** 2, axis=1), c * (x - m)
+
+    x, f = so6family._lbfgs(value_and_grad, 3.0 * rng.standard_normal((8, 12)))
+    assert np.max(np.abs(value_and_grad(x)[1])) <= 1e-5
+    assert np.max(np.abs(f - f0)) <= 1e-10
+
+
+def test_lbfgs_no_worse_than_lbfgsb():
+    optimize = pytest.importorskip("scipy.optimize")
+    for point in ((1.0, 0.0, 0.0), (0.6, 0.64, 0.48), (1.0, 0.0, 1.0), (0.0, 0.0, 1.0)):
+        triple = induced_triple(*point)
+        value_and_grad = _margin_objective(triple)
+
+        def objective(u):
+            value, grad = value_and_grad(u[None])
+            return float(value[0]), grad[0]
+
+        starts = np.random.default_rng(SEED).standard_normal((10, 18))
+        _, f = so6family._lbfgs(value_and_grad, starts)
+        ref = min(optimize.minimize(objective, u, jac=True, method="L-BFGS-B").fun
+                  for u in starts)
+        assert f.min() <= ref + 1e-6, point
 
 
 def test_family_report_blocks_draw_the_same_pairs(monkeypatch):
@@ -497,7 +563,7 @@ def test_family_report_blocks_draw_the_same_pairs(monkeypatch):
     assert abs(row.max_sectional - ks.max()) <= 1e-14
 
 
-def test_margin_and_report_memory_flat_in_samples():
+def test_margin_and_report_memory_flat_in_samples(monkeypatch):
     import tracemalloc
 
     triple = induced_triple(1.0, 0.0, 0.0)
@@ -515,6 +581,17 @@ def test_margin_and_report_memory_flat_in_samples():
     # one 200 000-row draw alone would take 28.8 MB (margin) or 32 MB (report)
     assert margin_peak < 8e6
     assert report_peak < 8e6
+    # the descents run in blocks of starts too
+    monkeypatch.setattr(so6family, "_BLOCK", 7)
+    peaks = []
+    for descents in (7, 70):
+        tracemalloc.start()
+        try:
+            negative_curvature_margin(triple, samples=0, descents=descents)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] < 1.5 * peaks[0]
 
 
 def test_family_grid_needs_two_latitudes():
