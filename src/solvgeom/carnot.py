@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .algebra import MAX_DIM, from_sparse, orthonormal_frame
+from .algebra import MAX_DIM, MetricLieAlgebra, orthonormal_frame
 
 # largest max|sum_i a_i^2 + s Id| at which an orthonormal family counts as uniform
 UNIFORM_TOL = 1e-8
@@ -29,7 +29,6 @@ __all__ = [
     "so_gram",
     "so_basis",
     "build_solvmanifold",
-    "brackets_from_j",
     "einstein_conditions",
     "is_uniform",
     "complement_uniform",
@@ -89,33 +88,23 @@ class DataTriple:
         return np.einsum("a,aij->ij", z, self.j_mats)
 
 
-def brackets_from_j(triple):
-    """Sparse structure entries (i, j, k, value) for the solvable extension."""
-    r, s = triple.r, triple.s
-    entries = []
-    for i in range(r):
-        entries.append((0, 1 + i, 1 + i, 0.5))
-    for a in range(s):
-        entries.append((0, 1 + r + a, 1 + r + a, 1.0))
-    for i in range(r):
-        for j in range(i + 1, r):
-            for a in range(s):
-                v = triple.j_mats[a, j, i]
-                if v != 0.0:
-                    entries.append((1 + i, 1 + j, 1 + r + a, v))
-    return 1 + r + s, entries
-
-
 def build_solvmanifold(triple):
+    """The metric solvable extension of a data triple, on the orthonormal
+    basis (A, X_1..X_r, Z_1..Z_s)."""
     r, s = triple.r, triple.s
-    dim, entries = brackets_from_j(triple)
+    dim = 1 + r + s
+    c = np.zeros((dim, dim, dim))
+    x, z = np.arange(1, 1 + r), np.arange(1 + r, dim)
+    c[0, x, x] = 0.5
+    c[0, z, z] = 1.0
+    # [X_i, X_j] = sum_a J_a[j, i] Z_a for i < j; + 0.0 turns a -0.0 of J
+    # into 0.0, so no constant is a signed zero
+    upper = np.less.outer(np.arange(r), np.arange(r))[:, :, None]
+    c[1:1 + r, 1:1 + r, 1 + r:] = np.where(upper, triple.j_mats.transpose(2, 1, 0) + 0.0, 0.0)
     labels = ("A",) + tuple(f"X{i+1}" for i in range(r)) + tuple(f"Z{a+1}" for a in range(s))
-    return from_sparse(
-        dim,
-        entries,
-        labels=labels,
-        a_indices=(0,),
-        n_indices=tuple(range(1, dim)),
+    return MetricLieAlgebra(
+        c=c - c.transpose(1, 0, 2), gram=np.eye(dim), labels=labels,
+        a_indices=(0,), n_indices=tuple(range(1, dim)),
     )
 
 
@@ -490,11 +479,10 @@ def classify_uniform_so4(s, trials=200, seed=0):
 
 
 def random_triple(r, s, rng, einstein=False):
-    """Random data triple; with einstein=True the span is taken from a
-    uniform-subspace search and orthonormalized so both conditions hold."""
+    """Random data triple; with einstein=True it is the orthonormal family
+    of a uniform-subspace search, so both conditions hold."""
     if einstein:
         cand = search_uniform(r, s, restarts=20, rng=rng)
-        mats = _orthonormalize_family(cand.matrices)
-        return DataTriple(r=r, s=s, j_mats=mats)
+        return DataTriple(r=r, s=s, j_mats=cand.matrices)
     raw = rng.standard_normal((s, r, r))
     return DataTriple(r=r, s=s, j_mats=raw - np.transpose(raw, (0, 2, 1)))

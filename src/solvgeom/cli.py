@@ -25,7 +25,6 @@ from .algebra import TOL_EXACT, bracket, deserialize, iwasawa_check, validate
 from .carnot import (
     UNIFORM_TOL,
     DataTriple,
-    _orthonormalize_family,
     build_solvmanifold,
     classify_uniform_so4,
     complex_hyperbolic_triple,
@@ -40,12 +39,10 @@ from .so6family import (
     angle_to_centralizer,
     bracket_angle,
     bracket_angle_closed_form,
-    centralizer_in_so6,
     family_grid,
     family_report,
     induced_triple,
     negative_curvature_margin,
-    W_of,
 )
 from .symtwist import (
     SPACES,
@@ -202,9 +199,9 @@ def _twist_records(rep, rda, assignment):
 
 
 def _carnot_triple(rep, r, s, matrices, so4=False):
-    """The DataTriple of the orthonormalised family, with the so(4) criterion
-    (when asked for) and the Einstein conditions recorded on it."""
-    triple = DataTriple(r=r, s=s, j_mats=_orthonormalize_family(matrices))
+    """The DataTriple of the search's orthonormal family, with the so(4)
+    criterion (when asked for) and the Einstein conditions recorded on it."""
+    triple = DataTriple(r=r, s=s, j_mats=matrices)
     if so4:
         crit_res, crit_ok = so4_criterion(triple.j_mats)
         rep.check("so4-criterion", crit_ok, crit_res, None, "so4-quaternion-criterion")
@@ -326,11 +323,8 @@ def cmd_family_report(args):
             continue
         bdev = max(bdev, abs(r.cos_angle_bracket - closed))
     rep.check("bracket-angle-dev", bdev <= 1e-6, bdev, 1e-6, "bracket-angle")
-    cdim_max = 0
-    for r in rows:
-        if max(abs(r.r), abs(r.s)) <= 1e-9:
-            continue
-        cdim_max = max(cdim_max, centralizer_in_so6(W_of(r.r, r.s, r.t))[0])
+    cdim_max = max((r.centralizer_dim for r in rows if max(abs(r.r), abs(r.s)) > 1e-9),
+                   default=0)
     rep.check("centralizer-dim-generic", cdim_max == 1, cdim_max, 1,
               "centralizer-dimension")
     kmin = min(r.min_sectional for r in rows)

@@ -103,33 +103,32 @@ def centralizer_in_so6(mats):
     return centralizer(mats, 1e-10)
 
 
-def _principal_cos(mats_a, mats_b):
-    """Largest cosine of a principal angle between the two spans."""
-    if len(mats_a) == 0 or len(mats_b) == 0:
+def _principal_cos(onb_a, onb_b):
+    """Largest cosine of a principal angle between the spans of two
+    orthonormal families."""
+    if len(onb_a) == 0 or len(onb_b) == 0:
         return float("nan")
-    cos = so_gram(_orthonormalize_family(mats_a), _orthonormalize_family(mats_b))
-    sing = np.linalg.svd(cos, compute_uv=False)
+    sing = np.linalg.svd(so_gram(onb_a, onb_b), compute_uv=False)
     return float(min(sing[0], 1.0))
+
+
+def _bracket_cos(w):
+    """`bracket_angle` of the orthonormal family w = W(r,s,t)."""
+    brs = np.array([w[i] @ w[j] - w[j] @ w[i] for i, j in ((0, 1), (0, 2), (1, 2))])
+    if np.max(np.abs(brs)) <= 1e-13:
+        return float("nan")
+    return _principal_cos(_orthonormalize_family(brs), w)
 
 
 def angle_to_centralizer(r, s, t):
     """cos of the angle between W(r,s,t) and its centralizer in so(6) (equals |t|)."""
     w = W_of(r, s, t)
-    _, cz = centralizer_in_so6(w)
-    return _principal_cos(cz, w)
+    return _principal_cos(centralizer_in_so6(w)[1], w)
 
 
 def bracket_angle(r, s, t):
     """cos of the angle between span[W, W] and W; NaN when the brackets vanish."""
-    w = W_of(r, s, t)
-    brs = []
-    for i in range(3):
-        for j in range(i + 1, 3):
-            brs.append(w[i] @ w[j] - w[j] @ w[i])
-    brs = np.array(brs)
-    if np.max(np.abs(brs)) <= 1e-13:
-        return float("nan")
-    return _principal_cos(brs, w)
+    return _bracket_cos(W_of(r, s, t))
 
 
 def bracket_angle_closed_form(r, s, t):
@@ -400,12 +399,14 @@ class FamilyPoint:
     cos_angle_bracket: float
     min_sectional: float
     max_sectional: float
+    centralizer_dim: int
 
 
 def family_report(points=None, samples=200, seed=0):
-    """Scan the family: Einstein residuals, the two angle invariants, and the
-    range of sampled sectional curvatures of the attached solvable extension
-    (drawn and evaluated in blocks of `_BLOCK` sample pairs).
+    """Scan the family: Einstein residuals, the two angle invariants, the
+    centralizer dimension, and the range of sampled sectional curvatures of
+    the attached solvable extension (drawn and evaluated in blocks of
+    `_BLOCK` sample pairs).
 
     `min_sectional` and `max_sectional` are the extremes over `samples`
     random planes, not bounds: a plane of larger (or smaller) curvature may
@@ -419,9 +420,8 @@ def family_report(points=None, samples=200, seed=0):
     rows = []
     for (r, s, t) in points:
         triple = induced_triple(r, s, t)
-        res = einstein_conditions(triple).max_residual
-        cos_c = angle_to_centralizer(r, s, t)
-        cos_b = bracket_angle(r, s, t)
+        w = triple.j_mats
+        cdim, cz = centralizer_in_so6(w)
         alg = build_solvmanifold(triple)
         lo, hi = math.inf, -math.inf
         for start in range(0, samples, _BLOCK):
@@ -431,11 +431,12 @@ def family_report(points=None, samples=200, seed=0):
         rows.append(
             FamilyPoint(
                 r=r, s=s, t=t,
-                einstein_residual=res,
-                cos_angle_centralizer=cos_c,
-                cos_angle_bracket=cos_b,
+                einstein_residual=einstein_conditions(triple).max_residual,
+                cos_angle_centralizer=_principal_cos(cz, w),
+                cos_angle_bracket=_bracket_cos(w),
                 min_sectional=lo,
                 max_sectional=hi,
+                centralizer_dim=cdim,
             )
         )
     return rows

@@ -8,7 +8,9 @@ import math
 
 import numpy as np
 
-from solvgeom.carnot import DataTriple
+from solvgeom.algebra import from_sparse
+from solvgeom.carnot import DataTriple, _orthonormalize_family, so_gram
+from solvgeom.so6family import W_of, centralizer_in_so6
 
 
 def killing_form(alg):
@@ -61,6 +63,46 @@ def j_from_brackets(alg):
     # j[a, k, i] = c[1 + i, 1 + k, 1 + r + a]
     j = alg.c[1:1 + r, 1:1 + r, 1 + r:].transpose(2, 1, 0).copy()
     return DataTriple(r=r, s=s, j_mats=j)
+
+
+def build_solvmanifold_sparse(triple):
+    """The extension of a data triple from one sparse entry (i, j, k, value)
+    per nonzero bracket, i < j, filled in by `from_sparse`."""
+    r, s = triple.r, triple.s
+    entries = [(0, 1 + i, 1 + i, 0.5) for i in range(r)]
+    entries += [(0, 1 + r + a, 1 + r + a, 1.0) for a in range(s)]
+    for i in range(r):
+        for j in range(i + 1, r):
+            for a in range(s):
+                v = triple.j_mats[a, j, i]
+                if v != 0.0:
+                    entries.append((1 + i, 1 + j, 1 + r + a, v))
+    labels = ("A",) + tuple(f"X{i+1}" for i in range(r)) + tuple(f"Z{a+1}" for a in range(s))
+    dim = 1 + r + s
+    return from_sparse(dim, entries, labels=labels, a_indices=(0,),
+                       n_indices=tuple(range(1, dim)))
+
+
+def principal_cos(mats_a, mats_b):
+    """Largest cosine of a principal angle between two spans, each
+    orthonormalized first."""
+    if len(mats_a) == 0 or len(mats_b) == 0:
+        return float("nan")
+    cos = so_gram(_orthonormalize_family(mats_a), _orthonormalize_family(mats_b))
+    return float(min(np.linalg.svd(cos, compute_uv=False)[0], 1.0))
+
+
+def angle_to_centralizer(r, s, t):
+    w = W_of(r, s, t)
+    return principal_cos(centralizer_in_so6(w)[1], w)
+
+
+def bracket_angle(r, s, t):
+    w = W_of(r, s, t)
+    brs = np.array([w[i] @ w[j] - w[j] @ w[i] for i in range(3) for j in range(i + 1, 3)])
+    if np.max(np.abs(brs)) <= 1e-13:
+        return float("nan")
+    return principal_cos(brs, w)
 
 
 # --- constant tables, built from scratch on every call ----------------------

@@ -21,6 +21,7 @@ from solvgeom.carnot import (
     equivalence_invariants,
     is_uniform,
     random_triple,
+    real_hyperbolic_triple,
     search_uniform,
     so4_criterion,
     so4_split_basis,
@@ -31,7 +32,7 @@ from solvgeom.carnot import _descend, _equivalence_invariants, _fingerprints_mat
 from solvgeom.curvature import einstein_verdict
 
 from conftest import SEED
-from oracles import j_from_brackets, so_inner
+from oracles import build_solvmanifold_sparse, j_from_brackets, so_inner
 
 
 def test_so_basis_orthonormal():
@@ -90,6 +91,31 @@ def test_solvmanifold_layout():
     # [A, X] = X/2, [A, Z] = Z
     assert alg.c[0, 1, 1] == 0.5
     assert alg.c[0, 3, 3] == 1.0
+
+
+def test_build_matches_sparse_reference():
+    # the tensor written straight from J is, bit for bit, the one filled in
+    # from one sparse entry per nonzero bracket
+    from perfbench.workloads import _generating_triples
+    triples = [complex_hyperbolic_triple(n) for n in (2, 3, 4, 5)]
+    triples.append(real_hyperbolic_triple(2))  # r = 1, s = 0: no brackets in n
+    for seed in range(1, 9):
+        triples += _generating_triples(np.random.default_rng(seed))
+    for triple in triples:
+        alg, ref = build_solvmanifold(triple), build_solvmanifold_sparse(triple)
+        assert alg.c.tobytes() == ref.c.tobytes()
+        assert (alg.labels, alg.a_indices, alg.n_indices) == (
+            ref.labels, ref.a_indices, ref.n_indices)
+
+
+def test_build_writes_no_signed_zero():
+    # exact 0.0 and -0.0 in J, on both sides of the diagonal
+    j = np.array([[[0.0, 0.0, -2.0], [-0.0, 0.0, -0.0], [2.0, 0.0, -0.0]],
+                  [[-0.0, -0.0, 0.0], [0.0, -0.0, 0.0], [-0.0, -0.0, 0.0]]])
+    triple = DataTriple(3, 2, j)
+    c = build_solvmanifold(triple).c
+    assert c.tobytes() == build_solvmanifold_sparse(triple).c.tobytes()
+    assert not np.signbit(c[c == 0.0]).any()
 
 
 def test_einstein_conditions_model_spaces():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvgeom import so6family
+from solvgeom import algebra, cli, so6family
 from solvgeom.carnot import (
     build_solvmanifold,
     einstein_conditions,
@@ -38,6 +38,7 @@ from solvgeom.so6family import (
 )
 
 from conftest import SEED
+import oracles
 from oracles import so_inner
 
 
@@ -233,6 +234,18 @@ def test_bracket_angle_matches_closed_form():
         closed = bracket_angle_closed_form(r, s, t)
         numeric = bracket_angle(r, s, t)
         assert abs(closed - numeric) <= 1e-6
+
+
+def test_angles_match_the_orthonormalizing_reference():
+    # the angles take W and the centralizer basis as the orthonormal families
+    # they are; the reference orthonormalizes both spans first
+    rng = np.random.default_rng(SEED)
+    points = family_grid() + [tuple(sphere_point(rng)) for _ in range(200)]
+    for rst in points:
+        for new, ref in ((angle_to_centralizer, oracles.angle_to_centralizer),
+                         (bracket_angle, oracles.bracket_angle)):
+            a, b = new(*rst), ref(*rst)
+            assert (math.isnan(a) and math.isnan(b)) or abs(a - b) <= 1e-14
 
 
 def test_bracket_angle_special_loci():
@@ -622,3 +635,34 @@ def test_family_report_rows():
         assert abs(row.cos_angle_centralizer - abs(row.t)) <= 1e-9
         assert row.min_sectional <= row.max_sectional
     assert rows[0].max_sectional < 0.0  # reference point has K < 0
+
+
+def test_family_report_counted_work(monkeypatch, capsys):
+    # one W, one centralizer and at most two Cholesky factors (the algebra's
+    # frame and span[W, W]) a point; the CLI reads the centralizer dimension
+    # off the rows
+    points = family_grid(3, 12)
+    family_report(points=points, samples=20)  # warm-up: the cached tables
+    calls = {"W_of": 0, "centralizer": 0, "_cholesky_frame": 0}
+
+    def counted(module, name):
+        inner = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return inner(*args, **kwargs)
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(so6family, "W_of")
+    counted(so6family, "centralizer")
+    counted(algebra, "_cholesky_frame")
+    rows = family_report(points=points, samples=20)
+    assert len(points) == 21
+    assert calls["W_of"] == 21 and calls["centralizer"] == 21
+    assert calls["_cholesky_frame"] <= 42
+    assert [row.centralizer_dim for row in rows] == [
+        centralizer_in_so6(W_of(*p))[0] for p in points]
+    calls["centralizer"] = 0
+    assert cli.main(["family", "report", "--grid", "3", "--samples", "20"]) == 0
+    capsys.readouterr()
+    assert calls["centralizer"] == 21
