@@ -41,7 +41,6 @@ __all__ = [
     "serialize",
     "deserialize",
     "orthonormal_frame",
-    "restricted_symmetric",
 ]
 
 
@@ -64,15 +63,6 @@ def orthonormal_frame(gram):
     original basis.
     """
     return _cholesky_frame(gram)[0]
-
-
-def restricted_symmetric(alg, mats):
-    """Symmetric parts of the nilradical blocks m[n, n] of a stack of matrices,
-    written in the orthonormal frame `alg.n_frame` of span{e_i : i in n_indices}."""
-    f, f_inv = alg.n_frame
-    block = np.ix_(alg.n_indices, alg.n_indices)
-    mo = f_inv @ np.asarray(mats)[:, block[0], block[1]] @ f
-    return 0.5 * (mo + mo.transpose(0, 2, 1))
 
 
 @dataclass
@@ -119,10 +109,18 @@ class MetricLieAlgebra:
 
     @functools.cached_property
     def n_frame(self):
-        """(F, F^-1) of the Gram block on n_indices, factored on first use: the
-        Iwasawa check and the eigenvalue type both restrict ad(A) to it."""
+        """(F, F^-1) of the Gram block on n_indices, factored on first use."""
         n = list(self.n_indices)
         return _cholesky_frame(self.gram[np.ix_(n, n)])
+
+    @functools.cached_property
+    def root_decomposition(self):
+        """(S, roots) of ad(a)|n by `_joint_roots`, on first use: S[a] is the symmetric
+        part of ad(e_a)|n in `n_frame` (real roots, unlike the `roots` decoration)."""
+        f, f_inv = self.n_frame
+        n = list(self.n_indices)
+        mo = f_inv @ self.c[np.ix_(list(self.a_indices), n, n)].transpose(0, 2, 1) @ f
+        return _joint_roots(0.5 * (mo + mo.transpose(0, 2, 1)))
 
     @property
     def dim(self):
@@ -314,6 +312,8 @@ def _min_norm_point(pts):
 
 # subsets of roots scored per batch: bounds memory, which grows as C(roots, rank)
 _SUBSET_BLOCK = 4096
+# most subsets of roots scored (about 1 s); rank 6 at dim 48 can need millions
+_MAX_SUBSETS = 2**17
 
 
 def _best_direction_by_subsets(roots):
@@ -328,6 +328,10 @@ def _best_direction_by_subsets(roots):
     scale = np.max(np.abs(roots), initial=0.0) or 1.0
     _, first = np.unique(np.round(roots / scale, 9), axis=0, return_index=True)
     roots = roots[np.sort(first)]
+    count = sum(math.comb(len(roots), s) for s in range(1, k + 1))
+    if count > _MAX_SUBSETS:
+        raise ValueError(f"{count} subsets of {len(roots)} roots at rank {k} to search "
+                         f"for a best direction, above {_MAX_SUBSETS}")
     # each subset padded to k indices by repeating its first: same affine hull
     subsets = (c + c[:1] * (k - s) for s in range(1, k + 1)
                for c in itertools.combinations(range(len(roots)), s))
@@ -360,26 +364,27 @@ def _generic_weights(k):
     return weights
 
 
-def _best_positive_direction(sym_ops):
-    """Maximize the least eigenvalue of sum_a w_a S_a over unit w.
+def _joint_roots(ops):
+    """(S, roots) for symmetric S: roots[j, a] = (V^T S_a V)[j, j] for V the eigenbasis
+    of a fixed generic combination, which diagonalizes the S_a when they commute."""
+    ops = np.asarray(ops, dtype=float)
+    _, v = np.linalg.eigh(np.einsum("a,aij->ij", _generic_weights(len(ops)), ops))
+    return ops, np.einsum("ij,aik,kj->ja", v, ops, v)
 
-    The maximum is exact when the S_a commute, as they do when conditions (i)
-    and (ii) hold.  One eigh of a fixed generic combination diagonalizes the
-    family; the diagonals of V^T S_a V are the roots alpha_j, and the least
-    eigenvalue at w is min_j alpha_j . w.  When 0 is outside the convex hull of
-    the roots, the maximum is positive and attained at p/|p| for p the hull's
-    min-norm point (Wolfe's algorithm, polynomial in the rank).  Otherwise no
-    direction is positive, and the maximum, at most 0, is found by enumerating
-    subsets of at most k roots.  The value returned is the least eigenvalue at
-    the returned w, so it is attained there for any input.  Non-finite
-    operators give w = 0 and a NaN value.
+
+def _best_positive_direction(ops, roots):
+    """Maximize the least eigenvalue of sum_a w_a S_a over unit w, given `_joint_roots`.
+
+    When the S_a commute, as they do when conditions (i) and (ii) hold, the
+    least eigenvalue at w is min_j roots[j] . w.  When 0 is outside the convex
+    hull of the roots, the maximum is positive and attained at p/|p| for p the
+    hull's min-norm point (Wolfe's algorithm, polynomial in the rank).
+    Otherwise it is at most 0, found by enumerating subsets of at most k roots.
+    The value returned is the least eigenvalue at the returned w, so it is
+    attained there for any input.  Non-finite S give w = 0 and a NaN value.
     """
-    ops = np.asarray(sym_ops, dtype=float)
-    k = len(ops)
     if not np.all(np.isfinite(ops)):
-        return np.zeros(k), math.nan
-    _, v = np.linalg.eigh(np.einsum("a,aij->ij", _generic_weights(k), ops))
-    roots = np.einsum("ij,aik,kj->ja", v, ops, v)
+        return np.zeros(len(ops)), math.nan
     p = _min_norm_point(roots)
     length = np.linalg.norm(p)
     if length > 1e-9 * np.max(np.abs(roots)):
@@ -422,20 +427,16 @@ def iwasawa_check(alg):
     else:
         injective = True
 
-    cond_iii = False
     min_pos = -np.inf
     witness = np.zeros(alg.dim)
     if a_idx and n_idx:
-        sym_ops = restricted_symmetric(alg, ads)
-        w, min_pos = _best_positive_direction(sym_ops)
-        cond_iii = min_pos > TOL_EXACT
-        for wi, i in zip(w, a_idx):
-            witness[i] = wi
+        w, min_pos = _best_positive_direction(*alg.root_decomposition)
+        witness[a_idx] = w
 
     return IwasawaReport(
         cond_i=abelian <= TOL_EXACT,
         cond_ii=sym_res <= TOL_EXACT and injective,
-        cond_iii=cond_iii,
+        cond_iii=min_pos > TOL_EXACT,
         abelian_residual=abelian,
         symmetry_residual=sym_res,
         min_positive_eig=float(min_pos),

@@ -138,16 +138,19 @@ class EinsteinConditions:
         return max(self.gram_residual, self.uniform_residual)
 
 
+def _uniform_defect(mats):
+    """max |sum_a a_a^2 + s Id| for a stack of s matrices of size r x r."""
+    ss = np.einsum("aij,ajk->ik", mats, mats)
+    return float(np.max(np.abs(ss + len(mats) * np.eye(mats.shape[1]))))
+
+
 def einstein_conditions(triple):
     """Residuals of the two conditions equivalent to the extension being Einstein."""
-    r, s = triple.r, triple.s
-    if s == 0:
+    if triple.s == 0:
         return EinsteinConditions(0.0, 0.0)
-    gram = -np.einsum("aij,bji->ab", triple.j_mats, triple.j_mats) / r
-    res_i = float(np.max(np.abs(gram - np.eye(s))))
-    ss = np.einsum("aij,ajk->ik", triple.j_mats, triple.j_mats)
-    res_ii = float(np.max(np.abs(ss + s * np.eye(r))))
-    return EinsteinConditions(gram_residual=res_i, uniform_residual=res_ii)
+    res_i = float(np.max(np.abs(so_gram(triple.j_mats, triple.j_mats) - np.eye(triple.s))))
+    return EinsteinConditions(gram_residual=res_i,
+                              uniform_residual=_uniform_defect(triple.j_mats))
 
 
 def is_uniform(mats):
@@ -155,11 +158,7 @@ def is_uniform(mats):
     mats = np.asarray(mats, dtype=float)
     if mats.ndim == 2:
         mats = mats[None]
-    s, r = mats.shape[0], mats.shape[1]
-    if s == 0:
-        return True
-    ss = np.einsum("aij,ajk->ik", mats, mats)
-    return float(np.max(np.abs(ss + s * np.eye(r)))) <= UNIFORM_TOL
+    return mats.shape[0] == 0 or _uniform_defect(mats) <= UNIFORM_TOL
 
 
 def complement_uniform(mats):

@@ -36,8 +36,6 @@ from .carnot import (
 )
 from .curvature import einstein_verdict, eigenvalue_type, ricci, sectional
 from .so6family import (
-    angle_to_centralizer,
-    bracket_angle,
     bracket_angle_closed_form,
     family_grid,
     family_report,

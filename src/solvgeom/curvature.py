@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, ad_matrix, restricted_symmetric
+from .algebra import MetricLieAlgebra, ad_matrix
 
 __all__ = [
     "EinsteinVerdict",
@@ -117,18 +117,20 @@ def sectionals(alg, xs, ys):
     and r4 = ad_w^T w, K is the fixed quadratic form `_FORM`:
     K = -3/4 r0.r0 - 1/2 r0.r2 + 1/2 r0.r3 + 1/4 (r2 + r3).(r2 + r3) - r1.r4.
     The Gram-Schmidt sums are `add.reduce`, the rounding of `np.linalg.norm`.
+    No refusal depends on the scale of x, y or the Gram matrix: x is refused when
+    its frame norm is 0, y when at most 1e-12 of its frame norm is orthogonal to x.
     """
     xs = np.asarray(xs, dtype=float) @ alg.frame_inv.T
     ys = np.asarray(ys, dtype=float) @ alg.frame_inv.T
     n, d = xs.shape
     nx = np.sqrt((xs * xs).sum(axis=1))
-    if (nx <= 1e-14).any():
+    if (nx == 0.0).any():
         raise ValueError("x is numerically zero")
     pair = np.empty((n, 2, d))
     u = np.divide(xs, nx[:, None], out=pair[:, 0])
     w = ys - (ys * u).sum(axis=1)[:, None] * u
     nw = np.sqrt((w * w).sum(axis=1))
-    if (nw <= 1e-12 * np.maximum(1.0, np.sqrt((ys * ys).sum(axis=1)))).any():
+    if (nw <= 1e-12 * np.sqrt((ys * ys).sum(axis=1))).any():
         raise ValueError("x and y are linearly dependent")
     w = np.divide(w, nw[:, None], out=pair[:, 1])
     rows = np.empty((5, n, d))          # rows[a, n] = r_a of plane n
@@ -149,32 +151,34 @@ class EigenvalueType:
 
 
 def _mean_curvature_direction(alg, refusal):
-    """H/|H| for the mean-curvature vector H.  |H| counts as vanishing at or
-    below 1e-14 times the largest frame constant, so rescaling the metric or
-    the constants does not move the cut-off."""
+    """H/|H| for the mean-curvature vector H, refused when |H| is at most 1e-14
+    times the largest frame constant (a scale-free cut-off) or when a coordinate
+    of H/|H| on n_indices is above 1e-9 (H does not lie in a)."""
     h = mean_curvature(alg)
     nh = alg.norm(h)
     if nh <= 1e-14 * np.max(np.abs(alg.c_frame)):
         raise ValueError(f"mean curvature vanishes; {refusal}")
-    return h / nh
+    hu = h / nh
+    if np.max(np.abs(hu[list(alg.n_indices)]), initial=0.0) > 1e-9:
+        raise ValueError("mean-curvature vector does not lie in a")
+    return hu
 
 
 def eigenvalue_type(alg):
-    """Spectrum of ad(A)|n as coprime positive integers with multiplicities,
-    for A the unit mean-curvature direction.
+    """Spectrum of ad(A)|n as coprime positive integers with multiplicities, for
+    A the unit mean-curvature direction: roots . A over `root_decomposition`,
+    exact when ad(a)|n is symmetric and commuting (Iwasawa (i) and (ii)).
 
-    scale * eigenvalues recovers the actual spectrum.  The cut-offs are
-    relative: |H| against the largest frame constant, and the eigenvalues
-    against 1e-8 times the largest one in absolute value, so rescaling the
-    metric gives the same type.
+    scale * eigenvalues recovers the spectrum.  The cut-offs are relative: |H|
+    against the largest frame constant, and the eigenvalues against 1e-8 times
+    the largest one in absolute value, so rescaling the metric gives the same type.
     """
     if not alg.decorated:
         raise ValueError("eigenvalue_type needs an Iwasawa decoration")
     if not alg.n_indices:
         raise ValueError("eigenvalue_type needs a non-empty nilradical (n_indices)")
-    m = ad_matrix(alg, _mean_curvature_direction(alg, "no direction in a to take"))
-    (sym,) = restricted_symmetric(alg, [m])
-    vals = np.sort(np.linalg.eigvalsh(sym))
+    hu = _mean_curvature_direction(alg, "no direction in a to take")
+    vals = np.sort(alg.root_decomposition[1] @ hu[list(alg.a_indices)])
     cut = 1e-8 * np.max(np.abs(vals))
 
     reps, mults = [], []
@@ -209,8 +213,6 @@ def rank_one_reduction(alg):
         raise ValueError("rank_one_reduction needs an Iwasawa decoration")
     hu = _mean_curvature_direction(alg, "nothing to reduce to")
     n_idx = list(alg.n_indices)
-    if np.max(np.abs(hu[n_idx]), initial=0.0) > 1e-9:
-        raise ValueError("mean-curvature vector does not lie in a")
 
     dim = 1 + len(n_idx)
     c = np.zeros((dim, dim, dim))

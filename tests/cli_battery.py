@@ -13,8 +13,10 @@ restricted-height twists and the shipped goldens; `verify` on the builtin
 targets, on the serialized documents of every builder, on CH^2 with its Gram
 matrix rescaled to s * Id, on a non-Einstein extension, sl(4,H) and a random
 antisymmetric tensor with their constants rescaled, on CH^2 with an ad(a) that
-is not symmetric, on CH^3 with its constants rescaled by 1e-9, and on the
-benchmark's verify-stream documents of seeds 1 and 2; small `family` and `carnot`
+is not symmetric, on CH^3 with its constants rescaled by 1e-9, on CH^2 with a
+Gram matrix that couples a and n (refused: its mean curvature leaves a), on a
+rank-6 diagonal extension with too many root subsets to search (refused), and
+on the benchmark's verify-stream documents of seeds 1 and 2; small `family` and `carnot`
 commands, the default `family report` and one whose 5000 samples a point
 cross a 4096-row block, the default `family margin` at W(1,0,0) (the value
 the README quotes); and the exit-2 refusals.  The temporary directory's
@@ -35,6 +37,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
 
+from documents import ch2_gram_coupled, rank6_opposite_roots  # noqa: E402
 from perfbench.workloads import verify_documents  # noqa: E402
 from solvgeom import symtwist  # noqa: E402
 from solvgeom.algebra import MetricLieAlgebra, serialize  # noqa: E402
@@ -149,6 +152,8 @@ def battery(tmp):
     # CH^3 with c -> 1e-9 c: ad stays injective on a, the rank cut-off is relative
     ch3 = carnot_algs[1]
     cmds.append(_document(tmp, "ch3-c-1e-09", dataclasses.replace(ch3, c=1e-9 * ch3.c)))
+    cmds.append(_document(tmp, "ch2-gram-coupled", ch2_gram_coupled()))
+    cmds.append(_document(tmp, "rank6-opposite-roots", rank6_opposite_roots()))
     for seed in (1, 2):
         for t, (_, alg, _) in enumerate(verify_documents(seed)):
             cmds.append(_document(tmp, f"stream{seed}-{t}", alg))

@@ -5,11 +5,13 @@ frame and no BLAS reshaping, so it stays independent of the kernels it checks.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
-from solvgeom.algebra import from_sparse
+from solvgeom.algebra import ad_matrix, from_sparse
 from solvgeom.carnot import DataTriple, _orthonormalize_family, so_gram
+from solvgeom.curvature import EigenvalueType, mean_curvature
 from solvgeom.so6family import W_of, centralizer_in_so6
 
 
@@ -45,6 +47,33 @@ def jacobi_dense(c):
                   for x, y, z in ((a, b, d), (b, d, a), (a, d, b)))
     scale = float(np.max(np.abs(c), initial=0.0))
     return jac / scale / scale if scale > 0.0 else 0.0
+
+
+def eigenvalue_type(alg):
+    """`curvature.eigenvalue_type` by its own eigvalsh: the spectrum of the
+    symmetric part of ad(H/|H|) on n, in the orthonormal frame of the n-block,
+    grouped and made integral as the library does."""
+    h = mean_curvature(alg)
+    n = list(alg.n_indices)
+    f, f_inv = alg.n_frame
+    m = f_inv @ ad_matrix(alg, h / alg.norm(h))[np.ix_(n, n)] @ f
+    vals = np.sort(np.linalg.eigvalsh(0.5 * (m + m.T)))
+    cut = 1e-8 * np.max(np.abs(vals))
+    reps, mults = [], []
+    for v in vals:
+        if reps and abs(v - reps[-1]) <= cut:
+            reps[-1] = (reps[-1] * mults[-1] + v) / (mults[-1] + 1)
+            mults[-1] += 1
+        else:
+            reps.append(float(v))
+            mults.append(1)
+    fracs = [Fraction(r / reps[0]).limit_denominator(64) for r in reps]
+    lcm = math.lcm(*(fr.denominator for fr in fracs))
+    ints = [int(fr * lcm) for fr in fracs]
+    g = math.gcd(*ints)
+    ints = [v // g for v in ints]
+    return EigenvalueType(eigenvalues=tuple(ints), multiplicities=tuple(mults),
+                          scale=reps[0] / ints[0])
 
 
 def j_from_brackets(alg):

@@ -19,6 +19,7 @@ from solvgeom.algebra import (
     TOL_EXACT,
     MetricLieAlgebra,
     _best_positive_direction,
+    _joint_roots,
     ad_matrix,
     bracket,
     deserialize,
@@ -49,6 +50,7 @@ from solvgeom.symtwist import (
     twist,
 )
 
+from documents import rank6_opposite_roots
 from oracles import jacobi_dense, killing_form, metric_adjoint
 
 
@@ -347,7 +349,7 @@ def test_cholesky_frame_is_gram_schmidt(n, seed, spread, scale):
 def test_non_positive_gram_raises_value_error(gram):
     with pytest.raises(ValueError, match="not positive definite"):
         MetricLieAlgebra(c=np.zeros((2, 2, 2)), gram=gram)
-    # the n-block factor that restricted_symmetric uses reads only gram and n_indices
+    # the n-block factor that root_decomposition uses reads only gram and n_indices
     with pytest.raises(ValueError, match="not positive definite"):
         MetricLieAlgebra.n_frame.func(SimpleNamespace(gram=np.asarray(gram), n_indices=(0, 1)))
     rot = np.array([[0.0, 1.0], [-1.0, 0.0]])
@@ -440,6 +442,34 @@ def test_n_block_factored_once_per_algebra(monkeypatch):
     eigenvalue_type(alg)
     n = len(alg.n_indices)
     assert calls == [(alg.dim, alg.dim), (n, n)]
+
+
+def test_roots_computed_once_per_algebra(monkeypatch):
+    # the Iwasawa check diagonalizes ad(a)|n once; the eigenvalue type reads the
+    # cached roots, with no eigh or eigvalsh of its own
+    alg = deserialize(serialize(build_sl_nH(3).base))
+    calls = []
+    for name in ("eigh", "eigvalsh"):
+        def counting(*args, name=name, func=getattr(np.linalg, name)):
+            calls.append(name)
+            return func(*args)
+        monkeypatch.setattr(np.linalg, name, counting)
+    iwasawa_check(alg)
+    eigenvalue_type(alg)
+    assert sorted(calls) == ["eigh", "eigvalsh"]
+    eigenvalue_type(alg)
+    assert len(calls) == 2
+
+
+def test_root_subset_enumeration_is_capped():
+    # 0 in the hull of 42 roots at rank 6: sum_{s <= 6} C(42, s) subsets to score
+    alg = rank6_opposite_roots()
+    count = sum(math.comb(42, s) for s in range(1, 7))
+    assert count > algebra._MAX_SUBSETS
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"^{count} subsets of 42 roots at rank 6"):
+        iwasawa_check(alg)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_iwasawa_check_requires_decoration():
@@ -565,7 +595,7 @@ def test_iwasawa_positive_direction_beats_dense_scan(seed, k, m, kind):
 def test_best_positive_direction_exact_on_degenerate_roots(roots, expected):
     d = np.array(roots, dtype=float).T
     ops = [np.diag(row) for row in d]
-    w, value = _best_positive_direction(ops)
+    w, value = _best_positive_direction(*_joint_roots(ops))
     assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
     assert abs(value - expected) <= 1e-12
 
@@ -576,7 +606,7 @@ def test_best_positive_direction_rank_one_is_the_better_end_of_the_spectrum():
         g = rng.standard_normal((5, 5))
         s = g + g.T + shift * np.eye(5)
         lo, hi = np.linalg.eigvalsh(s)[[0, -1]]
-        w, value = _best_positive_direction([s])
+        w, value = _best_positive_direction(*_joint_roots([s]))
         assert abs(w[0]) == 1.0
         assert abs(value - max(lo, -hi)) <= 1e-12
 
@@ -585,7 +615,7 @@ def test_best_positive_direction_tolerates_non_finite_operators():
     for bad in (np.nan, np.inf):
         s = np.eye(3)
         s[0, 1] = s[1, 0] = bad
-        w, value = _best_positive_direction([s, np.eye(3)])
+        w, value = _best_positive_direction(*_joint_roots([s, np.eye(3)]))
         assert math.isnan(value)
         assert w.shape == (2,)
 

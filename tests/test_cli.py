@@ -6,6 +6,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from importlib import resources
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from solvgeom.cli import DEFAULT_SEED, main
 from solvgeom.curvature import einstein_verdict
 
 from conftest import SEED, NoNumpy
+from documents import ch2_gram_coupled, rank6_opposite_roots
 
 
 def run(argv):
@@ -169,6 +171,20 @@ def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     assert out == ""
     assert err.startswith("error:")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("alg, message", [
+    (ch2_gram_coupled, "mean-curvature vector does not lie in a"),
+    (rank6_opposite_roots, "6220767 subsets of 42 roots at rank 6"),
+], ids=["ch2-gram-coupled", "rank6-opposite-roots"])
+def test_verify_refuses_a_valid_lie_algebra_it_cannot_decide(tmp_path, alg, message):
+    path = tmp_path / "alg.json"
+    path.write_text(serialize(alg()))
+    start = time.perf_counter()
+    code, out, err = run(["verify", str(path)])
+    assert time.perf_counter() - start < 1.0
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
 
 
 @pytest.mark.parametrize("text", [

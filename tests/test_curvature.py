@@ -1,6 +1,7 @@
 """Curvature formulas checked against closed-form model spaces and against
 each other (Ricci vs sums of sectional curvatures, U-map adjunction, scaling)."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -30,9 +31,13 @@ from solvgeom.curvature import (
     sectional,
     sectionals,
 )
+from solvgeom import symtwist
 from solvgeom.so6family import induced_triple
 from solvgeom.symtwist import build_sl_nH, build_so_pq
 
+import oracles
+from cli_battery import SPACES
+from documents import ch2_gram_coupled
 from oracles import killing_form, metric_adjoint
 
 
@@ -235,6 +240,16 @@ def test_sectionals_reject_a_degenerate_row():
     zero[4] = 0.0
     with pytest.raises(ValueError, match="numerically zero"):
         sectionals(alg, zero, ys)
+
+
+@pytest.mark.parametrize("k", range(-40, 41, 4))
+def test_sectionals_are_scale_free_in_the_gram(k):
+    # Gram -> s Gram scales K by 1/s; no refusal cut-off depends on s
+    alg = build_solvmanifold(complex_hyperbolic_triple(2))
+    s = 10.0 ** k
+    scaled = dataclasses.replace(alg, gram=s * alg.gram)
+    x, y = scaled.basis_vector(1), scaled.basis_vector(2)      # X1, X2
+    assert abs(sectional(scaled, x, y) * s + 1.0) <= 1e-12
 
 
 def test_sectionals_empty_batch():
@@ -451,6 +466,40 @@ def test_eigenvalue_type_refuses_degenerate_nilradical_at_any_scale(scale):
     kernel = from_sparse(3, [(0, 1, 1, 1.0)], gram=gram, a_indices=(0,), n_indices=(1, 2))
     with pytest.raises(ValueError, match="non-positive eigenvalue"):
         eigenvalue_type(kernel)
+
+
+def _closed_twists(space, args):
+    rda = symtwist.SPACES[space][0](*args)
+    return [rda.base] + [symtwist.twist(rda, t).base for t in symtwist.enumerate_twists(rda)]
+
+
+def _stream_documents(seed):
+    from perfbench.workloads import verify_documents
+    return [alg for _, alg, _ in verify_documents(seed)]
+
+
+@pytest.mark.parametrize("algs", [
+    *(pytest.param(lambda sp=sp, a=a: _closed_twists(sp, a), id=f"{sp}{a}")
+      for sp, _, a in SPACES),
+    *(pytest.param(lambda seed=seed: _stream_documents(seed), id=f"stream{seed}")
+      for seed in (1, 2)),
+])
+def test_eigenvalue_type_matches_the_eigvalsh_reference(algs):
+    """roots . H/|H| over the cached root decomposition against the eigvalsh of
+    ad(H/|H|)|n, on every closed twist of the CLI battery's spaces and on the
+    benchmark's verify-stream documents."""
+    for alg in algs():
+        got, ref = eigenvalue_type(alg), oracles.eigenvalue_type(alg)
+        assert (got.eigenvalues, got.multiplicities) == (ref.eigenvalues, ref.multiplicities)
+        assert abs(got.scale - ref.scale) <= 1e-12 * abs(ref.scale)
+
+
+def test_mean_curvature_outside_a_is_refused_in_one_place():
+    # <A, X1> = 0.3 moves H off a: both functions refuse it with one message
+    alg = ch2_gram_coupled()
+    for f in (eigenvalue_type, rank_one_reduction):
+        with pytest.raises(ValueError, match="^mean-curvature vector does not lie in a$"):
+            f(alg)
 
 
 def test_eigenvalue_type_scale_recovers_spectrum():
