@@ -9,7 +9,6 @@ only needs to worry about Jacobi and the metric.
 from __future__ import annotations
 
 import functools
-import itertools
 import json
 import math
 from dataclasses import dataclass, field
@@ -69,9 +68,10 @@ def orthonormal_frame(gram):
 class MetricLieAlgebra:
     """Structure tensor + inner product, with optional Iwasawa decoration.
 
-    `roots` (when present) assigns an integer root-functional vector, in
-    omega-coordinates, to each nilradical basis index; entries for other
-    indices are None.
+    A decoration's `a_indices` and `n_indices` must partition range(dim); any
+    other decoration is refused at construction.  `roots` (when present)
+    assigns an integer root-functional vector, in omega-coordinates, to each
+    nilradical basis index; entries for other indices are None.
     """
 
     c: np.ndarray
@@ -97,6 +97,8 @@ class MetricLieAlgebra:
         self.labels = tuple(self.labels)
         self.a_indices = tuple(self.a_indices)
         self.n_indices = tuple(self.n_indices)
+        if self.decorated and sorted(self.a_indices + self.n_indices) != list(range(n)):
+            raise ValueError("a_indices and n_indices must partition the basis")
         if not self.roots:
             self.roots = tuple(None for _ in range(n))
         self.roots = tuple(
@@ -310,51 +312,6 @@ def _min_norm_point(pts):
     return x
 
 
-# subsets of roots scored per batch: bounds memory, which grows as C(roots, rank)
-_SUBSET_BLOCK = 4096
-# most subsets of roots scored (about 1 s); rank 6 at dim 48 can need millions
-_MAX_SUBSETS = 2**17
-
-
-def _best_direction_by_subsets(roots):
-    """argmax over unit w of min_j roots[j] . w, by enumerating candidates.
-
-    The maximum is attained at +-p/|p| for p the min-norm point of the affine
-    hull of some at most k roots, or, where that hull passes through 0, at a
-    unit normal of it; every such direction is scored and the best kept.
-    """
-    k = roots.shape[1]
-    # roots equal to 9 digits relative to the largest count as one root
-    scale = np.max(np.abs(roots), initial=0.0) or 1.0
-    _, first = np.unique(np.round(roots / scale, 9), axis=0, return_index=True)
-    roots = roots[np.sort(first)]
-    count = sum(math.comb(len(roots), s) for s in range(1, k + 1))
-    if count > _MAX_SUBSETS:
-        raise ValueError(f"{count} subsets of {len(roots)} roots at rank {k} to search "
-                         f"for a best direction, above {_MAX_SUBSETS}")
-    # each subset padded to k indices by repeating its first: same affine hull
-    subsets = (c + c[:1] * (k - s) for s in range(1, k + 1)
-               for c in itertools.combinations(range(len(roots)), s))
-    best_w, best_val = None, -np.inf
-    while block := list(itertools.islice(subsets, _SUBSET_BLOCK)):
-        pts = roots[np.array(block)]
-        diffs = (pts[:, 1:] - pts[:, :1]).transpose(0, 2, 1)
-        # projector onto the normals of each hull, and the hull's min-norm point
-        proj = np.eye(k) - diffs @ np.linalg.pinv(diffs)
-        p = np.einsum("nab,nb->na", proj, pts[:, 0])
-        widest = np.argmax(np.einsum("naa->na", proj), axis=1)
-        normal = proj[np.arange(len(block)), :, widest]
-        dirs = np.concatenate([p, normal])
-        lengths = np.linalg.norm(dirs, axis=1)
-        dirs = dirs[lengths > 0] / lengths[lengths > 0, None]
-        dirs = np.concatenate([dirs, -dirs])
-        vals = np.min(dirs @ roots.T, axis=1)
-        best = int(np.argmax(vals))
-        if vals[best] > best_val:
-            best_w, best_val = dirs[best], vals[best]
-    return best_w
-
-
 @functools.lru_cache(maxsize=None)
 def _generic_weights(k):
     """The fixed generic combination of k operators: one draw of a seeded
@@ -373,24 +330,24 @@ def _joint_roots(ops):
 
 
 def _best_positive_direction(ops, roots):
-    """Maximize the least eigenvalue of sum_a w_a S_a over unit w, given `_joint_roots`.
+    """Maximize the least eigenvalue of sum_a w_a S_a over the unit ball |w| <= 1,
+    given `_joint_roots`.
 
     When the S_a commute, as they do when conditions (i) and (ii) hold, the
-    least eigenvalue at w is min_j roots[j] . w.  When 0 is outside the convex
-    hull of the roots, the maximum is positive and attained at p/|p| for p the
-    hull's min-norm point (Wolfe's algorithm, polynomial in the rank).
-    Otherwise it is at most 0, found by enumerating subsets of at most k roots.
-    The value returned is the least eigenvalue at the returned w, so it is
-    attained there for any input.  Non-finite S give w = 0 and a NaN value.
+    least eigenvalue at w is min_j roots[j] . w.  If 0 lies outside the convex
+    hull of the roots, the maximum is |p|, attained at w = p/|p| for p the hull's
+    min-norm point (Wolfe's algorithm, polynomial in the rank); the value is read
+    off one `eigvalsh` at that w, so it is attained there for any input.  If
+    |p| <= 1e-9 max|roots|, 0 counts as inside the hull and the maximum is +0.0
+    at w = 0.  Non-finite S give w = 0 and a NaN value.
     """
     if not np.all(np.isfinite(ops)):
         return np.zeros(len(ops)), math.nan
     p = _min_norm_point(roots)
     length = np.linalg.norm(p)
-    if length > 1e-9 * np.max(np.abs(roots)):
-        w = p / length
-    else:
-        w = _best_direction_by_subsets(roots)
+    if not length > 1e-9 * np.max(np.abs(roots)):
+        return np.zeros(len(ops)), 0.0
+    w = p / length
     return w, float(np.min(np.linalg.eigvalsh(np.einsum("a,aij->ij", w, ops))))
 
 
@@ -399,20 +356,18 @@ def iwasawa_check(alg):
 
     (i) the a-part is abelian; (ii) every ad(A) with A in a is symmetric
     w.r.t. gram and ad is injective on a; (iii) some A in a has
-    positive-definite ad(A) restricted to the nilradical.
+    positive-definite ad(A) restricted to the nilradical.  min_positive_eig is the
+    largest least eigenvalue of ad(A)|n over A in a with |A| <= 1, and +0.0 at a
+    zero witness when no direction is positive (`_best_positive_direction`).
     """
     if not alg.decorated:
         raise ValueError("algebra has no Iwasawa decoration")
     a_idx = list(alg.a_indices)
     n_idx = list(alg.n_indices)
-    if sorted(a_idx + n_idx) != list(range(alg.dim)):
-        raise ValueError("a_indices and n_indices must partition the basis")
-    # n must be an ideal: [anything, n] stays inside span(n)
-    not_n = [k for k in range(alg.dim) if k not in n_idx]
-    if n_idx and not_n:
-        leak = float(np.max(np.abs(alg.c[np.ix_(range(alg.dim), n_idx, not_n)])))
-        if leak > TOL_EXACT:
-            raise ValueError(f"n_indices do not span an ideal (leak {leak:.2e})")
+    # n must be an ideal: [anything, n] has no component along a
+    leak = float(np.max(np.abs(alg.c[:, n_idx][:, :, a_idx]), initial=0.0))
+    if leak > TOL_EXACT:
+        raise ValueError(f"n_indices do not span an ideal (leak {leak:.2e})")
 
     abelian = float(np.max(np.abs(alg.c[np.ix_(a_idx, a_idx)]), initial=0.0))
 

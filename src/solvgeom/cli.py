@@ -129,10 +129,13 @@ def _algebra_records(rep, alg):
     rep.add("einstein-constant", "pass" if verdict.is_einstein else "evidence",
             verdict.lam, None, "einstein-constant")
     if alg.decorated:
-        et = eigenvalue_type(alg)
-        type_str = "(" + ",".join(str(m) for m in et.eigenvalues) + ";" + \
-            ",".join(str(d) for d in et.multiplicities) + ")"
-        rep.add("eigenvalue-type", "pass", type_str, None, "eigenvalue-type")
+        # computed first, so its refusals exit 2, but read only of an Iwasawa algebra
+        et, type_str = eigenvalue_type(alg), None
+        if iwa.cond_i and iwa.cond_ii and iwa.cond_iii:
+            type_str = "(" + ",".join(str(m) for m in et.eigenvalues) + ";" + \
+                ",".join(str(d) for d in et.multiplicities) + ")"
+        rep.add("eigenvalue-type", "pass" if type_str else "fail", type_str, None,
+                "eigenvalue-type")
 
 
 def _resolve_twist(rda, spec):

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .algebra import MetricLieAlgebra, ad_matrix
+from .algebra import MetricLieAlgebra
 
 __all__ = [
     "EinsteinVerdict",
@@ -212,11 +212,12 @@ def rank_one_reduction(alg):
     if not alg.decorated:
         raise ValueError("rank_one_reduction needs an Iwasawa decoration")
     hu = _mean_curvature_direction(alg, "nothing to reduce to")
-    n_idx = list(alg.n_indices)
+    a_idx, n_idx = list(alg.a_indices), list(alg.n_indices)
 
     dim = 1 + len(n_idx)
     c = np.zeros((dim, dim, dim))
-    adh_n = ad_matrix(alg, hu)[np.ix_(n_idx, n_idx)].T
+    # adh_n[j, k] = [H, e_j]_k on n, from the a-block of c (H lies in a)
+    adh_n = np.tensordot(hu[a_idx], alg.c[np.ix_(a_idx, n_idx, n_idx)], 1)
     c[0, 1:, 1:] = adh_n
     c[1:, 0, 1:] = -adh_n
     c[1:, 1:, 1:] = alg.c[np.ix_(n_idx, n_idx, n_idx)]

@@ -15,7 +15,8 @@ matrix rescaled to s * Id, on a non-Einstein extension, sl(4,H) and a random
 antisymmetric tensor with their constants rescaled, on CH^2 with an ad(a) that
 is not symmetric, on CH^3 with its constants rescaled by 1e-9, on CH^2 with a
 Gram matrix that couples a and n (refused: its mean curvature leaves a), on a
-rank-6 diagonal extension with too many root subsets to search (refused), and
+rank-6 diagonal extension with 0 in the hull of its roots (refused by the
+eigenvalue type: ad(A)|n has a non-positive eigenvalue), and
 on the benchmark's verify-stream documents of seeds 1 and 2; small `family` and `carnot`
 commands, the default `family report` and one whose 5000 samples a point
 cross a 4096-row block, the default `family margin` at W(1,0,0) (the value

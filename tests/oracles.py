@@ -76,6 +76,19 @@ def eigenvalue_type(alg):
                           scale=reps[0] / ints[0])
 
 
+def rank_one_reduction_c(alg):
+    """The structure tensor of `curvature.rank_one_reduction`, with ad(H/|H|)|n
+    read off `ad_matrix` on the full algebra."""
+    h = mean_curvature(alg)
+    n = list(alg.n_indices)
+    adh = ad_matrix(alg, h / alg.norm(h))[np.ix_(n, n)].T
+    d = 1 + len(n)
+    c = np.zeros((d, d, d))
+    c[0, 1:, 1:], c[1:, 0, 1:] = adh, -adh
+    c[1:, 1:, 1:] = alg.c[np.ix_(n, n, n)]
+    return c
+
+
 def j_from_brackets(alg):
     """Recover the data triple from an algebra in the canonical layout.
 

@@ -461,15 +461,16 @@ def test_roots_computed_once_per_algebra(monkeypatch):
     assert len(calls) == 2
 
 
-def test_root_subset_enumeration_is_capped():
-    # 0 in the hull of 42 roots at rank 6: sum_{s <= 6} C(42, s) subsets to score
+def test_zero_in_the_root_hull_gives_plus_zero_at_the_zero_witness():
+    # 0 in the hull of 42 roots at rank 6: no direction of a is positive, and the
+    # best value over the unit ball is +0.0 at A = 0, decided by Wolfe alone
     alg = rank6_opposite_roots()
-    count = sum(math.comb(42, s) for s in range(1, 7))
-    assert count > algebra._MAX_SUBSETS
     start = time.perf_counter()
-    with pytest.raises(ValueError, match=f"^{count} subsets of 42 roots at rank 6"):
-        iwasawa_check(alg)
+    rep = iwasawa_check(alg)
     assert time.perf_counter() - start < 1.0
+    assert not rep.cond_iii
+    assert rep.min_positive_eig == 0.0 and math.copysign(1.0, rep.min_positive_eig) == 1.0
+    assert np.array_equal(rep.witness, np.zeros(alg.dim))
 
 
 def test_iwasawa_check_requires_decoration():
@@ -484,9 +485,16 @@ def test_iwasawa_check_rejects_non_ideal():
 
 
 def test_iwasawa_check_rejects_bad_partition():
-    alg = from_sparse(3, [(0, 1, 2, 1.0)], a_indices=(0,), n_indices=(1,))
-    with pytest.raises(ValueError):
-        iwasawa_check(alg)
+    # refused at construction: CH^2 got type (1;2) and a 3-dim reduction with
+    # n = (1, 2), and the type (7,9,12;1,1,1) with a = (0, 1) and n = (1, 2, 3)
+    ch2 = build_solvmanifold(complex_hyperbolic_triple(2))
+    for build in (
+        lambda: from_sparse(3, [(0, 1, 2, 1.0)], a_indices=(0,), n_indices=(1,)),
+        lambda: dataclasses.replace(ch2, n_indices=(1, 2)),
+        lambda: dataclasses.replace(ch2, a_indices=(0, 1), n_indices=(1, 2, 3)),
+    ):
+        with pytest.raises(ValueError, match="^a_indices and n_indices must partition the basis$"):
+            build()
 
 
 def test_iwasawa_nonsymmetric_ad_fails_cond_ii():
@@ -574,30 +582,36 @@ def test_iwasawa_positive_direction_beats_dense_scan(seed, k, m, kind):
     alg, ops = _commuting_extension(d, q)
     rep = iwasawa_check(alg)
     w = rep.witness[:k]
-    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+    # the best value over the unit ball: at a unit w, or at w = 0 when none is positive
+    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12 or np.array_equal(w, np.zeros(k))
     least = np.min(np.linalg.eigvalsh(np.tensordot(w, ops, 1)))
     assert abs(rep.min_positive_eig - least) <= 1e-12 * max(1.0, np.max(np.abs(d)))
     scan = rng.standard_normal((4000, k))
     scan /= np.linalg.norm(scan, axis=1)[:, None]
-    best_scanned = np.max(np.min(scan @ d, axis=1))
+    best_scanned = max(0.0, np.max(np.min(scan @ d, axis=1)))
     assert rep.min_positive_eig >= best_scanned - 1e-9 * max(1.0, np.max(np.abs(d)))
     assert rep.cond_iii == (rep.min_positive_eig > 1e-10)
 
 
 @pytest.mark.parametrize("roots, expected", [
     ([[1, 0], [0, 1]], math.sqrt(1 / 2)),                     # a positive direction
-    ([[1, 0], [-1, 0], [0, 1], [0, -1]], -math.sqrt(1 / 2)),  # 0 inside the hull
+    ([[1, 0], [-1, 0], [0, 1], [0, -1]], 0.0),                # 0 inside the hull
     ([[1, 0], [-1, 0], [0, 1]], 0.0),                         # 0 on an edge of it
     ([[0, 0], [1, 0]], 0.0),                                  # a zero root
     ([[1, 0, 0], [-1, 0, 0], [0, 1, 0], [0, -1, 0]], 0.0),    # roots span a plane
     ([[0, 0, 0]], 0.0),                                       # ad(a) vanishes on n
 ])
 def test_best_positive_direction_exact_on_degenerate_roots(roots, expected):
+    # over the unit ball: a unit w when the value is positive, else +0.0 at w = 0
     d = np.array(roots, dtype=float).T
     ops = [np.diag(row) for row in d]
     w, value = _best_positive_direction(*_joint_roots(ops))
-    assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
-    assert abs(value - expected) <= 1e-12
+    if expected > 0:
+        assert abs(np.linalg.norm(w) - 1.0) <= 1e-12
+        assert abs(value - expected) <= 1e-12
+    else:
+        assert np.array_equal(w, np.zeros(len(d)))
+        assert value == 0.0 and math.copysign(1.0, value) == 1.0
 
 
 def test_best_positive_direction_rank_one_is_the_better_end_of_the_spectrum():
@@ -607,8 +621,12 @@ def test_best_positive_direction_rank_one_is_the_better_end_of_the_spectrum():
         s = g + g.T + shift * np.eye(5)
         lo, hi = np.linalg.eigvalsh(s)[[0, -1]]
         w, value = _best_positive_direction(*_joint_roots([s]))
-        assert abs(w[0]) == 1.0
-        assert abs(value - max(lo, -hi)) <= 1e-12
+        expected = max(lo, -hi, 0.0)
+        if expected > 0:
+            assert abs(w[0]) == 1.0
+            assert abs(value - expected) <= 1e-12
+        else:
+            assert np.array_equal(w, [0.0]) and value == 0.0
 
 
 def test_best_positive_direction_tolerates_non_finite_operators():

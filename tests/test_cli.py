@@ -2,6 +2,7 @@
 
 import io
 import contextlib
+import dataclasses
 import json
 import os
 import subprocess
@@ -175,7 +176,7 @@ def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
 
 @pytest.mark.parametrize("alg, message", [
     (ch2_gram_coupled, "mean-curvature vector does not lie in a"),
-    (rank6_opposite_roots, "6220767 subsets of 42 roots at rank 6"),
+    (rank6_opposite_roots, "ad(A)|n has a non-positive eigenvalue; not of Iwasawa type"),
 ], ids=["ch2-gram-coupled", "rank6-opposite-roots"])
 def test_verify_refuses_a_valid_lie_algebra_it_cannot_decide(tmp_path, alg, message):
     path = tmp_path / "alg.json"
@@ -185,6 +186,26 @@ def test_verify_refuses_a_valid_lie_algebra_it_cannot_decide(tmp_path, alg, mess
     assert time.perf_counter() - start < 1.0
     assert (code, out) == (2, "")
     assert err.startswith(f"error: {message}") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("shift, code, record", [
+    (0.0, 0, "pass\t(1,2;2,1)"),
+    (1e-8, 1, "fail\t-"),
+    (0.3, 1, "fail\t-"),       # printed the artefact (7,13,20;1,1,1)
+])
+def test_eigenvalue_type_passes_only_when_the_iwasawa_conditions_do(
+        tmp_path, shift, code, record):
+    # CH^2 with [A, X1] shifted by `shift` along X2: a shift makes ad(A) not
+    # symmetric, so (ii) fails and the type of its symmetric part is not read
+    alg = build_solvmanifold(complex_hyperbolic_triple(2))
+    c = alg.c.copy()
+    c[0, 1, 2] += shift
+    c[1, 0, 2] -= shift
+    path = tmp_path / "alg.json"
+    path.write_text(serialize(dataclasses.replace(alg, c=c)))
+    got, out, err = run(["verify", str(path)])
+    assert (got, err) == (code, "")
+    assert out.endswith(f"\neigenvalue-type\t{record}\t-\teigenvalue-type\n")
 
 
 @pytest.mark.parametrize("text", [

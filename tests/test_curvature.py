@@ -478,12 +478,16 @@ def _stream_documents(seed):
     return [alg for _, alg, _ in verify_documents(seed)]
 
 
-@pytest.mark.parametrize("algs", [
+# every closed twist of the CLI battery's spaces, and the verify-stream documents
+_ALGEBRA_SETS = [
     *(pytest.param(lambda sp=sp, a=a: _closed_twists(sp, a), id=f"{sp}{a}")
       for sp, _, a in SPACES),
     *(pytest.param(lambda seed=seed: _stream_documents(seed), id=f"stream{seed}")
       for seed in (1, 2)),
-])
+]
+
+
+@pytest.mark.parametrize("algs", _ALGEBRA_SETS)
 def test_eigenvalue_type_matches_the_eigvalsh_reference(algs):
     """roots . H/|H| over the cached root decomposition against the eigvalsh of
     ad(H/|H|)|n, on every closed twist of the CLI battery's spaces and on the
@@ -492,6 +496,17 @@ def test_eigenvalue_type_matches_the_eigvalsh_reference(algs):
         got, ref = eigenvalue_type(alg), oracles.eigenvalue_type(alg)
         assert (got.eigenvalues, got.multiplicities) == (ref.eigenvalues, ref.multiplicities)
         assert abs(got.scale - ref.scale) <= 1e-12 * abs(ref.scale)
+
+
+@pytest.mark.parametrize("algs", _ALGEBRA_SETS)
+def test_rank_one_reduction_matches_the_ad_matrix_form(algs):
+    """ad(H)|n read off the a-block of c against ad_matrix on the full algebra:
+    equal up to summation order, with the same Einstein verdict."""
+    for alg in algs():
+        red = rank_one_reduction(alg)
+        ref = dataclasses.replace(red, c=oracles.rank_one_reduction_c(alg))
+        assert np.max(np.abs(red.c - ref.c)) <= 1e-15 * np.max(np.abs(ref.c))
+        assert einstein_verdict(red).is_einstein == einstein_verdict(ref).is_einstein
 
 
 def test_mean_curvature_outside_a_is_refused_in_one_place():
