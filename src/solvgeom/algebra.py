@@ -336,19 +336,23 @@ def _best_positive_direction(ops, roots):
     When the S_a commute, as they do when conditions (i) and (ii) hold, the
     least eigenvalue at w is min_j roots[j] . w.  If 0 lies outside the convex
     hull of the roots, the maximum is |p|, attained at w = p/|p| for p the hull's
-    min-norm point (Wolfe's algorithm, polynomial in the rank); the value is read
-    off one `eigvalsh` at that w, so it is attained there for any input.  If
+    min-norm point (Wolfe's algorithm, polynomial in the rank).  If
     |p| <= 1e-9 max|roots|, 0 counts as inside the hull and the maximum is +0.0
-    at w = 0.  Non-finite S give w = 0 and a NaN value.
+    at w = 0.  The value is read off one `eigvalsh` at w, so it is attained
+    at the witness for any input: exact when the S_a commute, and otherwise a
+    lower bound on the maximum, never below the +0.0 of w = 0.  Non-finite S
+    give w = 0 and a NaN value.
     """
     if not np.all(np.isfinite(ops)):
         return np.zeros(len(ops)), math.nan
     p = _min_norm_point(roots)
     length = np.linalg.norm(p)
-    if not length > 1e-9 * np.max(np.abs(roots)):
-        return np.zeros(len(ops)), 0.0
-    w = p / length
-    return w, float(np.min(np.linalg.eigvalsh(np.einsum("a,aij->ij", w, ops))))
+    if length > 1e-9 * np.max(np.abs(roots)):
+        w = p / length
+        value = float(np.min(np.linalg.eigvalsh(np.einsum("a,aij->ij", w, ops))))
+        if value > 0.0:
+            return w, value
+    return np.zeros(len(ops)), 0.0
 
 
 def iwasawa_check(alg):
@@ -358,7 +362,8 @@ def iwasawa_check(alg):
     w.r.t. gram and ad is injective on a; (iii) some A in a has
     positive-definite ad(A) restricted to the nilradical.  min_positive_eig is the
     largest least eigenvalue of ad(A)|n over A in a with |A| <= 1, and +0.0 at a
-    zero witness when no direction is positive (`_best_positive_direction`).
+    zero witness when no direction is positive (`_best_positive_direction`);
+    when (i) or (ii) fails it may be only a lower bound on it, never below +0.0.
     """
     if not alg.decorated:
         raise ValueError("algebra has no Iwasawa decoration")

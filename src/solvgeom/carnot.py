@@ -258,10 +258,14 @@ def _descend(basis, x, s, max_iter=4000, until_hit=False):
     stack of starts x (n, d, s) run in lockstep.
 
     Every start keeps its own trial step by the Barzilai-Borwein rule (plain
-    1/L-style first step), its own Armijo halving (at most 60 per step), its
-    own max_iter and stop tests; one batched QR retracts the trial points of
-    all running starts.  With until_hit, a start that reaches objective
-    < 1e-26 stops every later start of the stack.  Returns the stacks
+    1/L-style first step), its own Armijo halving (at most 60 trials per
+    step), its own max_iter and stop tests.  A lockstep pass evaluates a
+    block of each running start's trials at once: trial k of a step is
+    step * 0.5**k, a block doubles the trials the line search has made
+    (1, 1, 2, 4, 8, 16, 28), the pass holds at most _LOCKSTEP trial matrices
+    in all, one batched QR retracts them, and a start takes its first
+    accepted trial.  With until_hit, a start that reaches objective < 1e-26
+    stops every later start of the stack.  Returns the stacks
     (x, alpha, defect, objective).
     """
     n, r = x.shape[0], basis.shape[1]
@@ -270,46 +274,56 @@ def _descend(basis, x, s, max_iter=4000, until_hit=False):
     alpha, dft = _defect(basis, x, target)
     h = np.sum(dft * dft, axis=(1, 2))
     rgrad = _riemannian_grad(basis, x, alpha, dft)
-    ids, step, gnorm = np.arange(n), np.ones(n), np.zeros(n)
-    prev_x, prev_g = x, rgrad  # read only once a step was taken
-    has_prev, stop = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
-    fresh = np.ones(n, dtype=bool)  # at the top of an outer iteration
-    iters, halvings = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
-    while ids.size:
-        gnorm = np.where(fresh, np.sqrt(_dots(rgrad, rgrad)), gnorm)
+    gnorm = np.sqrt(_dots(rgrad, rgrad))
+    ids, x, step = np.arange(n), x.copy(), np.ones(n)
+    fresh = np.ones(n, dtype=bool)  # starting a line search: just begun or accepted
+    stop = np.zeros(n, dtype=bool)
+    iters, tried = np.zeros(n, dtype=int), np.zeros(n, dtype=int)
+    while True:
         stop |= fresh & ((iters == max_iter) | (gnorm < 1e-13) | (h < _HIT))
         if stop.any():
             out_x[ids[stop]], out_h[ids[stop]] = x[stop], h[stop]
             keep = ~stop
-            (ids, x, h, rgrad, step, gnorm, prev_x, prev_g, has_prev, fresh, iters,
-             halvings) = (a[keep] for a in (ids, x, h, rgrad, step, gnorm, prev_x, prev_g,
-                                            has_prev, fresh, iters, halvings))
-            stop = stop[keep]
-        iters += fresh
-        halvings[fresh] = 0
-        bb = fresh & has_prev
-        dx, dg = x - prev_x, rgrad - prev_g
-        dxdg = _dots(dx, dg)
-        np.divide(_dots(dx, dx), dxdg, out=step, where=bb & (dxdg > 1e-30))
-        step = np.where(bb, np.minimum(np.maximum(step, 1e-6), 1e6), step)
-        q, rr = np.linalg.qr(x - step[:, None, None] * rgrad)
+            ids, x, h, rgrad, step, gnorm, iters, tried = (
+                a[keep] for a in (ids, x, h, rgrad, step, gnorm, iters, tried))
+        if not ids.size:
+            break
+        # double the trials made, up to 60 a line search and _LOCKSTEP a pass
+        size = np.minimum(np.maximum(tried, 1), 60 - tried)
+        size = np.minimum(size, max(1, _LOCKSTEP // ids.size))
+        own = np.repeat(np.arange(ids.size), size)
+        # trial k of each block; 0.5**k by ldexp is exactly the repeated halving
+        k = tried[own] + np.arange(own.size) - (np.cumsum(size) - size)[own]
+        t = np.ldexp(step[own], -k)
+        q, rr = np.linalg.qr(x[own] - t[:, None, None] * rgrad[own])
         diag = np.diagonal(rr, axis1=1, axis2=2)
         q = q * np.sign(np.where(diag == 0, 1.0, diag))[:, None, :]
         alpha, dft = _defect(basis, q, target)
         h_new = np.sum(dft * dft, axis=(1, 2))
         # the products in the order one start alone takes them, so the bits agree
-        fresh = h_new < h - 1e-4 * step * gnorm * gnorm
-        has_prev |= fresh
-        ok = fresh[:, None, None]
-        prev_x, prev_g = np.where(ok, x, prev_x), np.where(ok, rgrad, prev_g)
-        x, h = np.where(ok, q, x), np.where(fresh, h_new, h)
-        rgrad = np.where(ok, _riemannian_grad(basis, q, alpha, dft), rgrad)
-        step = np.where(fresh, step, 0.5 * step)
-        halvings += ~fresh
-        stop = halvings == 60
-        hit = fresh & (h < _HIT)
-        if until_hit and hit.any():
-            stop |= ids > ids[hit][0]
+        ok = np.flatnonzero(h_new < h[own] - 1e-4 * t * gnorm[own] * gnorm[own])
+        owner = own[ok]  # sorted: the first accepted trial of a start opens its run
+        first = np.concatenate((ok[:1], ok[1:][owner[1:] != owner[:-1]]))
+        acc = own[first]
+        tried += size
+        tried[acc] = 0
+        stop = tried == 60
+        fresh = np.zeros(ids.size, dtype=bool)
+        if not acc.size:
+            continue
+        fresh[acc] = True
+        iters[acc] += 1
+        grad = _riemannian_grad(basis, q[first], alpha[first], dft[first])
+        dx, dg = q[first] - x[acc], grad - rgrad[acc]
+        dxdg = _dots(dx, dg)
+        # the Barzilai-Borwein step, or the accepted one where dx'dg is not positive
+        bb = np.divide(_dots(dx, dx), dxdg, out=t[first], where=dxdg > 1e-30)
+        step[acc] = np.minimum(np.maximum(bb, 1e-6), 1e6)
+        x[acc], h[acc], rgrad[acc] = q[first], h_new[first], grad
+        gnorm[acc] = np.sqrt(_dots(grad, grad))
+        hit = acc[h[acc] < _HIT]
+        if until_hit and hit.size:
+            stop |= ids > ids[hit[0]]
     # alpha and the defect of each final frame, recomputed as they were on acceptance
     alpha, dft = _defect(basis, out_x, target)
     return out_x, alpha, dft, out_h
@@ -384,11 +398,16 @@ def _orthonormalize_family(mats):
 def _commutator_map(mats, basis):
     """The map b -> ([b, a_i])_i on so(r) as a (d, s r^2) matrix with rows in
     the coordinates of basis, for one family (s, r, r) or for each family of
-    a stack (..., s, r, r)."""
+    a stack (..., s, r, r).
+
+    Each basis matrix has two nonzero entries, in distinct rows and columns,
+    so every entry of a product is a single term and the matmul agrees bit
+    for bit with the sum over the inner index."""
     s, r = mats.shape[-3], mats.shape[-1]
-    com = np.einsum("uij,...ajk->...uaik", basis, mats)
+    com = np.empty(mats.shape[:-3] + (basis.shape[0], s, r, r))
     for a in range(s):  # one block at a time: no second map-sized temporary
-        com[..., a, :, :] -= np.einsum("...ij,ujk->...uik", mats[..., a, :, :], basis)
+        m = mats[..., a, None, :, :]
+        np.subtract(basis @ m, m @ basis, out=com[..., a, :, :])
     return com.reshape(mats.shape[:-3] + (basis.shape[0], s * r * r))
 
 
@@ -437,13 +456,21 @@ def equivalence_invariants(mats):
     return tuple(eig1[0]), tuple(eig2[0]), int(cdim[0])
 
 
-def _fingerprints_match(fa, fb):
-    if fa[2] != fb[2]:
-        return False
-    return (
-        max(abs(x - y) for x, y in zip(fa[0], fb[0])) <= 1e-6
-        and max(abs(x - y) for x, y in zip(fa[1], fb[1])) <= 1e-6
-    )
+def _classes(eig1, eig2, cdim):
+    """Cluster fingerprints in order, as (representative index, count) per
+    class: a fingerprint joins the first class whose representative has its
+    centralizer dimension and both spectra within 1e-6, and otherwise opens
+    a class.  Taken one class at a time: the first unassigned fingerprint
+    becomes the next representative and takes every remaining match at once."""
+    left, classes = np.arange(len(cdim)), []
+    while left.size:
+        k = left[0]
+        same = ((cdim[left] == cdim[k])
+                & (np.max(np.abs(eig1[left] - eig1[k]), axis=1) <= 1e-6)
+                & (np.max(np.abs(eig2[left] - eig2[k]), axis=1) <= 1e-6))
+        classes.append((k, int(np.count_nonzero(same))))
+        left = left[~same]
+    return classes
 
 
 def classify_uniform_so4(s, trials=200, seed=0):
@@ -465,16 +492,8 @@ def classify_uniform_so4(s, trials=200, seed=0):
         hits.append(alpha[np.max(np.abs(dft), axis=(1, 2)) <= UNIFORM_TOL])
     hits = np.concatenate(hits)
     eig1, eig2, cdim = _equivalence_invariants(hits)
-    classes = []
-    for k, mats in enumerate(hits):
-        fp = (tuple(eig1[k]), tuple(eig2[k]), int(cdim[k]))
-        for entry in classes:
-            if _fingerprints_match(entry[0], fp):
-                entry[1] += 1
-                break
-        else:
-            classes.append([fp, 1, mats])
-    return [(fp, count, rep) for fp, count, rep in classes]
+    return [((tuple(eig1[k]), tuple(eig2[k]), int(cdim[k])), count, hits[k])
+            for k, count in _classes(eig1, eig2, cdim)]
 
 
 def random_triple(r, s, rng, einstein=False):

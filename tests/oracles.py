@@ -147,6 +147,45 @@ def bracket_angle(r, s, t):
     return principal_cos(brs, w)
 
 
+
+# --- uniform subspaces of so(r) ---------------------------------------------
+
+
+def commutator_map_einsum(mats, basis):
+    """`carnot._commutator_map` by summing over the inner index with einsum:
+    [basis_u, a_i] for each basis matrix u and family member i, laid out
+    (..., d, s r^2)."""
+    s, r = mats.shape[-3], mats.shape[-1]
+    com = np.einsum("uij,...ajk->...uaik", basis, mats)
+    for a in range(s):
+        com[..., a, :, :] -= np.einsum("...ij,ujk->...uik", mats[..., a, :, :], basis)
+    return com.reshape(mats.shape[:-3] + (basis.shape[0], s * r * r))
+
+
+def _fingerprints_match(fa, fb):
+    if fa[2] != fb[2]:
+        return False
+    return (
+        max(abs(x - y) for x, y in zip(fa[0], fb[0])) <= 1e-6
+        and max(abs(x - y) for x, y in zip(fa[1], fb[1])) <= 1e-6
+    )
+
+
+def classes_greedy(fingerprints):
+    """Cluster fingerprints (eig1, eig2, cdim) in order: each joins the first
+    class whose representative it matches, or opens a class.  Returns
+    [representative index, count] per class."""
+    classes = []
+    for k, fp in enumerate(fingerprints):
+        for entry in classes:
+            if _fingerprints_match(fingerprints[entry[0]], fp):
+                entry[1] += 1
+                break
+        else:
+            classes.append([k, 1])
+    return classes
+
+
 # --- constant tables, built from scratch on every call ----------------------
 
 

@@ -629,6 +629,18 @@ def test_best_positive_direction_rank_one_is_the_better_end_of_the_spectrum():
             assert np.array_equal(w, [0.0]) and value == 0.0
 
 
+def test_best_positive_direction_never_below_the_zero_witness():
+    # non-commuting pairs: the value at Wolfe's direction of the joint-roots
+    # diagonals can be negative, below the +0.0 that w = 0 attains
+    rng = np.random.default_rng(0)
+    for _ in range(2000):
+        raw = rng.standard_normal((2, 4, 4))
+        ops = raw + raw.transpose(0, 2, 1) + np.eye(4)
+        w, value = _best_positive_direction(*_joint_roots(ops))
+        assert value >= 0.0
+        assert value == np.min(np.linalg.eigvalsh(np.einsum("a,aij->ij", w, ops)))
+        assert (value == 0.0) == (not w.any())
+
 def test_best_positive_direction_tolerates_non_finite_operators():
     for bad in (np.nan, np.inf):
         s = np.eye(3)

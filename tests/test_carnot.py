@@ -28,11 +28,19 @@ from solvgeom.carnot import (
     so_basis,
     so_gram,
 )
-from solvgeom.carnot import _descend, _equivalence_invariants, _fingerprints_match
+from solvgeom.carnot import _classes, _commutator_map, _descend, _equivalence_invariants
 from solvgeom.curvature import einstein_verdict
+from solvgeom.so6family import W_of
 
 from conftest import SEED
-from oracles import build_solvmanifold_sparse, j_from_brackets, so_inner
+from oracles import (
+    _fingerprints_match,
+    build_solvmanifold_sparse,
+    classes_greedy,
+    commutator_map_einsum,
+    j_from_brackets,
+    so_inner,
+)
 
 
 def test_so_basis_orthonormal():
@@ -463,6 +471,18 @@ def test_lockstep_descent_respects_max_iter():
             assert np.array_equal(got[0][i], ref[0]) and got[3][i] == ref[3]
 
 
+def test_a_step_accepted_in_the_last_block_of_trials_goes_on():
+    # with the basis scaled by 1e3 the unit first step is ~1e12 too long, so
+    # each start takes its first step at a trial above 32, in the block that
+    # ends the 60; the start must then go on, not stop as a failed search
+    basis = 1e3 * so_basis(4)
+    x0, _ = np.linalg.qr(np.random.default_rng(0).standard_normal((4, 6, 2)))
+    got = _descend(basis, x0, 2, max_iter=3)
+    for i, x in enumerate(x0):
+        ref = descend_reference(basis, x, 2, max_iter=3)
+        assert np.array_equal(got[0][i], ref[0]) and got[3][i] == ref[3]
+    assert not np.array_equal(got[0][0], _descend(basis, x0[:1], 2, max_iter=1)[0][0])
+
 def test_a_hit_stops_the_later_starts_of_its_stack():
     # start 0 lies next to the uniform pair L(i), L(j) and hits first; the
     # random starts after it would hit too if they ran on
@@ -478,6 +498,23 @@ def test_a_hit_stops_the_later_starts_of_its_stack():
     assert np.all(full[3][1:] < 1e-26)
     assert np.all(cut[3][1:] >= 1e-26)
 
+
+
+@pytest.mark.parametrize("r, s", LOCKSTEP_PAIRS)
+def test_until_hit_matches_reference_up_to_the_first_hit(r, s):
+    # a hit stops only the starts after it; every start up to and including
+    # the first hit ends bit for bit where it ends alone
+    d = r * (r - 1) // 2
+    basis = so_basis(r)
+    x0, _ = np.linalg.qr(np.random.default_rng(SEED + r * s).standard_normal((9, d, s)))
+    ref = [descend_reference(basis, x, s) for x in x0]
+    for n in (1, 4, 9):
+        hits = [i for i in range(n) if ref[i][3] < 1e-26]
+        got = _descend(basis, x0[:n], s, until_hit=True)
+        for i in range(hits[0] + 1 if hits else n):
+            for k in range(3):
+                assert np.array_equal(got[k][i], ref[i][k])
+            assert got[3][i] == ref[i][3]
 
 @pytest.mark.parametrize("r, s", LOCKSTEP_PAIRS)
 @pytest.mark.parametrize("seed", [0, 1, SEED])
@@ -511,6 +548,49 @@ def test_batched_fingerprints_equal_per_family():
         eig1, eig2, cdim = _equivalence_invariants(fams)
         for k, mats in enumerate(fams):
             assert equivalence_invariants(mats) == (tuple(eig1[k]), tuple(eig2[k]), cdim[k])
+
+
+
+def _random_families(rng, shape, r):
+    raw = rng.standard_normal(shape + (r, r))
+    return raw - np.swapaxes(raw, -1, -2)
+
+
+def test_commutator_map_equals_the_einsum_form():
+    # each product entry is one term, so the matmul map is the einsum map bit for bit
+    rng = np.random.default_rng(SEED)
+    points = rng.standard_normal((300, 3))
+    w = np.array([W_of(*p) for p in points / np.linalg.norm(points, axis=1)[:, None]])
+    families = [w, w[0], w.reshape(20, 15, 3, 6, 6)]
+    families += [_random_families(rng, shape, 4)
+                 for shape in ((1,), (6,), (200, 2), (5, 3, 4), (7, 6))]
+    for mats in families:
+        basis = so_basis(mats.shape[-1])
+        got = _commutator_map(mats, basis)
+        s, r = mats.shape[-3], mats.shape[-1]
+        assert got.shape == mats.shape[:-3] + (basis.shape[0], s * r * r)
+        assert np.array_equal(got, commutator_map_einsum(mats, basis))
+
+
+def test_classes_equal_the_greedy_loop_at_the_tolerance():
+    # spectra 1e-6 apart, give or take one ulp: matches are not transitive
+    # there, so the classes depend on the order the loop visits them in
+    tol = 1e-6
+    steps = np.array([0.0, tol, np.nextafter(tol, 0.0), np.nextafter(tol, 1.0),
+                      2 * tol, np.nextafter(2 * tol, 0.0), np.nextafter(2 * tol, 1.0)])
+    rng = np.random.default_rng(SEED)
+    for base in (0.0, 0.25, 3.0):
+        for _ in range(20):
+            count = 60
+            eig1 = base + rng.choice(steps, size=(count, 4)) * rng.integers(0, 2, (count, 4))
+            eig2 = base + rng.choice(steps, size=(count, 4)) * (rng.random((count, 4)) < 0.3)
+            cdim = rng.integers(1, 3, count)
+            fps = [(tuple(eig1[k]), tuple(eig2[k]), int(cdim[k])) for k in range(count)]
+            ref = classes_greedy(fps)
+            got = _classes(eig1, eig2, cdim)
+            assert [(int(k), n) for k, n in got] == [tuple(entry) for entry in ref]
+            assert sum(n for _, n in got) == count
+    assert _classes(np.zeros((0, 4)), np.zeros((0, 4)), np.zeros(0, dtype=int)) == []
 
 
 # --- counted work ---------------------------------------------------------------
@@ -559,3 +639,53 @@ def test_classify_batches_are_capped(descend_sizes):
     assert len(classes) == 1
     assert sum(descend_sizes) == 5000
     assert max(descend_sizes) == carnot._LOCKSTEP
+
+
+@pytest.fixture
+def defect_sizes(monkeypatch):
+    """Records the stack size of every _defect call: a descent makes one for
+    its starts, one for the trials of each lockstep pass and one for its
+    final frames."""
+    sizes = []
+    defect = carnot._defect
+
+    def recording(basis, x, target):
+        sizes.append(x.shape[0])
+        return defect(basis, x, target)
+
+    monkeypatch.setattr(carnot, "_defect", recording)
+    return sizes
+
+
+@pytest.mark.parametrize("r, s, bound", [(5, 2, 250), (5, 1, 150)])
+def test_blocked_trials_cut_the_passes_of_a_nonexistence_search(defect_sizes, r, s, bound):
+    # no uniform s-subspace of so(5) exists, so every start ends in a failed
+    # 60-trial line search; one trial a pass took 603 and 357 passes here
+    cand = search_uniform(r, s, restarts=50, seed=1)
+    assert cand.objective > 0.5
+    assert len(defect_sizes) <= bound
+    assert max(defect_sizes) <= carnot._LOCKSTEP
+    # and blocks of more than one trial a start did run: the last chunk has 18 starts
+    assert max(defect_sizes) > 18
+
+
+# _defect calls of classify_uniform_so4(s, 300, seed=1) with one trial a pass
+ONE_TRIAL_PASSES = {1: 14, 2: 28, 3: 25, 4: 32, 5: 14, 6: 3}
+
+
+@pytest.mark.parametrize("s", range(1, 7))
+def test_classify_makes_no_more_passes_than_one_trial_a_pass(defect_sizes, s):
+    classify_uniform_so4(s, trials=300, seed=1)
+    assert len(defect_sizes) <= ONE_TRIAL_PASSES[s]
+    assert max(defect_sizes) <= carnot._LOCKSTEP
+
+
+def test_trial_stack_holds_at_most_lockstep_matrices(defect_sizes):
+    # a full batch of starts: each pass holds one trial a start at first, and
+    # larger blocks only once starts have stopped
+    x0, _ = np.linalg.qr(np.random.default_rng(SEED).standard_normal((carnot._LOCKSTEP, 10, 2)))
+    _descend(so_basis(5), x0, 2, max_iter=40)
+    passes = defect_sizes[1:-1]
+    assert max(passes) <= carnot._LOCKSTEP
+    # the running starts never grow, so a pass larger than the one before ran blocks
+    assert any(b > a for a, b in zip(passes, passes[1:]))
