@@ -116,6 +116,15 @@ class MetricLieAlgebra:
         return _cholesky_frame(self.gram[np.ix_(n, n)])
 
     @functools.cached_property
+    def ad_table(self):
+        """(dim, 2 dim^2) table whose row i is [c_frame[i] | c_frame[i]^T], both
+        flattened, built on first use: v @ ad_table is [ad_v | ad_v^T] for v in
+        frame coordinates, with ad_v[j, k] = [v, f_j]_k."""
+        d = self.dim
+        return np.concatenate((self.c_frame.reshape(d, d * d),
+                               self.c_frame.transpose(0, 2, 1).reshape(d, d * d)), axis=1)
+
+    @functools.cached_property
     def root_decomposition(self):
         """(S, roots) of ad(a)|n by `_joint_roots`, on first use: S[a] is the symmetric
         part of ad(e_a)|n in `n_frame` (real roots, unlike the `roots` decoration)."""

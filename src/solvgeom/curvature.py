@@ -4,10 +4,14 @@ Every formula runs in the orthonormal frame cached by `MetricLieAlgebra`
 (`frame`, `frame_inv` and the C-contiguous `c_frame`), so a non-identity Gram
 matrix costs no linear solve.  `ricci` is four BLAS products on `c_frame`, and
 `einstein_verdict` decides ric = lam * gram on the frame Ricci form itself.
-`sectionals` (and `sectional`, its one-row call) reads every bracket and every
-U from ad stacks, ad[n, j] = [v_n, f_j], each one matmul of the row stack with
-`c_frame`; a batch keeps one (N, dim, dim) stack alive at a time, and K is one
-fixed quadratic form in five rows read off the two stacks.
+Sectional curvature has two paths chosen by input size, one formula and one
+quadratic form `_FORM` in five rows.  `sectionals` (N planes) reads every
+bracket and every U from ad stacks, ad[n, j] = [v_n, f_j], each one matmul of
+the row stack with `c_frame`, and keeps one (N, dim, dim) stack alive at a
+time.  `sectional` (one plane) would spend its time in the batch's numpy
+dispatches on dim-long arrays, so it runs Gram-Schmidt on Python floats and
+reads its rows off the per-algebra `ad_table` in two matmuls; on large
+batches the ad stacks are the faster form.
 """
 
 from __future__ import annotations
@@ -92,16 +96,45 @@ def einstein_verdict(alg, tol=1e-9):
     return EinsteinVerdict(is_einstein=residual <= tol, lam=lam, residual=residual)
 
 
-def sectional(alg, x, y):
-    """Sectional curvature of span{x, y}; inputs need not be orthonormal."""
-    return float(sectionals(alg, np.asarray(x)[None], np.asarray(y)[None])[0])
-
-
 # K = sum over a <= b of _FORM[a, b] <r_a, r_b>, over the five rows of `sectionals`
 _FORM = np.zeros((5, 5))
 _FORM[0, 0], _FORM[0, 2], _FORM[0, 3] = -0.75, -0.5, 0.5
 _FORM[2, 2], _FORM[2, 3], _FORM[3, 3] = 0.25, 0.5, 0.25
 _FORM[1, 4] = -1.0
+# the same form on the eight rows (0, r0, r1, r2, -r0, 0, r3, r4) of `sectional`
+_FORM8 = np.zeros((8, 8))
+_FORM8[np.ix_((1, 2, 3, 6, 7), (1, 2, 3, 6, 7))] = _FORM
+
+
+def sectional(alg, x, y):
+    """Sectional curvature of span{x, y}; inputs need not be orthonormal.
+
+    One plane of `sectionals`, with the same formula and refusal thresholds, in
+    a handful of numpy calls.  Gram-Schmidt runs on Python floats: norms by
+    `math.hypot`, the inner product by `math.fsum`.  The eight rows
+    (0, r0, r1, r2, -r0, 0, r3, r4) come from two matmuls, uw @ `ad_table` =
+    [ad_u | ad_u^T] and [ad_w | ad_w^T], then uw against those four matrices,
+    and K = <R R^T, _FORM8>.
+    """
+    d = alg.dim
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    if x.shape != (d,) or y.shape != (d,):
+        raise ValueError("coefficient vectors must have length dim")
+    xs, ys = (np.array((x, y)) @ alg.frame_inv.T).tolist()
+    nx = math.hypot(*xs)
+    if nx == 0.0:
+        raise ValueError("x is numerically zero")
+    u = [v / nx for v in xs]
+    p = math.fsum([a * b for a, b in zip(u, ys)])
+    w = [b - p * a for a, b in zip(u, ys)]
+    nw = math.hypot(*w)
+    if nw <= 1e-12 * math.hypot(*ys):
+        raise ValueError("x and y are linearly dependent")
+    uw = np.array((u, [v / nw for v in w]))
+    ads = (uw @ alg.ad_table).reshape(4, d, d)      # ad_u, ad_u^T, ad_w, ad_w^T
+    rows = (uw @ ads).reshape(8, d)
+    return float(np.vdot(rows @ rows.T, _FORM8))
 
 
 def sectionals(alg, xs, ys):

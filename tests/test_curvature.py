@@ -2,7 +2,9 @@
 each other (Ricci vs sums of sectional curvatures, U-map adjunction, scaling)."""
 
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -142,20 +144,27 @@ def test_sectionals_match_levi_civita_reference(seed):
 
 # |sectionals - sectionals_reference| <= KERNEL_VS_REFERENCE * max(1, |K|)
 KERNEL_VS_REFERENCE = 1e-14
-# one-row `sectional` against the same row of a batch: BLAS sums the one-row
-# products (gemv) and the batched ones (gemm) in different orders
+# one-plane `sectional` against the same row of a batch: the one-plane path runs
+# Gram-Schmidt on math.hypot and math.fsum and reads its rows off `ad_table`,
+# the batch sums by add.reduce and reads ad stacks, so the two round differently
 ROW_VS_BATCH = 4e-15
+# on y = x + eps * noise, |K - K in long double| <= VS_EXTENDED * 2^-52 / eps *
+# max(1, |K|) for both paths (the worst measured is about 0.66)
+VS_EXTENDED = 2.0
 
 
-def sectionals_reference(alg, xs, ys):
+def sectionals_reference(alg, xs, ys, dtype=float):
     """The kernel's formula as three-operand einsums over `c_frame`, one per
-    bracket and per U: what the ad-stack kernel must reproduce."""
-    xs = np.asarray(xs, dtype=float) @ alg.frame_inv.T
-    ys = np.asarray(ys, dtype=float) @ alg.frame_inv.T
+    bracket and per U: what the ad-stack kernel must reproduce.  With
+    dtype=np.longdouble the same formula runs in extended precision on the
+    same float inputs, frame and constants."""
+    frame_inv = alg.frame_inv.astype(dtype)
+    xs = np.asarray(xs, dtype=float).astype(dtype) @ frame_inv.T
+    ys = np.asarray(ys, dtype=float).astype(dtype) @ frame_inv.T
     u = xs / np.linalg.norm(xs, axis=1)[:, None]
     w = ys - np.sum(ys * u, axis=1)[:, None] * u
     w = w / np.linalg.norm(w, axis=1)[:, None]
-    c = alg.c_frame
+    c = alg.c_frame.astype(dtype)
 
     def lie(a, b):
         return np.einsum("ijk,ni,nj->nk", c, a, b)
@@ -186,11 +195,10 @@ def test_sectionals_match_einsum_reference(seed, rows):
     assert np.all(np.abs(ks - ref) <= bound)
 
 
-@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
-def test_sectionals_match_einsum_reference_on_nearly_dependent_planes(eps):
-    """y = x + eps * noise: Gram-Schmidt keeps only eps of y, so w carries the
-    rounding of its sums amplified by 1/eps.  The kernel must round them as
-    `sectionals_reference` (`np.linalg.norm`, `np.sum`) does."""
+def _nearly_dependent_planes(eps):
+    """(alg, xs, ys) with ys = xs + eps * noise, 200 planes on each of W(1,0,0)
+    (dim 10) and the base of sl(3,H) (dim 14), under the identity Gram and
+    under a random one."""
     rng = np.random.default_rng(13)
     algs = []
     for base in (build_solvmanifold(induced_triple(1.0, 0.0, 0.0)),    # dim 10
@@ -199,9 +207,31 @@ def test_sectionals_match_einsum_reference_on_nearly_dependent_planes(eps):
         algs += [base, MetricLieAlgebra(c=base.c, gram=g @ g.T + base.dim * np.eye(base.dim))]
     for alg in algs:
         xs, noise = rng.standard_normal((2, 200, alg.dim))
-        ys = xs + eps * noise
+        yield alg, xs, xs + eps * noise
+
+
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_sectionals_match_einsum_reference_on_nearly_dependent_planes(eps):
+    """y = x + eps * noise: Gram-Schmidt keeps only eps of y, so w carries the
+    rounding of its sums amplified by 1/eps.  The kernel must round them as
+    `sectionals_reference` (`np.linalg.norm`, `np.sum`) does."""
+    for alg, xs, ys in _nearly_dependent_planes(eps):
         ref = sectionals_reference(alg, xs, ys)
         bound = KERNEL_VS_REFERENCE * np.maximum(1.0, np.abs(ref))
+        assert np.all(np.abs(sectionals(alg, xs, ys) - ref) <= bound)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= 1e-18,
+                    reason="long double is no wider than double on this platform")
+@pytest.mark.parametrize("eps", [1e-2, 1e-4, 1e-6, 1e-8])
+def test_sectional_and_sectionals_within_named_bound_of_extended_precision(eps):
+    """Gram-Schmidt amplifies the rounding of y's frame coordinates by 1/eps, in
+    both paths alike: an oracle in long double bounds them by that amplification."""
+    for alg, xs, ys in _nearly_dependent_planes(eps):
+        ref = sectionals_reference(alg, xs, ys, dtype=np.longdouble)
+        bound = VS_EXTENDED * 2.0 ** -52 / eps * np.maximum(1.0, np.abs(ref))
+        one = np.array([sectional(alg, x, y) for x, y in zip(xs, ys)])
+        assert np.all(np.abs(one - ref) <= bound)
         assert np.all(np.abs(sectionals(alg, xs, ys) - ref) <= bound)
 
 
@@ -227,6 +257,46 @@ def test_sectionals_rows_equal_sectional():
         ks = sectionals(alg, xs, ys)
         for k, x, y in zip(ks, xs, ys):
             assert abs(k - sectional(alg, x, y)) <= 1e-12
+
+
+@pytest.mark.parametrize("x, y", [
+    ([[1.0, 0.0, 0.0]], [[0.0, 1.0, 0.0]]),     # a (1, dim) row each
+    ([1.0, 0.0, 0.0], [[0.0, 1.0, 0.0]]),       # ragged pair
+    ([1.0, 0.0], [0.0, 1.0]),                   # length dim - 1
+    ([1.0, 0.0, 0.0, 0.0], [0.0, 1.0, 0.0]),    # length dim + 1
+    (1.0, 2.0),                                 # scalars
+])
+def test_sectional_refuses_anything_but_two_vectors_of_length_dim(x, y):
+    alg = build_solvmanifold(real_hyperbolic_triple(3))
+    with pytest.raises(ValueError, match="^coefficient vectors must have length dim$"):
+        sectional(alg, x, y)
+
+
+@pytest.mark.parametrize("s", [1e-170, 1e155, 1e200])
+def test_sectional_is_scale_free_in_x_and_y_where_squares_leave_the_double_range(s):
+    # the norms are math.hypot: no square of a coordinate underflows or overflows
+    alg = build_solvmanifold(complex_hyperbolic_triple(2))
+    x, y = alg.basis_vector(1), alg.basis_vector(2)         # X1, X2: K = -1
+    assert abs(sectional(alg, s * x, y) + 1.0) <= 1e-12
+    assert abs(sectional(alg, x, s * y) + 1.0) <= 1e-12
+
+
+def test_ad_table_is_built_once_and_freed_with_its_algebra():
+    alg = build_solvmanifold(complex_hyperbolic_triple(2))
+    assert "ad_table" not in vars(alg)      # built on first use, not at construction
+    x, y = alg.basis_vector(1), alg.basis_vector(2)
+    sectional(alg, x, y)
+    table = alg.ad_table
+    sectional(alg, y, x)
+    assert alg.ad_table is table
+    for i in range(alg.dim):
+        assert np.array_equal(table[i], np.concatenate(
+            (alg.c_frame[i].ravel(), alg.c_frame[i].T.ravel())))
+    del table
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
 
 
 def test_sectionals_reject_a_degenerate_row():
