@@ -35,7 +35,6 @@ __all__ = [
     "from_sparse",
     "bracket",
     "validate",
-    "ad_matrix",
     "iwasawa_check",
     "serialize",
     "deserialize",
@@ -141,19 +140,11 @@ class MetricLieAlgebra:
     def decorated(self):
         return bool(self.a_indices) or bool(self.n_indices)
 
-    def bracket(self, x, y):
-        return bracket(self, x, y)
-
     def inner(self, x, y):
         return float(np.asarray(x) @ self.gram @ np.asarray(y))
 
     def norm(self, x):
         return math.sqrt(max(self.inner(x, x), 0.0))
-
-    def basis_vector(self, i):
-        v = np.zeros(self.dim)
-        v[i] = 1.0
-        return v
 
 
 def from_sparse(dim, entries, gram=None, labels=(), a_indices=(), n_indices=(), roots=()):
@@ -200,12 +191,6 @@ def bracket(alg, x, y):
     if x.shape != (alg.dim,) or y.shape != (alg.dim,):
         raise ValueError("coefficient vectors must have length dim")
     return np.einsum("ijk,i,j->k", alg.c, x, y)
-
-
-def ad_matrix(alg, x):
-    """Matrix of ad(x): ad_matrix(x) @ y == bracket(x, y)."""
-    x = np.asarray(x, dtype=float)
-    return np.einsum("ijk,i->kj", alg.c, x)
 
 
 @dataclass
@@ -386,7 +371,7 @@ def iwasawa_check(alg):
     abelian = float(np.max(np.abs(alg.c[np.ix_(a_idx, a_idx)]), initial=0.0))
 
     g = alg.gram
-    # ads[a] = ad_matrix(alg, e_a) for each a-index, stacked
+    # ads[a] is the matrix of ad(e_a) for each a-index, stacked: ads[a] @ y = [e_a, y]
     ads = np.ascontiguousarray(alg.c[a_idx].transpose(0, 2, 1))
     sym_res = float(np.max(np.abs(g @ ads - ads.transpose(0, 2, 1) @ g), initial=0.0))
     if a_idx:

@@ -36,7 +36,6 @@ __all__ = [
     "so4_criterion",
     "search_uniform",
     "centralizer",
-    "equivalence_invariants",
     "classify_uniform_so4",
     "random_triple",
     "real_hyperbolic_triple",
@@ -81,11 +80,6 @@ class DataTriple:
         skew = np.max(np.abs(self.j_mats + np.transpose(self.j_mats, (0, 2, 1)))) if self.s else 0.0
         if skew > 1e-12:
             raise ValueError(f"j matrices must be skew-symmetric (defect {skew:.2e})")
-
-    def j_of(self, z):
-        """j(z) = sum_a z_a J_a."""
-        z = np.asarray(z, dtype=float)
-        return np.einsum("a,aij->ij", z, self.j_mats)
 
 
 def build_solvmanifold(triple):
@@ -430,8 +424,10 @@ def centralizer(mats, tol):
 
 
 def _equivalence_invariants(families):
-    """equivalence_invariants of each family of a stack (F, s, r, r), as the
-    arrays (F, r), (F, r) and (F,)."""
+    """Fingerprint of the span of each family of a stack (F, s, r, r), constant
+    on equivalence classes: the eigenvalues of sum a_i^2 (F, r), of
+    sum_{i<j} [a_i,a_j]^T [a_i,a_j] (F, r) and the centralizer dimension (F,),
+    each from an orthonormal basis of the span."""
     onb = _orthonormalize_family(families)
     s, r = onb.shape[1], onb.shape[3]
     ss = np.einsum("faij,fajk->fik", onb, onb)
@@ -444,16 +440,6 @@ def _equivalence_invariants(families):
     eig2 = np.sort(np.linalg.eigvalsh(t), axis=-1)
     sing = np.linalg.svd(_commutator_map(onb, so_basis(r)), compute_uv=False)
     return eig1, eig2, _nullity(sing, 1e-8)
-
-
-def equivalence_invariants(mats):
-    """Fingerprint of a subspace, constant on equivalence classes.
-
-    Returns (eigs of sum a_i^2, eigs of sum_{i<j} [a_i,a_j]^T [a_i,a_j],
-    centralizer dimension) computed from an orthonormal basis of the span.
-    """
-    eig1, eig2, cdim = _equivalence_invariants(np.asarray(mats, dtype=float)[None])
-    return tuple(eig1[0]), tuple(eig2[0]), int(cdim[0])
 
 
 def _classes(eig1, eig2, cdim):

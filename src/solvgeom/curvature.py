@@ -149,12 +149,15 @@ def sectionals(alg, xs, ys):
     With the five rows r0 = [u,w], r1 = ad_u^T u, r2 = ad_u^T w, r3 = ad_w^T u
     and r4 = ad_w^T w, K is the fixed quadratic form `_FORM`:
     K = -3/4 r0.r0 - 1/2 r0.r2 + 1/2 r0.r3 + 1/4 (r2 + r3).(r2 + r3) - r1.r4.
-    The Gram-Schmidt sums are `add.reduce`, the rounding of `np.linalg.norm`.
+    The Gram-Schmidt sums are `add.reduce`, the rounding of `np.linalg.norm`, on
+    rows first scaled by 2^-e, e the `frexp` exponent of the row's largest |entry|:
+    the scale is exact, and no square of a coordinate overflows or underflows.
     No refusal depends on the scale of x, y or the Gram matrix: x is refused when
     its frame norm is 0, y when at most 1e-12 of its frame norm is orthogonal to x.
     """
-    xs = np.asarray(xs, dtype=float) @ alg.frame_inv.T
-    ys = np.asarray(ys, dtype=float) @ alg.frame_inv.T
+    xs, ys = (np.asarray(v, dtype=float) @ alg.frame_inv.T for v in (xs, ys))
+    xs, ys = (np.ldexp(v, -np.frexp(np.max(np.abs(v), axis=1, initial=0.0))[1][:, None])
+              for v in (xs, ys))
     n, d = xs.shape
     nx = np.sqrt((xs * xs).sum(axis=1))
     if (nx == 0.0).any():

@@ -9,10 +9,23 @@ from fractions import Fraction
 
 import numpy as np
 
-from solvgeom.algebra import ad_matrix, from_sparse
-from solvgeom.carnot import DataTriple, _orthonormalize_family, so_gram
+from solvgeom.algebra import from_sparse
+from solvgeom.carnot import DataTriple, _equivalence_invariants, _orthonormalize_family, so_gram
 from solvgeom.curvature import EigenvalueType, mean_curvature
 from solvgeom.so6family import W_of, centralizer_in_so6
+
+
+def basis_vector(alg, i):
+    """The i-th basis vector e_i in basis coordinates."""
+    v = np.zeros(alg.dim)
+    v[i] = 1.0
+    return v
+
+
+def ad_matrix(alg, x):
+    """Matrix of ad(x) in the original basis: ad_matrix(alg, x) @ y == bracket(alg, x, y)."""
+    x = np.asarray(x, dtype=float)
+    return np.einsum("ijk,i->kj", alg.c, x)
 
 
 def killing_form(alg):
@@ -107,6 +120,12 @@ def j_from_brackets(alg):
     return DataTriple(r=r, s=s, j_mats=j)
 
 
+def j_of(triple, z):
+    """j(z) = sum_a z_a J_a."""
+    z = np.asarray(z, dtype=float)
+    return np.einsum("a,aij->ij", z, triple.j_mats)
+
+
 def build_solvmanifold_sparse(triple):
     """The extension of a data triple from one sparse entry (i, j, k, value)
     per nonzero bracket, i < j, filled in by `from_sparse`."""
@@ -160,6 +179,14 @@ def commutator_map_einsum(mats, basis):
     for a in range(s):
         com[..., a, :, :] -= np.einsum("...ij,ujk->...uik", mats[..., a, :, :], basis)
     return com.reshape(mats.shape[:-3] + (basis.shape[0], s * r * r))
+
+
+def equivalence_invariants(mats):
+    """The fingerprint of one subspace of so(r) by `carnot._equivalence_invariants`
+    on a stack of one: (eigs of sum a_i^2, eigs of sum_{i<j} [a_i,a_j]^T [a_i,a_j],
+    centralizer dimension), from an orthonormal basis of the span."""
+    eig1, eig2, cdim = _equivalence_invariants(np.asarray(mats, dtype=float)[None])
+    return tuple(eig1[0]), tuple(eig2[0]), int(cdim[0])
 
 
 def _fingerprints_match(fa, fb):

@@ -20,7 +20,6 @@ from solvgeom.algebra import (
     MetricLieAlgebra,
     _best_positive_direction,
     _joint_roots,
-    ad_matrix,
     bracket,
     deserialize,
     from_sparse,
@@ -51,7 +50,7 @@ from solvgeom.symtwist import (
 )
 
 from documents import rank6_opposite_roots
-from oracles import jacobi_dense, killing_form, metric_adjoint
+from oracles import ad_matrix, basis_vector, jacobi_dense, killing_form, metric_adjoint
 
 
 def so3():
@@ -797,7 +796,7 @@ def test_serialize_is_deterministic():
 
 def test_inner_norm_and_basis_vector():
     alg = so3()
-    v = alg.basis_vector(1)
+    v = basis_vector(alg, 1)
     assert v.tolist() == [0.0, 1.0, 0.0]
     assert alg.inner(v, v) == 1.0
     assert alg.norm(2.0 * v) == 2.0

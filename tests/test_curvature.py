@@ -13,7 +13,6 @@ from hypothesis import strategies as st
 
 from solvgeom.algebra import (
     MetricLieAlgebra,
-    ad_matrix,
     bracket,
     from_sparse,
 )
@@ -40,7 +39,7 @@ from solvgeom.symtwist import build_sl_nH, build_so_pq
 import oracles
 from cli_battery import SPACES
 from documents import ch2_gram_coupled
-from oracles import killing_form, metric_adjoint
+from oracles import ad_matrix, basis_vector, killing_form, metric_adjoint
 
 
 def test_real_hyperbolic_constant_curvature():
@@ -274,17 +273,21 @@ def test_sectional_refuses_anything_but_two_vectors_of_length_dim(x, y):
 
 @pytest.mark.parametrize("s", [1e-170, 1e155, 1e200])
 def test_sectional_is_scale_free_in_x_and_y_where_squares_leave_the_double_range(s):
-    # the norms are math.hypot: no square of a coordinate underflows or overflows
+    # no square of a coordinate underflows or overflows: the one-plane norms are
+    # math.hypot, and the batch squares rows scaled by a power of two to unit exponent
     alg = build_solvmanifold(complex_hyperbolic_triple(2))
-    x, y = alg.basis_vector(1), alg.basis_vector(2)         # X1, X2: K = -1
+    x, y = basis_vector(alg, 1), basis_vector(alg, 2)         # X1, X2: K = -1
     assert abs(sectional(alg, s * x, y) + 1.0) <= 1e-12
     assert abs(sectional(alg, x, s * y) + 1.0) <= 1e-12
+    with np.errstate(all="raise"):
+        ks = sectionals(alg, np.array([s * x, x]), np.array([y, s * y]))
+    assert np.all(np.abs(ks + 1.0) <= 1e-12)
 
 
 def test_ad_table_is_built_once_and_freed_with_its_algebra():
     alg = build_solvmanifold(complex_hyperbolic_triple(2))
     assert "ad_table" not in vars(alg)      # built on first use, not at construction
-    x, y = alg.basis_vector(1), alg.basis_vector(2)
+    x, y = basis_vector(alg, 1), basis_vector(alg, 2)
     sectional(alg, x, y)
     table = alg.ad_table
     sectional(alg, y, x)
@@ -318,7 +321,7 @@ def test_sectionals_are_scale_free_in_the_gram(k):
     alg = build_solvmanifold(complex_hyperbolic_triple(2))
     s = 10.0 ** k
     scaled = dataclasses.replace(alg, gram=s * alg.gram)
-    x, y = scaled.basis_vector(1), scaled.basis_vector(2)      # X1, X2
+    x, y = basis_vector(scaled, 1), basis_vector(scaled, 2)      # X1, X2
     assert abs(sectional(scaled, x, y) * s + 1.0) <= 1e-12
 
 
@@ -347,7 +350,7 @@ def test_u_map_adjunction_identity():
     for _ in range(10):
         x, y, z = rng.standard_normal((3, alg.dim))
         lhs = 2.0 * alg.inner(U_map(alg, x, y), z)
-        rhs = alg.inner(alg.bracket(z, x), y) + alg.inner(alg.bracket(z, y), x)
+        rhs = alg.inner(bracket(alg, z, x), y) + alg.inner(bracket(alg, z, y), x)
         assert abs(lhs - rhs) <= 1e-9
 
 
@@ -359,8 +362,6 @@ def test_u_map_symmetric_bilinear():
 
 
 def test_mean_curvature_is_trace_of_ad():
-    from solvgeom.algebra import ad_matrix
-
     rng = np.random.default_rng(5)
     triple = random_triple(5, 2, rng)
     base = build_solvmanifold(triple)

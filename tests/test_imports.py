@@ -1,7 +1,10 @@
 """Every name a `solvgeom` module imports is used in it or listed in its `__all__`,
-and every module-level private name is read somewhere in the package."""
+the package namespace is the union of those lists, every module-level private
+name is read somewhere in the package, and every public function, class and
+method is read somewhere in the package, the demos or the benchmark harness."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -9,6 +12,7 @@ import pytest
 import solvgeom
 
 MODULES = sorted(Path(solvgeom.__file__).parent.glob("*.py"))
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def _unused_imports(source):
@@ -43,6 +47,16 @@ def test_package_init_only_re_exports():
     for node in ast.walk(tree):
         if isinstance(node, (ast.Import, ast.ImportFrom)):
             assert isinstance(node, ast.ImportFrom) and node.level == 1
+    # each module's `__all__` is the one list of its public names
+    exported = set()
+    for path in MODULES:
+        if path.name not in ("__init__.py", "cli.py"):
+            names = set(importlib.import_module(f"solvgeom.{path.stem}").__all__)
+            assert not names & exported
+            exported |= names | {path.stem}
+    # the package binds `cli` only once something imports solvgeom.cli
+    public = {n for n in vars(solvgeom) if not n.startswith("_")}
+    assert public - {"cli"} == exported
 
 
 def test_the_scan_finds_an_unused_import():
@@ -95,3 +109,70 @@ def test_the_scan_finds_a_left_behind_private_name():
     assert _dead_private_names({"m": "def _f(n):\n    return _f(n - 1)\n"}) == [("m", "_f")]
     assert _dead_private_names({"m": "_X = 1\n", "k": "from .m import _X\n"}) == []
     assert _dead_private_names({"m": "_X = 1\n", "k": "y = m._X\n"}) == []
+
+
+def _unread_public_names(sources, readers):
+    """(module, name) for each public top-level function or class, and each public
+    method, in sources (module name -> source) that nothing reads outside its own
+    definition: no other statement of the package, and no source of readers, reads
+    it by name, as an attribute or in an import."""
+    defined, sites = [], {}
+    for module, source in {**sources, **readers}.items():
+        for i, statement in enumerate(ast.parse(source).body):
+            parts = [((module, i), statement)]
+            if isinstance(statement, ast.ClassDef):
+                # each method is its own site, so a method read by a sibling is read
+                methods = [m for m in statement.body if isinstance(m, ast.FunctionDef)]
+                parts = [((module, i), n) for n in (*statement.decorator_list, *statement.bases,
+                                                    *statement.keywords, *statement.body)
+                         if n not in methods]
+                parts += [((module, i, j), m) for j, m in enumerate(methods)]
+            if isinstance(statement, (ast.FunctionDef, ast.ClassDef)) and module in sources:
+                defined.append(((module, i), statement.name))
+                defined += [(site, part.name) for site, part in parts if len(site) == 3]
+            for site, part in parts:
+                for node in ast.walk(part):
+                    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                        sites.setdefault(node.id, set()).add(site)
+                    elif isinstance(node, ast.Attribute):
+                        sites.setdefault(node.attr, set()).add(site)
+                    elif isinstance(node, ast.alias):
+                        sites.setdefault(node.name, set()).add(site)
+
+    def read_outside(site, name):
+        # a read inside the definition (recursion, a class's own methods) does not count
+        return any(s[:len(site)] != site for s in sites.get(name, ()))
+
+    return [(site[0], name) for site, name in defined
+            if not name.startswith("_") and not read_outside(site, name)]
+
+
+def _package_and_readers():
+    # re-exports in __init__ read nothing; the demos and the benchmark harness do
+    sources = {p.stem: p.read_text() for p in MODULES if p.name != "__init__.py"}
+    readers = {str(p.relative_to(ROOT)): p.read_text()
+               for d in ("demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))}
+    return sources, readers
+
+
+# ROADMAP item 4 (the Carnot table by constructions) gives it its first caller:
+# the complement s <-> dim so(r) - s of a uniform family is uniform
+UNREAD_BUT_KEPT = [("carnot", "complement_uniform")]
+
+
+def test_every_public_name_is_read_outside_the_tests():
+    # a name only the tests call belongs in tests/oracles.py
+    assert _unread_public_names(*_package_and_readers()) == UNREAD_BUT_KEPT
+
+
+def test_the_scan_finds_a_public_name_only_the_tests_call():
+    sources, readers = _package_and_readers()
+    sources["algebra"] += "\n\ndef unit_vector(alg, i):\n    return unit_vector(alg, i)\n"
+    assert _unread_public_names(sources, readers) == [("algebra", "unit_vector")] + UNREAD_BUT_KEPT
+    # a method read by a sibling or from outside is read; a class read only by its methods
+    # and a method read only by itself are not
+    cls = ("class A:\n    def f(self):\n        return self.g()\n\n"
+           "    def g(self):\n        return A, self.g\n\n    def h(self):\n        return self.h()\n")
+    assert _unread_public_names({"m": cls}, {}) == [("m", "A"), ("m", "f"), ("m", "h")]
+    assert _unread_public_names({"m": cls}, {"demo.py": "A().f().h()\n"}) == []
+    assert _unread_public_names({"m": "def f():\n    pass\n", "k": "from .m import f\n"}, {}) == []

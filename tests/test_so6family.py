@@ -51,10 +51,10 @@ def sphere_point(rng):
 
 
 def _margin(triple, x, z, y, w):
-    jz_x = triple.j_of(z) @ x
-    jw_y = triple.j_of(w) @ y
-    jz_y = triple.j_of(z) @ y
-    jw_x = triple.j_of(w) @ x
+    jz_x = oracles.j_of(triple, z) @ x
+    jw_y = oracles.j_of(triple, w) @ y
+    jz_y = oracles.j_of(triple, z) @ y
+    jw_x = oracles.j_of(triple, w) @ x
     t1 = (0.5 * (x @ x) + z @ z) * (0.5 * (y @ y) + w @ w)
     t2 = float(jz_x @ jw_y)
     mix = jz_y + jw_x
@@ -342,7 +342,7 @@ def test_margin_equals_negated_sectional_plus_bracket_term():
             u[1:1 + r], u[1 + r:] = x, z
             v[1:1 + r], v[1 + r:] = y, w
             k = sectional(alg, u, v)
-            br = alg.bracket(u, v)
+            br = algebra.bracket(alg, u, v)
             expect = -k - 0.75 * alg.inner(br, br)
             assert abs(margin(triple, x, z, y, w) - expect) <= 1e-10
 

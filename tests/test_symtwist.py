@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from solvgeom import symtwist
-from solvgeom.algebra import MAX_DIM, validate
+from solvgeom.algebra import MAX_DIM, bracket, validate
 from solvgeom.curvature import einstein_verdict, ricci, sectional
 from solvgeom.symtwist import (
     TwistAssignment,
@@ -411,7 +411,7 @@ def test_positive_curvature_witnesses(key):
     assert abs(alg.norm(x) - 1.0) <= 1e-12
     assert abs(alg.norm(y) - 1.0) <= 1e-12
     assert abs(alg.inner(x, y)) <= 1e-12
-    br = alg.bracket(x, y)
+    br = bracket(alg, x, y)
     assert np.max(np.abs(br)) == 0.0
     k = sectional(alg, x, y)
     assert abs(k - WITNESS_K[key]) <= 1e-10
