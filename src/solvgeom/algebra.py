@@ -147,7 +147,7 @@ class MetricLieAlgebra:
         return math.sqrt(max(self.inner(x, x), 0.0))
 
 
-def from_sparse(dim, entries, gram=None, labels=(), a_indices=(), n_indices=(), roots=()):
+def from_sparse(dim, entries, gram=None, labels=(), a_indices=(), n_indices=()):
     """Build an algebra from sparse entries [(i, j, k, value)] with
     0 <= i < j < dim and 0 <= k < dim; any other entry raises ValueError.
 
@@ -158,7 +158,7 @@ def from_sparse(dim, entries, gram=None, labels=(), a_indices=(), n_indices=(), 
         gram = np.eye(dim)
     return MetricLieAlgebra(
         c=_structure_tensor(dim, entries), gram=gram, labels=labels,
-        a_indices=a_indices, n_indices=n_indices, roots=roots,
+        a_indices=a_indices, n_indices=n_indices,
     )
 
 
@@ -457,11 +457,17 @@ def _is_int_list(values):
     return isinstance(values, list) and all(map(_is_int, values))
 
 
+def _is_number(value):
+    """A JSON number: never a bool, nor a string of digits."""
+    return type(value) in (int, float)
+
+
 def deserialize(text):
     """Parse an algebra document, checking only what it states: JSON types,
     indices, finiteness, MAX_DIM, MAX_CONSTANT (in the basis and in the
     orthonormal frame) and a symmetric positive-definite Gram matrix.  Anything
-    else raises ValueError; Jacobi is left to `validate`."""
+    else raises ValueError, a number too large for a float included; Jacobi is
+    left to `validate`."""
     try:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
@@ -470,7 +476,7 @@ def deserialize(text):
         raise ValueError("malformed algebra document: missing 'dim'")
     try:
         return _from_document(doc)
-    except TypeError as exc:
+    except (TypeError, OverflowError) as exc:
         raise ValueError(f"malformed algebra document: {exc}") from exc
 
 
@@ -481,16 +487,23 @@ def _from_document(doc):
     if dim > MAX_DIM:
         raise ValueError(f"dim {dim} is above the largest supported dim {MAX_DIM}")
     labels = _sized(doc, "labels", dim)
+    if not all(isinstance(label, str) for label in labels):
+        raise ValueError("'labels' entries must be strings")
     gram_spec = doc.get("gram", "identity")
     if gram_spec == "identity":
         gram = np.eye(dim)
+    elif (isinstance(gram_spec, list) and len(gram_spec) == dim * dim
+          and all(map(_is_number, gram_spec))):
+        gram = np.array(gram_spec, dtype=float).reshape(dim, dim)
     else:
-        gram = np.asarray(gram_spec, dtype=float).reshape(dim, dim)
+        raise ValueError(f"'gram' must be \"identity\" or a flat list of {dim * dim} numbers")
     entries = []
     for row in doc.get("structure", []):
         if not (isinstance(row, list) and len(row) == 4 and _is_int_list(row[:3])):
             raise ValueError(f"structure entry {row!r} is not [i, j, k, value] "
                              "with integer i, j, k")
+        if not _is_number(row[3]):
+            raise ValueError(f"structure constant {row[3]!r} is not a number")
         v = float(row[3])
         if not math.isfinite(v):
             raise ValueError("non-finite structure constant")

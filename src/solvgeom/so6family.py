@@ -53,19 +53,16 @@ _X3 = _S32 * np.array([[0, -1, 0], [1, 0, 0], [0, 0, 0]], dtype=float)
 
 
 @functools.lru_cache(maxsize=None)
-def basis_ABC(signs=None):
+def basis_ABC():
     """Three orthonormal triples A_i, B_i, C_i in so(6).
 
-    A_i = tau(X_i), B_i = tau(i|X_i|), C_i = tau(i sqrt(3) e_ii); `signs`,
-    a tuple, optionally flips individual B_i.  Identities used elsewhere:
-    sum A_i^2 = sum B_i^2 = sum C_i^2 = -3 Id and A_i B_i + B_i A_i = 0.
-    Built once per sign tuple; the arrays are shared and read-only.
+    A_i = tau(X_i), B_i = tau(i|X_i|), C_i = tau(i sqrt(3) e_ii).  Identities
+    used elsewhere: sum A_i^2 = sum B_i^2 = sum C_i^2 = -3 Id and
+    A_i B_i + B_i A_i = 0.  Built once; the arrays are shared and read-only.
     """
-    if signs is None:
-        signs = (1, 1, 1)
     xs = (_X1, _X2, _X3)
     a = np.array([tau(x) for x in xs])
-    b = np.array([sg * tau(1j * np.abs(x)) for sg, x in zip(signs, xs)])
+    b = np.array([tau(1j * np.abs(x)) for x in xs])
     c = np.array(
         [tau(1j * math.sqrt(3.0) * np.diag(np.eye(3)[i])) for i in range(3)]
     )
@@ -82,13 +79,14 @@ def W_of(r, s, t):
     """
     if not all(map(math.isfinite, (r, s, t))):
         raise ValueError(f"need finite (r, s, t), got ({r}, {s}, {t})")
-    if not math.isfinite(r * r + s * s + t * t):
-        # the squares overflow: rescale first (in-range points are not touched)
+    if r == s == t == 0:
+        raise ValueError("need (r, s, t) != 0")
+    if not 1e-300 < r * r + s * s + t * t < math.inf:
+        # the squares leave the double range: rescale first (in-range points keep
+        # their bits)
         big = max(abs(r), abs(s), abs(t))
         r, s, t = r / big, s / big, t / big
     nrm = math.sqrt(r * r + s * s + t * t)
-    if nrm <= 1e-12:
-        raise ValueError("need (r, s, t) != 0")
     r, s, t = r / nrm, s / nrm, t / nrm
     a, b, c = basis_ABC()
     return r * a + s * b + t * c

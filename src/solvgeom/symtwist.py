@@ -100,30 +100,36 @@ def _flat(stack):
 _PAIR_BLOCK = 256
 
 
-def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
-              simple_roots, params):
-    """Orthogonality of the basis is asserted (each builder asserts its own
-    common norm), structure constants are computed by exact expansion of
-    matrix commutators, and the root decoration is validated against the
-    actual ad(a) eigenvalues."""
-    mats = np.asarray(list(a_mats) + list(n_mats), dtype=complex)
-    la, dim = len(a_mats), len(mats)
-    names = tuple(a_names) + tuple(n_names)
+def _assemble(tag, rows, simple_roots, params):
+    """The decorated algebra of the basis rows (name, matrix, root, group,
+    column), the rank vectors of a first with root None.  The basis must be
+    orthogonal with a common norm, the flat norm-square k on a and 2k on n;
+    structure constants are computed by exact expansion of matrix
+    commutators, and the root decoration is validated against the actual
+    ad(a) eigenvalues."""
+    names, mats, roots, groups, columns = zip(*rows)
+    mats = np.asarray(mats, dtype=complex)
+    la, dim = len(simple_roots), len(mats)
 
     basis_flat = _flat(mats)        # (dim, 2 s^2)
     # in every family the shipped inner product is a block-constant multiple of
-    # the Frobenius form, so orthonormality of the basis reduces to the flat
-    # gram being diagonal with the norms the builders already fixed
+    # the Frobenius form (the trace form, halved on n), so orthonormality of the
+    # basis reduces to the flat gram being diagonal with the common norm
     gmat = basis_flat @ basis_flat.T
     if float(np.max(np.abs(gmat - np.diag(np.diag(gmat))))) > 1e-10:
         raise ValueError(f"{tag}: basis is not orthogonal")
     norms = np.diag(gmat)
+    want = norms[0] * np.where(np.arange(dim) < la, 1.0, 2.0)
+    bad = np.flatnonzero(np.abs(norms - want) > 1e-12 * norms[0])
+    if bad.size:
+        t = bad[0]
+        raise ValueError(f"{names[t]}: expected common norm {want[t]}, got {norms[t]}")
 
     # project every commutator [e_i, e_j], i < j, onto the orthogonal basis
-    rows, cols = np.triu_indices(dim, 1)
+    first, second = np.triu_indices(dim, 1)
     c = np.zeros((dim,) * 3)
-    for start in range(0, len(rows), _PAIR_BLOCK):
-        pi, pj = rows[start:start + _PAIR_BLOCK], cols[start:start + _PAIR_BLOCK]
+    for start in range(0, len(first), _PAIR_BLOCK):
+        pi, pj = first[start:start + _PAIR_BLOCK], second[start:start + _PAIR_BLOCK]
         left, right = mats[pi], mats[pj]
         targets = _flat(left @ right - right @ left)
         coeffs = (targets @ basis_flat.T) / norms
@@ -140,10 +146,9 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
         # subtracted from zero, so a dropped constant stays +0.0 on both halves
         c[pj, pi] -= coeffs
 
-    roots = tuple([None] * la) + tuple(tuple(r) for r in n_roots)
     alg = MetricLieAlgebra(
         c=c, gram=np.eye(dim), labels=names, a_indices=tuple(range(la)),
-        n_indices=tuple(range(la, dim)), roots=roots,
+        n_indices=tuple(range(la, dim)), roots=roots[:la] + tuple(map(tuple, roots[la:])),
     )
 
     # ad(a) must act diagonally on the n-basis, linearly in the root tuples:
@@ -153,7 +158,7 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
     off = np.abs(block)
     off[:, np.arange(nn), np.arange(nn)] = 0.0
     lam = np.diagonal(block, axis1=1, axis2=2).T            # (nn, la)
-    root_mat = np.array(n_roots, dtype=float)                # (nn, rank)
+    root_mat = np.array(roots[la:], dtype=float)             # (nn, rank)
     kappa = np.linalg.lstsq(root_mat, lam, rcond=None)[0]
     off_diagonal = np.max(off, axis=(1, 2)) > 1e-10
     off_roots = np.max(np.abs(root_mat @ kappa - lam), axis=0) > 1e-8
@@ -164,14 +169,10 @@ def _assemble(tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups,
             raise ValueError(f"{tag}: ad({names[ai]}) is not diagonal on n")
         raise ValueError(f"{tag}: root labels disagree with ad({names[ai]}) spectrum")
 
-    meta = tuple(
-        {"col": (n_cols[i - la] if i >= la else None),
-         "group": (n_groups[i - la] if i >= la else "a")}
-        for i in range(dim)
-    )
     return RootDecoratedAlgebra(
         base=alg, tag=tag, simple_roots=tuple(tuple(s) for s in simple_roots),
-        meta=meta, params=dict(params),
+        meta=tuple({"col": col, "group": group} for col, group in zip(columns, groups)),
+        params=dict(params),
     )
 
 
@@ -511,35 +512,33 @@ def _build_grassmannian(field_, p, q):
         sig = np.tile(sig, 2)
     qq = np.outer(sig, sig)
 
-    def emb(u, v, w, norm):
+    def row(name, root, group, u, v, w, col=None):
+        """The basis row of the completion of the seed u v w^T, scaled to the
+        flat norm-square 1 on a and 2 on n."""
         mat = _seed(field_, size, u, v, w)
         mat = mat - qq * mat.conj().T
-        return mat / math.sqrt(norm(mat))
+        mat = mat / math.sqrt(np.vdot(mat, mat).real / (1 if root is None else 2))
+        return name, mat, root, group, col
 
     ids = np.eye(p, dtype=int)
-    # (name, root, column, group, unit, v, w) of each basis vector in order,
-    # with v and w as {index: coefficient}
-    rows = [(f"a{k+1}", None, None, "a", (1.0, 0.0), {k: 1}, {p + k: 1}) for k in range(p)]
+    rows = [row(f"a{k+1}", None, "a", (1.0, 0.0), {k: 1}, {p + k: 1}) for k in range(p)]
     # omega_k: C = E = u e_k e_c^T
-    rows += [(f"w{k+1}c{c+1}{suf}", ids[k], c + 1, "W", u, {k: 1, p + k: 1}, {2 * p + c: 1})
+    rows += [row(f"w{k+1}c{c+1}{suf}", ids[k], "W", u, {k: 1, p + k: 1}, {2 * p + c: 1}, c + 1)
              for k in range(p) for c in range(m) for suf, u in units]
     # omega_j - omega_i and omega_j + omega_i, i < j
     for i, j in itertools.combinations(range(p), 2):
         for suf, u in units:
             v = {j: 1, p + j: 1}
-            rows += [(f"m{j+1}{i+1}{suf}", ids[j] - ids[i], None, "M", u, v, {i: 1, p + i: 1}),
-                     (f"p{j+1}{i+1}{suf}", ids[j] + ids[i], None, "P", u, v, {i: 1, p + i: -1})]
+            rows += [row(f"m{j+1}{i+1}{suf}", ids[j] - ids[i], "M", u, v, {i: 1, p + i: 1}),
+                     row(f"p{j+1}{i+1}{suf}", ids[j] + ids[i], "P", u, v, {i: 1, p + i: -1})]
     # 2 omega_k, imaginary units only; the completion doubles the seed
-    rows += [(f"d{k+1}{suf}", 2 * ids[k], None, "D2", u, {k: 1, p + k: 1}, {k: 1, p + k: -1})
+    rows += [row(f"d{k+1}{suf}", 2 * ids[k], "D2", u, {k: 1, p + k: 1}, {k: 1, p + k: -1})
              for k in range(p) for suf, u in units[1:]]
 
-    mats = [emb(u, v, w, _norm_a if group == "a" else _norm_n)
-            for _, _, _, group, u, v, w in rows]
-    n_rows = rows[p:]
     expected = d * p * (p - 1) + d * m * p + (d - 1) * p
-    if len(n_rows) != expected:
-        raise ValueError(f"{tag}: expected dim n = {expected}, built {len(n_rows)}")
-    if not n_rows:
+    if len(rows) - p != expected:
+        raise ValueError(f"{tag}: expected dim n = {expected}, built {len(rows) - p}")
+    if len(rows) == p:
         raise ValueError(f"{tag} has no restricted roots; need q >= 2")
 
     if m == 0:
@@ -548,20 +547,10 @@ def _build_grassmannian(field_, p, q):
     else:
         simple = [tuple(ids[0])] + [tuple(ids[k] - ids[k - 1]) for k in range(1, p)]
 
-    names, roots, cols, groups, *_ = zip(*n_rows)
     return _assemble(
-        tag, mats[:p], [r[0] for r in rows[:p]], mats[p:], names, roots, cols, groups,
-        simple_roots=simple,
+        tag, rows, simple_roots=simple,
         params={"family": f"{fam}_pq", "p": p, "q": q, "m": m, "field": field_},
     )
-
-
-def _norm_a(mat):
-    return float(np.real(np.trace(mat @ mat)))
-
-
-def _norm_n(mat):
-    return 0.5 * float(np.real(np.trace(mat @ np.conj(mat).T)))
 
 
 def build_so_pq(p, q):
@@ -615,38 +604,31 @@ def build_so_nH(n):
     r = 1 / math.sqrt(2)
     pair = lambda j, coeffs: {2 * j - 2: coeffs[0], 2 * j - 1: coeffs[1]}
     ids = np.eye(m, dtype=int)
-    # (name, root, u, v, w) of each basis vector in basis order; the name of an
-    # n-vector up to its underscore is its group for the paper twists
-    rows = [(f"a{j}", None, _X, {2 * j - 2: r * 1j}, {2 * j - 1: 1}) for j in range(1, m + 1)]
+
+    def row(name, root, u, v, w):
+        """The basis row of the completion of the seed u v w^T; the name of an
+        n-vector up to its underscore is its group for the paper twists."""
+        mat = _seed("H", n, u, v, w)
+        return name, mat - mat.T, root, "a" if root is None else name.split("_")[0], None
+
+    rows = [row(f"a{j}", None, _X, {2 * j - 2: r * 1j}, {2 * j - 1: 1})
+            for j in range(1, m + 1)]
     for j, k in itertools.combinations(range(1, m + 1), 2):
         for s, pm in ((1, "+"), (-1, "-")):
-            rows += [(f"{letter}{pm}_{j}{k}", ids[j - 1] + s * ids[k - 1], u, pair(j, v),
-                      pair(k, [b * (s if t == col else 1) for t, b in enumerate(w)]))
+            rows += [row(f"{letter}{pm}_{j}{k}", ids[j - 1] + s * ids[k - 1], u, pair(j, v),
+                         pair(k, [b * (s if t == col else 1) for t, b in enumerate(w)]))
                      for letter, u, v, w, col in _SO_NH_PAIR]
     # 2 e_k: the completion doubles the diagonal of the seed
-    rows += [(f"G_{k}", 2 * ids[k - 1], _Y, pair(k, (1, -1j)), pair(k, (r / 2, r / 2 * 1j)))
+    rows += [row(f"G_{k}", 2 * ids[k - 1], _Y, pair(k, (1, -1j)), pair(k, (r / 2, r / 2 * 1j)))
              for k in range(1, m + 1)]
     if n % 2 == 1:
-        rows += [(f"{letter}_{k}", ids[k - 1], u, pair(k, [r * b for b in v]), {n - 1: 1})
+        rows += [row(f"{letter}_{k}", ids[k - 1], u, pair(k, [r * b for b in v]), {n - 1: 1})
                  for k in range(1, m + 1) for letter, u, v in _SO_NH_ODD]
-    mats = []
-    for t, (name, _, u, v, w) in enumerate(rows):
-        mat = _seed("H", n, u, v, w)
-        mat = mat - mat.T
-        nrm = (_norm_a if t < m else _norm_n)(mat)
-        if abs(nrm - 2.0) > 1e-12:
-            raise ValueError(f"{name}: expected common norm, got {nrm}")
-        mats.append(mat)
 
     simple = [tuple(ids[k] - ids[k + 1]) for k in range(m - 1)]
     simple.append(tuple(ids[m - 1] * (2 if n % 2 == 0 else 1)))
-    names, roots, *_ = zip(*rows[m:])
-    return _assemble(
-        f"so({n},H)", mats[:m], [row[0] for row in rows[:m]], mats[m:], names,
-        [tuple(root) for root in roots], [None] * len(names),
-        [name.split("_")[0] for name in names], simple_roots=simple,
-        params={"family": "so_nH", "n": n, "m": m},
-    )
+    return _assemble(f"so({n},H)", rows, simple_roots=simple,
+                     params={"family": "so_nH", "n": n, "m": m})
 
 
 # --- sl(n, F) for F = R, C, H -----------------------------------------------
@@ -674,29 +656,15 @@ def _build_sl(field_, n):
     tag = tag_fmt.format(n)
     _check_dim(tag, (n - 1) + len(units) * n * (n - 1) // 2)
 
-    a_mats = [_materialize(field_, n, {(i, i): (x, 0.0) for i, x in enumerate(v)})
-              for v in _trace_free_diagonals(n)]
-    a_names = [f"a{l+1}" for l in range(n - 1)]
-    common = _norm_a(a_mats[0])
-
+    rows = [(f"a{l+1}", _materialize(field_, n, {(i, i): (x, 0.0) for i, x in enumerate(v)}),
+             None, "a", None) for l, v in enumerate(_trace_free_diagonals(n))]
     ids = np.eye(n, dtype=int)
     s2 = math.sqrt(2)
-    # (name, root, group, u, j, k) of each n-vector in basis order
-    rows = [(f"{letter}_{j + 1}{k + 1}", tuple(ids[j] - ids[k]), letter, u, j, k)
-            for j, k in itertools.combinations(range(n), 2) for letter, u in units]
-    n_mats = [_seed(field_, n, u, {j: s2}, {k: 1}) for *_, u, j, k in rows]
-    for (name, *_), mat in zip(rows, n_mats):
-        nrm = _norm_n(mat)
-        if abs(nrm - common) > 1e-12:
-            raise ValueError(f"{name}: expected common norm {common}, got {nrm}")
-
+    rows += [(f"{letter}_{j + 1}{k + 1}", _seed(field_, n, u, {j: s2}, {k: 1}),
+              tuple(ids[j] - ids[k]), letter, None)
+             for j, k in itertools.combinations(range(n), 2) for letter, u in units]
     simple = [tuple(ids[j] - ids[j + 1]) for j in range(n - 1)]
-    n_names, n_roots, n_groups, *_ = zip(*rows)
-    return _assemble(
-        tag, a_mats, a_names, n_mats, n_names, n_roots,
-        [None] * len(n_mats), n_groups, simple_roots=simple,
-        params={"family": fam, "n": n},
-    )
+    return _assemble(tag, rows, simple_roots=simple, params={"family": fam, "n": n})
 
 
 def build_sl_nH(n):

@@ -20,9 +20,12 @@ eigenvalue type: ad(A)|n has a non-positive eigenvalue), and
 on the benchmark's verify-stream documents of seeds 1 and 2; small `family` and `carnot`
 commands, the default `family report` and one whose 5000 samples a point
 cross a 4096-row block, the default `family margin` at W(1,0,0) (the value
-the README quotes); and the exit-2 refusals.  The temporary directory's
-path is written as TMP in argv and hashed output, so the lines do not depend
-on where it is.
+the README quotes); the exit-2 refusals; and, last, the `--out` writes of
+`verify`, `family report` and `symmetric build`, a `carnot search` at (4, 2)
+that prints the so4-criterion record, a structure constant given as a JSON
+string and `family margin` at W(1e-13,0,0).  The temporary directory's path
+is written as TMP in argv, hashed output and hashed files, so the lines do
+not depend on where it is.
 pytest does not collect this file.
 """
 
@@ -175,6 +178,19 @@ def battery(tmp):
          "--samples", "200", "--descents", "3"],
     )]
     cmds += [(argv, []) for argv in REFUSALS]
+    # the --out writes of a report, a family CSV and a build's table; a carnot search
+    # that hits, so it prints the so4-criterion record; a constant that is a JSON
+    # string, refused; and a direction whose squares are tiny, which W(1,0,0) answers
+    report, csv, table = f"{tmp}/ch2-report.txt", f"{tmp}/family.csv", f"{tmp}/sl_nH3.tsv"
+    cmds += [
+        (["verify", "complex-hyperbolic", "--out", report], [report]),
+        (["family", "report", "--grid", "2", "--samples", "20", "--out", csv], [csv]),
+        (["symmetric", "build", "--space", "sl_nH", "--n", "3", "--out", table], [table]),
+        (["carnot", "search", "--r", "4", "--s", "2", "--trials", "20"], []),
+        (["verify", "TMP/string-constant.json"], []),
+        (["family", "margin", "--r", "1e-13", "--s", "0", "--t", "0",
+          "--samples", "200", "--descents", "3"], []),
+    ]
     return cmds
 
 
@@ -196,7 +212,8 @@ def run(argv, files, tmp):
     for text in (out.getvalue(), err.getvalue()):
         digest.update(text.replace(tmp, "TMP").encode() + b"\0")
     for path in map(Path, files):
-        digest.update((path.read_bytes() if path.exists() else b"absent") + b"\0")
+        data = path.read_bytes().replace(tmp.encode(), b"TMP") if path.exists() else b"absent"
+        digest.update(data + b"\0")
     shown = " ".join(a.replace(tmp, "TMP") for a in argv)
     return f"{digest.hexdigest()}  {code}  {shown}"
 
@@ -217,6 +234,8 @@ def main_battery():
         Path(f"{tmp}/frame-bound-3.json").write_text(
             '{"dim": 3, "gram": [1e-300, 0, 0, 0, 1e-300, 0, 0, 0, 1e-300], '
             '"structure": [[0, 1, 2, 1e5]]}')
+        Path(f"{tmp}/string-constant.json").write_text(
+            '{"dim": 2, "structure": [[0, 1, 1, "1.0"]]}')
         for argv, files in battery(tmp):
             print(run(argv, files, tmp), flush=True)
 

@@ -733,6 +733,15 @@ def test_deserialize_rejects_malformed():
         '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": [null, "1"]}}',
         '{"dim": 2, "structure": [[0, 1, 1, 1e200]]}',              # above MAX_CONSTANT
         '{"dim": 3, "structure": [[0, 1, 2, 1e160]]}',              # Jacobi 0, Ricci overflows
+        # only JSON numbers are constants or Gram entries, and only strings are labels
+        '{"dim": 2, "structure": [[0, 1, 1, "1.0"]]}',
+        '{"dim": 2, "structure": [[0, 1, 1, true]]}',
+        '{"dim": 2, "gram": ["1", "0", "0", "1"]}',
+        '{"dim": 2, "gram": [true, false, false, true]}',
+        '{"dim": 2, "structure": [[0, 1, 1, 1' + "0" * 400 + ']]}',   # too large for a float
+        '{"dim": 2, "gram": [1' + "0" * 400 + ', 0, 0, 1]}',
+        '{"dim": 2, "labels": ["A", 2]}',
+        '{"dim": 2, "gram": [[1, 0], [0, 1]]}',                     # not one flat list
     ):
         with pytest.raises(ValueError):
             deserialize(doc)

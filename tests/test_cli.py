@@ -158,11 +158,23 @@ def test_verify_corrupted_file_exits_2(tmp_path):
     '{"dim": 2, "gram": [1e-300, 0, 0, 1e-300], "structure": [[0, 1, 1, 1e5]]}',
     '{"dim": 3, "gram": [1e-300, 0, 0, 0, 1e-300, 0, 0, 0, 1e-300], '
     '"structure": [[0, 1, 2, 1e5]]}',
+    # constants and Gram entries that are not JSON numbers, or too large for a float;
+    # a label that is not a string and a Gram that is not one flat list
+    '{"dim": 2, "structure": [[0, 1, 1, "1.0"]]}',
+    '{"dim": 2, "structure": [[0, 1, 1, true]]}',
+    '{"dim": 2, "gram": ["1", "0", "0", "1"], "structure": []}',
+    '{"dim": 2, "gram": [true, false, false, true], "structure": []}',
+    '{"dim": 2, "structure": [[0, 1, 1, 1' + "0" * 400 + ']]}',
+    '{"dim": 2, "gram": [1' + "0" * 400 + ', 0, 0, 1], "structure": []}',
+    '{"dim": 2, "labels": ["A", 2], "structure": []}',
+    '{"dim": 2, "gram": [[1, 0], [0, 1]], "structure": []}',
 ], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "c-1e160", "c-1e160-decorated",
         "ad-zero", "c-rows-overflow", "c-tiny-gram", "gram-nonsymmetric",
         "gram-defect-overflow", "gram-indefinite", "row-float", "gram-upper-triangle",
         "gram-lower-triangle", "gram-singular", "dim-huge", "frame-overflow",
-        "frame-overflow-decorated", "frame-above-bound", "frame-above-bound-dim3"])
+        "frame-overflow-decorated", "frame-above-bound", "frame-above-bound-dim3",
+        "c-string", "c-bool", "gram-strings", "gram-bools", "c-huge-int", "gram-huge-int",
+        "label-number", "gram-nested"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "bad.json"

@@ -1,10 +1,12 @@
 """Every name a `solvgeom` module imports is used in it or listed in its `__all__`,
 the package namespace is the union of those lists, every module-level private
-name is read somewhere in the package, and every public function, class and
-method is read somewhere in the package, the demos or the benchmark harness."""
+name is read somewhere in the package, every public function, class and
+method is read somewhere in the package, the demos or the benchmark harness,
+and every defaulted parameter is set by some call there."""
 
 import ast
 import importlib
+import math
 from pathlib import Path
 
 import pytest
@@ -176,3 +178,77 @@ def test_the_scan_finds_a_public_name_only_the_tests_call():
     assert _unread_public_names({"m": cls}, {}) == [("m", "A"), ("m", "f"), ("m", "h")]
     assert _unread_public_names({"m": cls}, {"demo.py": "A().f().h()\n"}) == []
     assert _unread_public_names({"m": "def f():\n    pass\n", "k": "from .m import f\n"}, {}) == []
+
+
+def _unset_knobs(sources, callers):
+    """(module, function, parameter) for each defaulted parameter of a function
+    or method in sources (module name -> source) that no call in callers (name ->
+    source) sets, by keyword or by position; a call that splats *args or
+    **kwargs sets every parameter it could reach."""
+    calls = {}
+    for source in callers.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+                starred = any(isinstance(a, ast.Starred) for a in node.args)
+                keywords = {k.arg for k in node.keywords}
+                calls.setdefault(name, []).append(
+                    (math.inf if starred else len(node.args),
+                     None if None in keywords else keywords))
+    unset = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef)
+                   for m in c.body if isinstance(m, ast.FunctionDef)}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            spec = fn.args
+            positional = spec.posonlyargs + spec.args
+            # a method's first parameter is bound by the attribute call
+            offset = int(id(fn) in methods and not any(
+                getattr(d, "id", None) == "staticmethod" for d in fn.decorator_list))
+            knobs = [(i - offset, p.arg) for i, p in enumerate(positional)
+                     if i >= len(positional) - len(spec.defaults)]
+            knobs += [(math.inf, p.arg) for p, d in zip(spec.kwonlyargs, spec.kw_defaults)
+                      if d is not None]
+            for index, param in knobs:
+                if not any(n > index or kw is None or param in kw
+                           for n, kw in calls.get(fn.name, ())):
+                    unset.append((module, fn.name, param))
+    return unset
+
+
+def _package_and_callers():
+    sources = {p.stem: p.read_text() for p in MODULES}
+    callers = {str(p.relative_to(ROOT)): p.read_text()
+               for d in ("src", "demos", "perfbench") for p in sorted((ROOT / d).rglob("*.py"))}
+    return sources, callers
+
+
+# the tests drive the iteration cap of the descent through it
+UNSET_BUT_KEPT = [("carnot", "_descend", "max_iter")]
+
+
+def test_every_knob_is_set_outside_the_tests():
+    # a default that no caller changes is a constant, not a parameter
+    assert _unset_knobs(*_package_and_callers()) == UNSET_BUT_KEPT
+
+
+def test_the_scan_finds_a_knob_no_caller_sets():
+    sources, callers = _package_and_callers()
+    planted = "\n\ndef unit_vector(alg, i, scale=1.0, *, dtype=None):\n    return i\n"
+    sources["algebra"] += planted
+    callers["src/solvgeom/algebra.py"] += planted + "\nunit_vector(None, 0)\n"
+    assert _unset_knobs(sources, callers) == [
+        ("algebra", "unit_vector", "scale"), ("algebra", "unit_vector", "dtype")] + UNSET_BUT_KEPT
+    # a call sets a knob by position, by keyword or through a splat
+    for call in ("unit_vector(None, 0, 2.0, dtype=int)", "x.unit_vector(*args, **kwargs)"):
+        assert _unset_knobs({"m": planted}, {"k": call}) == []
+    assert _unset_knobs({"m": planted}, {"k": "unit_vector(None, 0, 2.0)"}) == [
+        ("m", "unit_vector", "dtype")]
+    # a method's self is bound by the call
+    method = "class A:\n    def f(self, x=1):\n        return x\n"
+    assert _unset_knobs({"m": method}, {"k": "A().f()"}) == [("m", "f", "x")]
+    assert _unset_knobs({"m": method}, {"k": "A().f(2)"}) == []

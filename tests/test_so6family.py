@@ -136,7 +136,7 @@ def test_basis_anticommutation():
 
 
 def test_sign_flips_preserve_identities():
-    a, b, c = basis_ABC(signs=(1, -1, 1))
+    a, b, c = oracles.basis_abc((1, -1, 1))
     ss = np.einsum("aij,ajk->ik", b, b)
     assert np.allclose(ss, -3.0 * np.eye(6), atol=1e-12)
     for i in range(3):
@@ -165,7 +165,11 @@ def test_reference_point_is_einstein():
 def test_w_of_rescales_before_the_squares_overflow():
     for rst, unit in (((1e308, 1e308, 0.0), (1.0, 1.0, 0.0)),
                       ((-1e200, 0.0, 3e200), (-1.0, 0.0, 3.0)),
-                      ((0.0, 0.0, -1.7e308), (0.0, 0.0, -1.0))):
+                      ((0.0, 0.0, -1.7e308), (0.0, 0.0, -1.0)),
+                      # tiny directions, with squares in range or below it
+                      ((1e-13, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                      ((1e-200, 0.0, 0.0), (1.0, 0.0, 0.0)),
+                      ((3e-170, 0.0, 4e-170), (3.0, 0.0, 4.0))):
         assert np.max(np.abs(W_of(*rst) - W_of(*unit))) <= 1e-15
         assert np.max(np.abs(induced_triple(*rst).j_mats - W_of(*unit))) <= 1e-15
 

@@ -2,6 +2,7 @@
 preservation, positive-curvature witnesses, and the GF(2) twist enumeration."""
 
 import itertools
+import re
 import tracemalloc
 from pathlib import Path
 
@@ -495,7 +496,8 @@ def test_twisted_algebra_still_valid_but_curvature_changes():
 
 
 def assembly_inputs(monkeypatch, builder, *params):
-    """The matrices and decoration a builder hands to _assemble."""
+    """The basis rows (name, matrix, root, group, column) and decoration a
+    builder hands to _assemble."""
     captured = {}
     assemble = symtwist._assemble
 
@@ -510,22 +512,38 @@ def assembly_inputs(monkeypatch, builder, *params):
 
 def test_assemble_rejects_non_orthogonal_basis(monkeypatch):
     args, kwargs = assembly_inputs(monkeypatch, build_so_pq, 2, 4)
-    n_mats = list(args[3])
-    n_mats[1] = n_mats[0] + n_mats[1]
-    args[3] = n_mats
+    rows = list(args[1])
+    name, mat, *decoration = rows[3]
+    rows[3] = (name, rows[2][1] + mat, *decoration)      # the second n-vector
+    args[1] = rows
     with pytest.raises(ValueError, match="basis is not orthogonal"):
         symtwist._assemble(*args, **kwargs)
 
 
 def test_assemble_rejects_bracket_leaving_the_span(monkeypatch):
     args, kwargs = assembly_inputs(monkeypatch, build_so_pq, 2, 4)
-    tag, a_mats, a_names, n_mats, n_names, n_roots, n_cols, n_groups = args
-    drop = n_names.index("p21")     # [w1c1, w2c1] lands on p21
-    keep = [t for t in range(len(n_names)) if t != drop]
-    pick = lambda seq: [seq[t] for t in keep]
+    tag, rows = args
+    # [w1c1, w2c1] lands on p21
     with pytest.raises(ValueError, match=r"\[w1c1, w2c1\] leaves the span"):
-        symtwist._assemble(tag, a_mats, a_names, pick(n_mats), pick(n_names),
-                           pick(n_roots), pick(n_cols), pick(n_groups), **kwargs)
+        symtwist._assemble(tag, [row for row in rows if row[0] != "p21"], **kwargs)
+
+
+@pytest.mark.parametrize("space, size", [("so_pq", (2, 3)), ("su_pq", (2, 3)),
+                                         ("sp_pq", (2, 3)), ("so_nH", (4,)), ("sl_nH", (3,)),
+                                         ("type4_sl", (3,)), ("sl_nR", (3,))])
+@pytest.mark.parametrize("part", ["a", "n"])
+def test_assemble_checks_the_common_norm(monkeypatch, space, size, part):
+    # every family's basis has the flat norm-square k on a and 2k on n, to
+    # 1e-12 k: the last vector of a or of n off it by 2e-11 is refused by name
+    args, kwargs = assembly_inputs(monkeypatch, symtwist.SPACES[space][0], *size)
+    tag, rows = args
+    t = max(i for i, row in enumerate(rows) if (row[2] is None) == (part == "a"))
+    name, mat, *decoration = rows[t]
+    rows[t] = (name, (1 + 1e-14) * mat, *decoration)
+    symtwist._assemble(tag, rows, **kwargs)
+    rows[t] = (name, (1 + 1e-11) * mat, *decoration)
+    with pytest.raises(ValueError, match=re.escape(f"{name}: expected common norm")):
+        symtwist._assemble(tag, rows, **kwargs)
 
 
 @pytest.mark.parametrize("n", [4, 5, 6, 7])
@@ -533,7 +551,7 @@ def test_so_nH_matrices_satisfy_so_star_relations(monkeypatch, n):
     # so(n, H) = so*(2n) = {M : M^T = -M, M J = J conj(M)} in gl(2n, C),
     # with J = [[0, I], [-I, 0]]; both relations hold exactly
     args, _ = assembly_inputs(monkeypatch, build_so_nH, n)
-    mats = np.array(list(args[1]) + list(args[3]))
+    mats = np.array([row[1] for row in args[1]])
     assert mats.shape[1:] == (2 * n, 2 * n)
     eye, zero = np.eye(n), np.zeros((n, n))
     j = np.block([[zero, eye], [-eye, zero]])
@@ -565,7 +583,7 @@ def test_grassmannian_matrices_satisfy_defining_relations(monkeypatch, field, p,
     # tr M = 0 for su and M J = J conj(M) for sp on the quaternionic embedding
     # (J = [[0, I], [-I, 0]]); every relation holds exactly
     args, _ = assembly_inputs(monkeypatch, GRASSMANNIANS[field], p, q)
-    mats = np.array(list(args[1]) + list(args[3]))
+    mats = np.array([row[1] for row in args[1]])
     n = p + q
     form = np.diag([-1.0] * p + [1.0] * q)
     if field == "H":
@@ -600,7 +618,8 @@ def test_sl_matrices_are_trace_free_diagonal_and_upper_triangular(monkeypatch, f
     # triangular, in each n x n block of the embedding; over H, M J = J conj(M)
     # with J = [[0, I], [-I, 0]]; every relation holds exactly
     args, _ = assembly_inputs(monkeypatch, SL_BUILDERS[field], n)
-    a_mats, n_mats = np.array(args[1]), np.array(args[3])
+    a_mats = np.array([row[1] for row in args[1] if row[2] is None])
+    n_mats = np.array([row[1] for row in args[1] if row[2] is not None])
     size = 2 * n if field == "H" else n
     assert a_mats.shape == (n - 1, size, size)
     assert n_mats.shape == (len(SL_UNITS[field]) * n * (n - 1) // 2, size, size)
