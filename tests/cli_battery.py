@@ -23,9 +23,11 @@ cross a 4096-row block, the default `family margin` at W(1,0,0) (the value
 the README quotes); the exit-2 refusals; and, last, the `--out` writes of
 `verify`, `family report` and `symmetric build`, a `carnot search` at (4, 2)
 that prints the so4-criterion record, a structure constant given as a JSON
-string and `family margin` at W(1e-13,0,0).  The temporary directory's path
-is written as TMP in argv, hashed output and hashed files, so the lines do
-not depend on where it is.
+string and `family margin` at W(1e-13,0,0); then `carnot classify-so4` at
+s = 2..5 with 300 trials and `carnot search` at (5, 1) and (5, 2) with 50
+trials, the descents at the sizes the family-scan benchmark runs.  The
+temporary directory's path is written as TMP in argv, hashed output and
+hashed files, so the lines do not depend on where it is.
 pytest does not collect this file.
 """
 
@@ -191,6 +193,11 @@ def battery(tmp):
         (["family", "margin", "--r", "1e-13", "--s", "0", "--t", "0",
           "--samples", "200", "--descents", "3"], []),
     ]
+    # the descents at the sizes the family-scan benchmark runs them
+    cmds += [(["carnot", "classify-so4", "--s", str(s), "--trials", "300"], [])
+             for s in (2, 3, 4, 5)]
+    cmds += [(["carnot", "search", "--r", "5", "--s", str(s), "--trials", "50"], [])
+             for s in (1, 2)]
     return cmds
 
 
