@@ -225,14 +225,30 @@ _HIT = 1e-26
 
 
 def _defect(basis, x, target):
-    """(alpha, sum_i alpha_i^2 + s Id) for a stack of frames x (n, d, s)."""
-    alpha = np.einsum("nui,uab->niab", x, basis)
-    return alpha, np.einsum("niab,nibc->nac", alpha, alpha) + target
+    """(alpha, sum_i alpha_i^2 + s Id) for a stack of frames x (n, d, s).
+
+    alpha is one matmul: a basis matrix has two nonzero entries, in places no
+    other one uses, so each entry of alpha is a single product.  The sum of
+    squares runs on a copy of alpha with the start axis last, so einsum's
+    inner loop goes over the n starts, not over an axis of length r; it adds
+    each entry's products in the same order in either layout, so the bits
+    are those of the (n, ...) einsum.  Both results are C-contiguous in the
+    (n, ...) layout, as the axis sums and matmuls that read them sum in
+    memory order."""
+    (n, d, s), r = x.shape, basis.shape[1]
+    alpha = (x.swapaxes(1, 2).reshape(n * s, d) @ basis.reshape(d, r * r)).reshape(n, s, r, r)
+    at = alpha.transpose(1, 2, 3, 0).copy()
+    dft = np.einsum("iabn,ibcn->acn", at, at).transpose(2, 0, 1).copy()
+    dft += target
+    return alpha, dft
 
 
 def _riemannian_grad(basis, x, alpha, dft):
-    w = np.einsum("nab,nibc->niac", dft, alpha) + np.einsum("niab,nbc->niac", alpha, dft)
-    egrad = 2.0 * np.einsum("niab,uba->nui", w, basis)
+    """The Riemannian gradient of |defect|_F^2 at each frame of x (n, d, s),
+    with its einsums on start-axis-last copies as in _defect."""
+    at, dt = alpha.transpose(1, 2, 3, 0).copy(), dft.transpose(1, 2, 0).copy()
+    w = np.einsum("abn,ibcn->iacn", dt, at) + np.einsum("iabn,bcn->iacn", at, dt)
+    egrad = 2.0 * np.einsum("iabn,uba->uin", w, basis).transpose(2, 0, 1).copy()
     xtg = x.swapaxes(-1, -2) @ egrad
     return egrad - x @ (0.5 * (xtg + xtg.swapaxes(-1, -2)))
 
@@ -261,6 +277,11 @@ def _descend(basis, x, s, max_iter=4000, until_hit=False):
     accepted trial.  With until_hit, a start that reaches objective < 1e-26
     stops every later start of the stack.  Returns the stacks
     (x, alpha, defect, objective).
+
+    Every stack is kept C-contiguous in the (n, ...) layout, since the
+    matmuls, _dots and axis sums take their summation order from it; only
+    the einsums of _defect and _riemannian_grad run on copies with the start
+    axis last, which sum in the same order.
     """
     n, r = x.shape[0], basis.shape[1]
     target = s * np.eye(r)

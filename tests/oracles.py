@@ -181,6 +181,21 @@ def commutator_map_einsum(mats, basis):
     return com.reshape(mats.shape[:-3] + (basis.shape[0], s * r * r))
 
 
+def defect_einsum(basis, x, target):
+    """`carnot._defect` as plain einsums over the (n, ...) stacks:
+    (alpha, sum_i alpha_i^2 + s Id) for frames x (n, d, s)."""
+    alpha = np.einsum("nui,uab->niab", x, basis)
+    return alpha, np.einsum("niab,nibc->nac", alpha, alpha) + target
+
+
+def riemannian_grad_einsum(basis, x, alpha, dft):
+    """`carnot._riemannian_grad` as plain einsums over the (n, ...) stacks."""
+    w = np.einsum("nab,nibc->niac", dft, alpha) + np.einsum("niab,nbc->niac", alpha, dft)
+    egrad = 2.0 * np.einsum("niab,uba->nui", w, basis)
+    xtg = x.swapaxes(-1, -2) @ egrad
+    return egrad - x @ (0.5 * (xtg + xtg.swapaxes(-1, -2)))
+
+
 def equivalence_invariants(mats):
     """The fingerprint of one subspace of so(r) by `carnot._equivalence_invariants`
     on a stack of one: (eigs of sum a_i^2, eigs of sum_{i<j} [a_i,a_j]^T [a_i,a_j],

@@ -27,7 +27,14 @@ from solvgeom.carnot import (
     so_basis,
     so_gram,
 )
-from solvgeom.carnot import _classes, _commutator_map, _descend, _equivalence_invariants
+from solvgeom.carnot import (
+    _classes,
+    _commutator_map,
+    _defect,
+    _descend,
+    _equivalence_invariants,
+    _riemannian_grad,
+)
 from solvgeom.curvature import einstein_verdict
 from solvgeom.so6family import W_of
 
@@ -37,9 +44,11 @@ from oracles import (
     build_solvmanifold_sparse,
     classes_greedy,
     commutator_map_einsum,
+    defect_einsum,
     equivalence_invariants,
     j_from_brackets,
     j_of,
+    riemannian_grad_einsum,
     so_inner,
 )
 
@@ -441,6 +450,39 @@ def classify_reference(s, trials, seed):
         else:
             classes.append([fp, 1, cand.matrices])
     return classes
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _kernel_cases():
+    """(basis, s, x) for every r in 3..6, s up to min(d, 6) and stacks of 1, 2,
+    9 and 300 starts; the 1e3-scaled so(4) basis; and strided stacks."""
+    rng = np.random.default_rng(SEED)
+    for r in range(3, 7):
+        d = r * (r - 1) // 2
+        for s in range(1, min(d, 6) + 1):
+            for n in (1, 2, 9, 300):
+                yield so_basis(r), s, np.linalg.qr(rng.standard_normal((n, d, s)))[0]
+    for s in (1, 2, 6):
+        yield 1e3 * so_basis(4), s, np.linalg.qr(rng.standard_normal((9, 6, s)))[0]
+    x = np.linalg.qr(rng.standard_normal((18, 10, 3)))[0]
+    yield so_basis(5), 3, x[::-2]
+    yield so_basis(5), 3, np.asfortranarray(x)
+
+
+def test_kernels_equal_the_einsum_forms_bit_for_bit():
+    # the start-axis-last einsums and the alpha matmul sum each entry in the
+    # einsum's order, signed zeros included, and return C-contiguous stacks
+    for basis, s, x in _kernel_cases():
+        target = s * np.eye(basis.shape[1])
+        alpha, dft = _defect(basis, x, target)
+        alpha_ref, dft_ref = defect_einsum(basis, x, target)
+        assert _same_bits(alpha, alpha_ref) and _same_bits(dft, dft_ref)
+        grad = _riemannian_grad(basis, x, alpha, dft)
+        assert _same_bits(grad, riemannian_grad_einsum(basis, x, alpha_ref, dft_ref))
+        assert alpha.flags.c_contiguous and dft.flags.c_contiguous and grad.flags.c_contiguous
 
 
 LOCKSTEP_PAIRS = [(3, 1), (3, 2), (5, 1), (5, 2), (4, 2), (6, 3), (3, 3)]
