@@ -439,11 +439,11 @@ def serialize(alg):
 
 
 def _sized(doc, key, dim):
-    """Optional per-basis-vector list: absent, or exactly dim entries."""
+    """Optional per-basis-vector list: absent, null, empty, or exactly dim entries."""
     values = doc.get(key)
-    if not values:
+    if values is None:
         return ()
-    if not isinstance(values, list) or len(values) != dim:
+    if not isinstance(values, list) or values and len(values) != dim:
         raise ValueError(f"'{key}' must list one entry per basis vector (dim {dim})")
     return tuple(values)
 
@@ -497,8 +497,11 @@ def _from_document(doc):
         gram = np.array(gram_spec, dtype=float).reshape(dim, dim)
     else:
         raise ValueError(f"'gram' must be \"identity\" or a flat list of {dim * dim} numbers")
+    structure = doc.get("structure", [])
+    if not isinstance(structure, list):
+        raise ValueError("'structure' must be an array of [i, j, k, value] entries")
     entries = []
-    for row in doc.get("structure", []):
+    for row in structure:
         if not (isinstance(row, list) and len(row) == 4 and _is_int_list(row[:3])):
             raise ValueError(f"structure entry {row!r} is not [i, j, k, value] "
                              "with integer i, j, k")
@@ -520,7 +523,9 @@ def _from_document(doc):
     min_eig = float(np.linalg.eigvalsh(gram)[0])
     if not min_eig > 0:
         raise ValueError(f"gram is not positive definite (min eig {min_eig:.3e})")
-    dec = doc.get("decoration") or {}
+    dec = doc.get("decoration")
+    if dec is None:
+        dec = {}
     if not isinstance(dec, dict):
         raise ValueError("'decoration' must be an object")
     a_idx, n_idx = dec.get("a_indices", []), dec.get("n_indices", [])

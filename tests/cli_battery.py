@@ -25,9 +25,10 @@ the README quotes); the exit-2 refusals; and, last, the `--out` writes of
 that prints the so4-criterion record, a structure constant given as a JSON
 string and `family margin` at W(1e-13,0,0); then `carnot classify-so4` at
 s = 2..5 with 300 trials and `carnot search` at (5, 1) and (5, 2) with 50
-trials, the descents at the sizes the family-scan benchmark runs.  The
-temporary directory's path is written as TMP in argv, hashed output and
-hashed files, so the lines do not depend on where it is.
+trials, the descents at the sizes the family-scan benchmark runs; and a
+document whose labels are `false`, refused.  The temporary directory's path
+is written as TMP in argv, hashed output and hashed files, so the lines do
+not depend on where it is.
 pytest does not collect this file.
 """
 
@@ -198,6 +199,8 @@ def battery(tmp):
              for s in (2, 3, 4, 5)]
     cmds += [(["carnot", "search", "--r", "5", "--s", str(s), "--trials", "50"], [])
              for s in (1, 2)]
+    # a falsy field of the wrong type, refused rather than read as absent
+    cmds.append((["verify", "TMP/labels-false.json"], []))
     return cmds
 
 
@@ -243,6 +246,7 @@ def main_battery():
             '"structure": [[0, 1, 2, 1e5]]}')
         Path(f"{tmp}/string-constant.json").write_text(
             '{"dim": 2, "structure": [[0, 1, 1, "1.0"]]}')
+        Path(f"{tmp}/labels-false.json").write_text('{"dim": 2, "labels": false}')
         for argv, files in battery(tmp):
             print(run(argv, files, tmp), flush=True)
 

@@ -742,9 +742,23 @@ def test_deserialize_rejects_malformed():
         '{"dim": 2, "gram": [1' + "0" * 400 + ', 0, 0, 1]}',
         '{"dim": 2, "labels": ["A", 2]}',
         '{"dim": 2, "gram": [[1, 0], [0, 1]]}',                     # not one flat list
+        # a falsy field of the wrong type is not an absent one
+        '{"dim": 2, "labels": false}',
+        '{"dim": 2, "labels": ""}',
+        '{"dim": 2, "structure": {}}',
+        '{"dim": 2, "decoration": 0}',
+        '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": false}}',
     ):
         with pytest.raises(ValueError):
             deserialize(doc)
+
+
+def test_deserialize_reads_null_and_empty_optional_fields_as_absent():
+    for doc in ('{"dim": 2, "labels": null, "decoration": null}',
+                '{"dim": 2, "labels": [], "structure": []}',
+                '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": []}}'):
+        alg = deserialize(doc)
+        assert alg.labels == ("e0", "e1") and alg.roots == (None, None)
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

@@ -168,13 +168,21 @@ def test_verify_corrupted_file_exits_2(tmp_path):
     '{"dim": 2, "gram": [1' + "0" * 400 + ', 0, 0, 1], "structure": []}',
     '{"dim": 2, "labels": ["A", 2], "structure": []}',
     '{"dim": 2, "gram": [[1, 0], [0, 1]], "structure": []}',
+    # falsy fields of the wrong type, which are not absent ones
+    '{"dim": 2, "labels": false, "structure": []}',
+    '{"dim": 2, "labels": "", "structure": []}',
+    '{"dim": 2, "structure": {}}',
+    '{"dim": 2, "structure": [], "decoration": 0}',
+    '{"dim": 2, "structure": [[0, 1, 1, 1.0]], '
+    '"decoration": {"a_indices": [0], "n_indices": [1], "roots": false}}',
 ], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "c-1e160", "c-1e160-decorated",
         "ad-zero", "c-rows-overflow", "c-tiny-gram", "gram-nonsymmetric",
         "gram-defect-overflow", "gram-indefinite", "row-float", "gram-upper-triangle",
         "gram-lower-triangle", "gram-singular", "dim-huge", "frame-overflow",
         "frame-overflow-decorated", "frame-above-bound", "frame-above-bound-dim3",
         "c-string", "c-bool", "gram-strings", "gram-bools", "c-huge-int", "gram-huge-int",
-        "label-number", "gram-nested"])
+        "label-number", "gram-nested", "labels-false", "labels-empty-string",
+        "structure-object", "decoration-zero", "roots-false"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "bad.json"
