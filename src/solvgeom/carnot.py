@@ -229,12 +229,11 @@ def _defect(basis, x, target):
 
     alpha is one matmul: a basis matrix has two nonzero entries, in places no
     other one uses, so each entry of alpha is a single product.  The sum of
-    squares runs on a copy of alpha with the start axis last, so einsum's
-    inner loop goes over the n starts, not over an axis of length r; it adds
-    each entry's products in the same order in either layout, so the bits
-    are those of the (n, ...) einsum.  Both results are C-contiguous in the
-    (n, ...) layout, as the axis sums and matmuls that read them sum in
-    memory order."""
+    squares is an einsum on a copy of alpha with the start axis last: its
+    inner loop then goes over the n starts, not over an axis of length r,
+    and it adds each entry's products in the same order as over the (n, ...)
+    stack, so the bits agree.  Both results are C-contiguous in the (n, ...)
+    layout."""
     (n, d, s), r = x.shape, basis.shape[1]
     alpha = (x.swapaxes(1, 2).reshape(n * s, d) @ basis.reshape(d, r * r)).reshape(n, s, r, r)
     at = alpha.transpose(1, 2, 3, 0).copy()
