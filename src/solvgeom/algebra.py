@@ -11,6 +11,7 @@ from __future__ import annotations
 import functools
 import json
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -67,6 +68,15 @@ def orthonormal_frame(gram):
 class MetricLieAlgebra:
     """Structure tensor + inner product, with optional Iwasawa decoration.
 
+    Construction caches the orthonormal frame: `frame` F with F^T gram F = Id,
+    `frame_inv` and the C-contiguous `c_frame[a,b,l] = <[f_a, f_b], f_l>`.  A
+    Gram matrix that is exactly the identity gives F = Id and c_frame = c + 0.0
+    at no cost; any other is factored by Cholesky and c is transported by three
+    tensordots at O(dim^4) cost.  Forms read off the frame (`ad_table`,
+    `ricci_frame`, `n_frame`, `root_decomposition`) are built once, on first use.
+    `labels` and `roots` are empty or list one entry per basis vector, as the
+    document format asks.
+
     A decoration's `a_indices` and `n_indices` must partition range(dim); any
     other decoration is refused at construction.  `roots` (when present)
     assigns an integer root-functional vector, in omega-coordinates, to each
@@ -91,22 +101,32 @@ class MetricLieAlgebra:
             raise ValueError(f"structure tensor must be cubic, got {self.c.shape}")
         if self.gram.shape != (n, n):
             raise ValueError("gram shape does not match structure tensor")
-        if not self.labels:
-            self.labels = tuple(f"e{i}" for i in range(n))
-        self.labels = tuple(self.labels)
+        self.labels = _per_basis_vector("labels", self.labels, n) or tuple(
+            f"e{i}" for i in range(n))
+        if not all(isinstance(label, str) for label in self.labels):
+            raise ValueError("'labels' entries must be strings")
         self.a_indices = tuple(self.a_indices)
         self.n_indices = tuple(self.n_indices)
         if self.decorated and sorted(self.a_indices + self.n_indices) != list(range(n)):
             raise ValueError("a_indices and n_indices must partition the basis")
-        if not self.roots:
-            self.roots = tuple(None for _ in range(n))
-        self.roots = tuple(
-            tuple(int(v) for v in r) if r is not None else None for r in self.roots
-        )
+        try:
+            self.roots = tuple(
+                None if r is None else tuple(map(operator.index, r))
+                for r in _per_basis_vector("roots", self.roots, n)) or (None,) * n
+        except TypeError:
+            raise ValueError("'roots' entries must be null or lists of integers") from None
         # cached orthonormal frame; every curvature formula sums over it
-        self.frame, self.frame_inv = _cholesky_frame(self.gram)
-        t = np.tensordot(np.tensordot(self.frame, self.c, (0, 0)), self.frame, (1, 0))
-        self.c_frame = np.tensordot(t, self.frame_inv, (1, 1))
+        eye = np.eye(n)
+        if self.gram.tobytes() == eye.tobytes():
+            # what the transform below gives for F = Id: each frame sum has one
+            # nonzero product, 1 * c, and + 0.0 turns -0.0 into +0.0 as that sum does;
+            # F^-1 in Fortran order, as L^T below, which `sectional` reads faster
+            self.frame, self.frame_inv = eye, np.eye(n).T
+            self.c_frame = np.add(self.c, 0.0, order="C")
+        else:
+            self.frame, self.frame_inv = _cholesky_frame(self.gram)
+            t = np.tensordot(np.tensordot(self.frame, self.c, (0, 0)), self.frame, (1, 0))
+            self.c_frame = np.tensordot(t, self.frame_inv, (1, 1))
 
     @functools.cached_property
     def n_frame(self):
@@ -122,6 +142,25 @@ class MetricLieAlgebra:
         d = self.dim
         return np.concatenate((self.c_frame.reshape(d, d * d),
                                self.c_frame.transpose(0, 2, 1).reshape(d, d * d)), axis=1)
+
+    @functools.cached_property
+    def ricci_frame(self):
+        """Read-only Ricci form in the orthonormal frame {f_i}, built on first use:
+          ric(x,y) = -1/2 sum_i <[x,f_i],[y,f_i]> - 1/2 B(x,y)
+                     + 1/4 sum_ij <[f_i,f_j],x><[f_i,f_j],y> - <U(x,y),H>,
+        as BLAS products on C = c_frame: the first term is -1/2 A A^T with
+        A = C.reshape(d, d^2), the Killing form B is A against the (0, 2, 1)
+        transpose, the third term is 1/4 D^T D with D = C.reshape(d^2, d), and
+        <U(x,y),H> is the symmetric part of the contraction of H = tr C[z] with C."""
+        C = self.c_frame
+        d = self.dim
+        A = C.reshape(d, d * d)
+        D = C.reshape(d * d, d)
+        B = A @ C.transpose(0, 2, 1).reshape(d, d * d).T
+        t4 = np.tensordot(np.einsum("zkk->z", C), C, (0, 0))
+        ric = -0.5 * (A @ A.T) - 0.5 * B + 0.25 * (D.T @ D) - 0.5 * (t4 + t4.T)
+        ric.flags.writeable = False
+        return ric
 
     @functools.cached_property
     def root_decomposition(self):
@@ -438,14 +477,22 @@ def serialize(alg):
     return "\n".join(lines) + "\n"
 
 
+def _per_basis_vector(key, values, dim):
+    """An optional per-basis-vector field as a tuple: empty, or exactly dim entries."""
+    values = tuple(values)
+    if values and len(values) != dim:
+        raise ValueError(f"'{key}' must list one entry per basis vector (dim {dim})")
+    return values
+
+
 def _sized(doc, key, dim):
     """Optional per-basis-vector list: absent, null, empty, or exactly dim entries."""
     values = doc.get(key)
     if values is None:
         return ()
-    if not isinstance(values, list) or values and len(values) != dim:
+    if not isinstance(values, list):
         raise ValueError(f"'{key}' must list one entry per basis vector (dim {dim})")
-    return tuple(values)
+    return _per_basis_vector(key, values, dim)
 
 
 def _is_int(value):
@@ -486,9 +533,7 @@ def _from_document(doc):
         raise ValueError(f"dim must be a positive integer, got {dim!r}")
     if dim > MAX_DIM:
         raise ValueError(f"dim {dim} is above the largest supported dim {MAX_DIM}")
-    labels = _sized(doc, "labels", dim)
-    if not all(isinstance(label, str) for label in labels):
-        raise ValueError("'labels' entries must be strings")
+    labels = _sized(doc, "labels", dim)     # entries are checked at construction
     gram_spec = doc.get("gram", "identity")
     if gram_spec == "identity":
         gram = np.eye(dim)

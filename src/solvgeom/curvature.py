@@ -2,8 +2,10 @@
 
 Every formula runs in the orthonormal frame cached by `MetricLieAlgebra`
 (`frame`, `frame_inv` and the C-contiguous `c_frame`), so a non-identity Gram
-matrix costs no linear solve.  `ricci` is four BLAS products on `c_frame`, and
-`einstein_verdict` decides ric = lam * gram on the frame Ricci form itself.
+matrix costs no linear solve, and an identity one no transform at all.  The
+frame Ricci form, four BLAS products on `c_frame`, is the algebra's cached
+`ricci_frame`: `ricci` moves it to the original basis, and `einstein_verdict`
+decides ric = lam * gram on it, so the two together compute it once.
 Sectional curvature has two paths chosen by input size, one formula and one
 quadratic form `_FORM` in five rows.  `sectionals` (N planes) reads every
 bracket and every U from ad stacks, ad[n, j] = [v_n, f_j], each one matmul of
@@ -49,26 +51,9 @@ def mean_curvature(alg):
     return alg.frame @ np.einsum("zkk->z", alg.c_frame)
 
 
-def _ricci_frame(alg):
-    """Ricci form in the orthonormal frame {f_i}:
-      ric(x,y) = -1/2 sum_i <[x,f_i],[y,f_i]> - 1/2 B(x,y)
-                 + 1/4 sum_ij <[f_i,f_j],x><[f_i,f_j],y> - <U(x,y),H>,
-    as BLAS products on C = c_frame: the first term is -1/2 A A^T with
-    A = C.reshape(d, d^2), the Killing form B is A against the (0, 2, 1)
-    transpose, the third term is 1/4 D^T D with D = C.reshape(d^2, d), and
-    <U(x,y),H> is the symmetric part of the contraction of H = tr C[z] with C."""
-    C = alg.c_frame
-    d = alg.dim
-    A = C.reshape(d, d * d)
-    D = C.reshape(d * d, d)
-    B = A @ C.transpose(0, 2, 1).reshape(d, d * d).T
-    t4 = np.tensordot(np.einsum("zkk->z", C), C, (0, 0))
-    return -0.5 * (A @ A.T) - 0.5 * B + 0.25 * (D.T @ D) - 0.5 * (t4 + t4.T)
-
-
 def ricci(alg):
     """Ricci form as a symmetric matrix in the original basis."""
-    r = alg.frame_inv.T @ _ricci_frame(alg) @ alg.frame_inv
+    r = alg.frame_inv.T @ alg.ricci_frame @ alg.frame_inv
     return 0.5 * (r + r.T)
 
 
@@ -89,7 +74,7 @@ def einstein_verdict(alg, tol=1e-9):
     scale = float(np.max(np.abs(alg.c_frame)))
     if scale == 0.0:
         return EinsteinVerdict(is_einstein=True, lam=0.0, residual=0.0)
-    r = _ricci_frame(alg)
+    r = alg.ricci_frame
     lam = float(np.trace(r)) / alg.dim
     # divided twice: scale**2 can underflow where the residual does not
     residual = float(np.max(np.abs(r - lam * np.eye(alg.dim)))) / scale / scale

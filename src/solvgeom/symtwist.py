@@ -715,25 +715,28 @@ def bracket_table(rda):
 
     Cells are rendered with coefficients snapped to 0, +-1, +-sqrt(2) and
     +-sqrt(1/2) (the last occur in sp(p,q) for p >= 2), as "", "L", "-L",
-    "r2 L", "-r2 L", "r2/2 L" and "-r2/2 L" for a result label L.
+    "r2 L", "-r2 L", "r2/2 L" and "-r2/2 L" for a result label L.  One array
+    pass over the n-block finds each cell's constants above 1e-9; a cell with
+    two or more is refused, as is an unsnappable one, the first such cell in
+    (row, column) order deciding the message.
     """
     alg = rda.base
     n_idx = list(alg.n_indices)
     labels = [alg.labels[i] for i in n_idx]
+    cells = alg.c[np.ix_(n_idx, n_idx)].transpose(1, 0, 2)     # cells[y, x] = [X, Y]
+    big = np.abs(cells) > 1e-9
+    where = big.argmax(axis=2)                  # the first constant above 1e-9
+    coeffs = np.take_along_axis(cells, where[:, :, None], axis=2)[:, :, 0].tolist()
+    counts, where = big.sum(axis=2).tolist(), where.tolist()
     lines = ["\t".join([""] + labels)]
-    for yi in n_idx:
-        row = [alg.labels[yi]]
-        for xi in n_idx:
-            vec = alg.c[xi, yi, :]
-            nz = np.flatnonzero(np.abs(vec) > 1e-9)
-            if len(nz) == 0:
+    for y, ylabel in enumerate(labels):
+        row = [ylabel]
+        for x, xlabel in enumerate(labels):
+            if counts[y][x] == 0:
                 row.append("")
-            elif len(nz) == 1:
-                k = int(nz[0])
-                row.append(_render_cell(float(vec[k]), alg.labels[k]))
+            elif counts[y][x] == 1:
+                row.append(_render_cell(coeffs[y][x], alg.labels[where[y][x]]))
             else:
-                raise ValueError(
-                    f"[{alg.labels[xi]}, {alg.labels[yi]}] is not a basis monomial"
-                )
+                raise ValueError(f"[{xlabel}, {ylabel}] is not a basis monomial")
         lines.append("\t".join(row))
     return "\n".join(lines) + "\n"

@@ -13,6 +13,7 @@ from solvgeom.algebra import from_sparse
 from solvgeom.carnot import DataTriple, _equivalence_invariants, _orthonormalize_family, so_gram
 from solvgeom.curvature import EigenvalueType, mean_curvature
 from solvgeom.so6family import W_of, centralizer_in_so6
+from solvgeom.symtwist import _render_cell
 
 
 def basis_vector(alg, i):
@@ -60,6 +61,16 @@ def jacobi_dense(c):
                   for x, y, z in ((a, b, d), (b, d, a), (a, d, b)))
     scale = float(np.max(np.abs(c), initial=0.0))
     return jac / scale / scale if scale > 0.0 else 0.0
+
+
+def frame_transform(c, gram):
+    """(c_frame, frame, frame_inv) of `MetricLieAlgebra` by the general path for
+    any Gram matrix: F = (L^T)^-1 for the Cholesky factor L, and c moved into
+    the frame by three tensordots."""
+    frame_inv = np.linalg.cholesky(np.asarray(gram, dtype=float)).swapaxes(-1, -2)
+    frame = np.linalg.inv(frame_inv)
+    t = np.tensordot(np.tensordot(frame, c, (0, 0)), frame, (1, 0))
+    return np.tensordot(t, frame_inv, (1, 1)), frame, frame_inv
 
 
 def eigenvalue_type(alg):
@@ -267,3 +278,30 @@ def so_basis(r):
 def generic_weights(k):
     """The generic combination of k Iwasawa operators: a seeded normal draw."""
     return np.random.default_rng(0).standard_normal(k)
+
+
+# --- bracket tables -----------------------------------------------------------
+
+
+def bracket_table_reference(rda):
+    """`symtwist.bracket_table` cell by cell: each cell's constants above 1e-9
+    by their own `flatnonzero`, rendered by `_render_cell`."""
+    alg = rda.base
+    n_idx = list(alg.n_indices)
+    lines = ["\t".join([""] + [alg.labels[i] for i in n_idx])]
+    for yi in n_idx:
+        row = [alg.labels[yi]]
+        for xi in n_idx:
+            vec = alg.c[xi, yi, :]
+            nz = np.flatnonzero(np.abs(vec) > 1e-9)
+            if len(nz) == 0:
+                row.append("")
+            elif len(nz) == 1:
+                k = int(nz[0])
+                row.append(_render_cell(float(vec[k]), alg.labels[k]))
+            else:
+                raise ValueError(
+                    f"[{alg.labels[xi]}, {alg.labels[yi]}] is not a basis monomial"
+                )
+        lines.append("\t".join(row))
+    return "\n".join(lines) + "\n"

@@ -1,7 +1,9 @@
 """Core tensor machinery: construction, validation, Iwasawa checks, serialization."""
 
 import dataclasses
+import functools
 import math
+import re
 import sys
 import time
 import tracemalloc
@@ -13,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from solvgeom import algebra
+from solvgeom import algebra, symtwist
 from solvgeom.algebra import (
     MAX_DIM,
     TOL_EXACT,
@@ -35,7 +37,7 @@ from solvgeom.carnot import (
     random_triple,
     real_hyperbolic_triple,
 )
-from solvgeom.curvature import eigenvalue_type
+from solvgeom.curvature import eigenvalue_type, rank_one_reduction
 from solvgeom.symtwist import (
     build_sl_nH,
     build_sl_nR,
@@ -49,8 +51,16 @@ from solvgeom.symtwist import (
     twist,
 )
 
+from cli_battery import SPACES as BATTERY_SPACES
 from documents import rank6_opposite_roots
-from oracles import ad_matrix, basis_vector, jacobi_dense, killing_form, metric_adjoint
+from oracles import (
+    ad_matrix,
+    basis_vector,
+    frame_transform,
+    jacobi_dense,
+    killing_form,
+    metric_adjoint,
+)
 
 
 def so3():
@@ -394,15 +404,71 @@ def test_c_frame_matches_unoptimised_einsum(seed):
     assert np.max(np.abs(alg.c_frame - ref)) <= 1e-12 * np.max(np.abs(ref))
 
 
+@functools.cache
+def _frame_algebras():
+    """(name, algebra): every classical space at the CLI battery's sizes with its
+    paper and enumerated twists and its rank-one reduction, Carnot builds, and the
+    verify-stream algebras of seeds 1 and 2 with the documents they are sent as."""
+    algs = []
+    for space, _, args in BATTERY_SPACES:
+        name = space + "".join(map(str, args))
+        rda = symtwist.SPACES[space][0](*args)
+        algs += [(name, rda.base), (name + " reduced", rank_one_reduction(rda.base))]
+        try:
+            algs.append((name + " paper", twist(rda, symtwist.paper_twist(rda)).base))
+        except ValueError:      # sl(n,R) and the Grassmannians with q - p < 2
+            pass
+        algs += [(f"{name} {a.tag}", twist(rda, a).base)
+                 for a in symtwist.enumerate_twists(rda)]
+    rng = np.random.default_rng(1)
+    triples = [complex_hyperbolic_triple(n) for n in (2, 3)]
+    triples += [real_hyperbolic_triple(d) for d in (3, 5)]
+    triples += [random_triple(r, s, rng) for r, s in ((3, 1), (4, 3))]
+    algs += [(f"carnot {t.r},{t.s}", build_solvmanifold(t)) for t in triples]
+    sys.path.insert(0, str(Path(__file__).resolve().parent.parent))
+    from perfbench.workloads import verify_documents, write_document
+    for seed in (1, 2):
+        for kind, alg, _ in verify_documents(seed):
+            algs += [(kind, alg), (kind + " document", deserialize(write_document(alg)))]
+    return algs
+
+
 def test_identity_gram_builders_keep_c_frame_exact():
-    algs = _round_trip_algebras()[:-1]
-    rda = build_so_nH(6)
-    algs += [rda.base, twist(rda, paper_twist_so_nH(rda)).base]
-    for alg in algs:
-        assert np.array_equal(alg.gram, np.eye(alg.dim))
-        assert np.array_equal(alg.c_frame, alg.c)
+    # an identity Gram skips the transform; the frame forms keep every bit of the
+    # general path, signed zeros included, and c_frame is stored C-contiguous
+    algs = _frame_algebras()
+    identity = [alg for _, alg in algs if alg.gram.tobytes() == np.eye(alg.dim).tobytes()]
+    assert len(identity) > 0.8 * len(algs)
+    # paper twists carry -0.0 constants, which the frame holds as +0.0
+    assert any(np.signbit(alg.c[alg.c == 0.0]).any() for alg in identity)
+    for name, alg in algs:
+        c_frame, frame, frame_inv = frame_transform(alg.c, alg.gram)
+        assert alg.c_frame.tobytes() == c_frame.tobytes(), name
+        assert alg.frame.tobytes() == frame.tobytes(), name
+        assert alg.frame_inv.tobytes() == frame_inv.tobytes(), name
+        # laid out as the general path lays them out
+        assert alg.frame.flags.c_contiguous and frame.flags.c_contiguous, name
+        assert alg.frame_inv.flags.f_contiguous and frame_inv.flags.f_contiguous, name
         # stored C-contiguous: ricci and the ad stacks reshape it without a copy
-        assert alg.c_frame.flags.c_contiguous
+        assert alg.c_frame.flags.c_contiguous, name
+
+
+def test_identity_gram_c_frame_is_a_contiguous_copy_of_a_view():
+    base = build_sl_nH(3).base
+    for c in (base.c[:, ::-1, :], np.asfortranarray(base.c), base.c.transpose(2, 0, 1)):
+        alg = MetricLieAlgebra(c=c, gram=np.eye(base.dim))
+        assert alg.c_frame.flags.c_contiguous and alg.c_frame is not alg.c
+        assert alg.c_frame.tobytes() == frame_transform(c, alg.gram)[0].tobytes()
+
+
+def test_identity_gram_c_frame_of_a_non_finite_c_is_c_plus_zero():
+    # reachable only by direct construction: deserialize refuses non-finite constants
+    c = np.zeros((3, 3, 3))
+    c[0, 1, 2], c[1, 0, 2], c[0, 2, 1], c[2, 0, 1] = np.inf, -np.inf, np.nan, -0.0
+    with np.errstate(invalid="ignore"):
+        alg = MetricLieAlgebra(c=c, gram=np.eye(3))
+    assert alg.c_frame.tobytes() == (c + 0.0).tobytes()
+    assert alg.frame.tobytes() == alg.frame_inv.tobytes() == np.eye(3).tobytes()
 
 
 def test_so6H_and_paper_twist_construct_within_one_second():
@@ -424,16 +490,31 @@ def test_iwasawa_check_on_hyperbolic_build():
     assert abs(alg.norm(rep.witness) - 1.0) <= 1e-12
 
 
-def test_n_block_factored_once_per_algebra(monkeypatch):
-    # a verify of a decorated document: construction factors the Gram, and the
-    # Iwasawa check and the eigenvalue type share one factor of its n-block
-    doc, calls, factor = serialize(build_sl_nH(3).base), [], algebra._cholesky_frame
+def _counting_factor(monkeypatch):
+    calls, factor = [], algebra._cholesky_frame
 
     def counting(gram):
         calls.append(np.shape(gram))
         return factor(gram)
 
     monkeypatch.setattr(algebra, "_cholesky_frame", counting)
+    return calls
+
+
+def _rescaled_basis(alg):
+    """The same metric algebra in the basis e'_i = 2^(i mod 3) e_i, with Gram
+    diag(4^(i mod 3)); every constant is scaled by a power of two."""
+    s = 2.0 ** (np.arange(alg.dim) % 3)
+    return dataclasses.replace(alg, c=alg.c * s[:, None, None] * s[None, :, None] / s,
+                               gram=np.diag(s * s))
+
+
+def test_n_block_factored_once_per_algebra(monkeypatch):
+    # a verify of a decorated document with a non-identity Gram: construction
+    # factors the Gram, and the Iwasawa check and the eigenvalue type share one
+    # factor of its n-block
+    doc = serialize(_rescaled_basis(build_sl_nH(3).base))
+    calls = _counting_factor(monkeypatch)
     alg = deserialize(doc)
     assert calls == [(alg.dim, alg.dim)]
     assert "n_frame" not in vars(alg)   # factored on first use, not at construction
@@ -441,6 +522,17 @@ def test_n_block_factored_once_per_algebra(monkeypatch):
     eigenvalue_type(alg)
     n = len(alg.n_indices)
     assert calls == [(alg.dim, alg.dim), (n, n)]
+
+
+def test_identity_gram_factors_only_the_n_block(monkeypatch):
+    # an identity-Gram document: construction factors nothing
+    doc = serialize(build_sl_nH(3).base)
+    calls = _counting_factor(monkeypatch)
+    alg = deserialize(doc)
+    assert calls == []
+    iwasawa_check(alg)
+    eigenvalue_type(alg)
+    assert calls == [(len(alg.n_indices),) * 2]
 
 
 def test_roots_computed_once_per_algebra(monkeypatch):
@@ -759,6 +851,46 @@ def test_deserialize_reads_null_and_empty_optional_fields_as_absent():
                 '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": []}}'):
         alg = deserialize(doc)
         assert alg.labels == ("e0", "e1") and alg.roots == (None, None)
+
+
+_REFUSED_FIELDS = (
+    ({"labels": ("x",)}, '"labels": ["x"]',
+     "'labels' must list one entry per basis vector (dim 3)"),
+    ({"labels": (0, 1, 2)}, '"labels": [0, 1, 2]', "'labels' entries must be strings"),
+    ({"roots": (None, (1,))}, '"decoration": {"roots": [null, [1]]}',
+     "'roots' must list one entry per basis vector (dim 3)"),
+    ({"roots": (None, (1.7,), (2.2,))}, '"decoration": {"roots": [null, [1.7], [2.2]]}',
+     "'roots' entries must be null or lists of integers"),
+    ({"roots": (None, 1, 2)}, '"decoration": {"roots": [null, 1, 2]}',
+     "'roots' entries must be null or lists of integers"),
+)
+
+
+@pytest.mark.parametrize("fields, document, message", _REFUSED_FIELDS,
+                         ids=[doc for _, doc, _ in _REFUSED_FIELDS])
+def test_construction_refuses_what_deserialize_refuses(fields, document, message):
+    # no algebra is built that serialize would write as a refused document
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        MetricLieAlgebra(c=so3().c, gram=np.eye(3), **fields)
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        deserialize('{"dim": 3, ' + document + "}")
+
+
+def test_construction_reads_numpy_integer_roots():
+    alg = MetricLieAlgebra(c=so3().c, gram=np.eye(3), a_indices=(0,), n_indices=(1, 2),
+                           roots=(None, np.array([1, -2]), (np.int64(3), np.int8(0))))
+    assert alg.roots == (None, (1, -2), (3, 0))
+    assert all(type(v) is int for r in alg.roots[1:] for v in r)
+    assert deserialize(serialize(alg)).roots == alg.roots
+
+
+def test_every_builder_output_round_trips():
+    for name, alg in _frame_algebras():
+        text = serialize(alg)
+        back = deserialize(text)
+        assert serialize(back) == text, name
+        assert back.labels == alg.labels and back.roots == alg.roots, name
+        assert (back.a_indices, back.n_indices) == (alg.a_indices, alg.n_indices), name
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")

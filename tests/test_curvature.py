@@ -2,6 +2,7 @@
 each other (Ricci vs sums of sectional curvatures, U-map adjunction, scaling)."""
 
 import dataclasses
+import functools
 import gc
 import math
 import weakref
@@ -296,6 +297,34 @@ def test_ad_table_is_built_once_and_freed_with_its_algebra():
         assert np.array_equal(table[i], np.concatenate(
             (alg.c_frame[i].ravel(), alg.c_frame[i].T.ravel())))
     del table
+    ref = weakref.ref(alg)
+    del alg
+    gc.collect()
+    assert ref() is None
+
+
+def test_ricci_frame_is_built_once_and_freed_with_its_algebra(monkeypatch):
+    calls, build = [], MetricLieAlgebra.ricci_frame.func
+
+    def counting(alg):
+        calls.append(alg.dim)
+        return build(alg)
+
+    prop = functools.cached_property(counting)
+    prop.__set_name__(MetricLieAlgebra, "ricci_frame")
+    monkeypatch.setattr(MetricLieAlgebra, "ricci_frame", prop)
+    alg = ch2_gram_coupled()
+    assert "ricci_frame" not in vars(alg)   # built on first use, not at construction
+    verdict, ric = einstein_verdict(alg), ricci(alg)
+    assert einstein_verdict(alg) == verdict
+    assert ricci(alg).tobytes() == ric.tobytes()
+    assert calls == [alg.dim]
+    form = alg.ricci_frame
+    with pytest.raises(ValueError, match="read-only"):
+        form[0, 0] = 0.0
+    r = alg.frame_inv.T @ form @ alg.frame_inv
+    assert (0.5 * (r + r.T)).tobytes() == ric.tobytes()
+    del form
     ref = weakref.ref(alg)
     del alg
     gc.collect()

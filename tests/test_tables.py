@@ -2,6 +2,7 @@
 matrix realizations, and the hand-encoded instantiation rules must agree
 byte for byte."""
 
+import dataclasses
 import math
 from importlib import resources
 
@@ -18,6 +19,7 @@ from solvgeom.symtwist import (
     twist,
 )
 from cli_battery import SPACES
+from oracles import bracket_table_reference
 from table_oracle import GOLDEN_SPACES, expected_table
 
 _BUILDERS = {
@@ -137,3 +139,59 @@ def test_sp23_table_parses_back_to_structure_constants():
                 parsed[x, index[row[0]], index[lab]] = _COEFF[head]
     n = list(alg.n_indices)
     assert np.max(np.abs(parsed - alg.c[np.ix_(n, n, n)])) <= 1e-12
+
+
+def test_one_pass_table_equals_the_per_cell_reference():
+    # every space and twist the CLI battery renders: the build and its paper
+    # and rh:0 twists
+    for space, _, args in SPACES:
+        rda = symtwist.SPACES[space][0](*args)
+        rdas = [rda, twist(rda, symtwist.restricted_height_twist(rda, [0]))]
+        try:
+            rdas.append(twist(rda, symtwist.paper_twist(rda)))
+        except ValueError:      # sl(n,R) and the Grassmannians with q - p < 2
+            pass
+        for r in rdas:
+            assert bracket_table(r) == bracket_table_reference(r), r.tag
+
+
+def _with_constants(rda, *changes):
+    c = rda.base.c.copy()
+    for (i, j, k), v in changes:
+        c[i, j, k], c[j, i, k] = v, -v
+    return dataclasses.replace(rda, base=dataclasses.replace(rda.base, c=c))
+
+
+def _table_or_refusal(render, rda):
+    try:
+        return render(rda)
+    except ValueError as exc:
+        return f"ValueError: {exc}"
+
+
+def test_one_pass_table_refuses_as_the_reference_does():
+    rda = build_so_nH(4)
+    alg, n = rda.base, rda.base.n_indices
+    # cell (row Y, column X) holds [X, Y]: its first and last nonzero cells in
+    # (row, column) order, as (X, Y, k) of their one constant
+    cells = [(x, y, int(np.flatnonzero(alg.c[x, y])[0]))
+             for y in n for x in n if alg.c[x, y].any()]
+    (x0, y0, k0), (x1, y1, k1) = cells[0], cells[-1]
+    other0, other1 = ((x, y, n[0] if k != n[0] else n[1]) for x, y, k in (cells[0], cells[-1]))
+    cases = {
+        "is not a basis monomial": [
+            _with_constants(rda, (other0, 0.5)),
+            _with_constants(rda, (other0, 0.5), ((x1, y1, k1), 1.5)),
+            _with_constants(rda, (other1, 1.0))],
+        "is not in the snap set": [
+            _with_constants(rda, ((x1, y1, k1), 1.5)),
+            _with_constants(rda, ((x0, y0, k0), 1.5), (other1, 1.0)),
+            _with_constants(rda, ((x0, y0, k0), np.inf))],
+        # a NaN is not above the cut-off: the cell reads as empty
+        "\t": [_with_constants(rda, ((x0, y0, k0), np.nan))],
+    }
+    for expected, rdas in cases.items():
+        for case in rdas:
+            got = _table_or_refusal(bracket_table, case)
+            assert got == _table_or_refusal(bracket_table_reference, case)
+            assert expected in got
