@@ -80,7 +80,8 @@ class MetricLieAlgebra:
     A decoration's `a_indices` and `n_indices` must partition range(dim); any
     other decoration is refused at construction.  `roots` (when present)
     assigns an integer root-functional vector, in omega-coordinates, to each
-    nilradical basis index; entries for other indices are None.
+    nilradical basis index; entries for other indices are None.  An undecorated
+    algebra takes no roots but all-None ones.
     """
 
     c: np.ndarray
@@ -115,6 +116,9 @@ class MetricLieAlgebra:
                 for r in _per_basis_vector("roots", self.roots, n)) or (None,) * n
         except TypeError:
             raise ValueError("'roots' entries must be null or lists of integers") from None
+        # the document format carries roots only inside a decoration
+        if not self.decorated and any(r is not None for r in self.roots):
+            raise ValueError("'roots' needs a decoration (a_indices and n_indices)")
         # cached orthonormal frame; every curvature formula sums over it
         eye = np.eye(n)
         if self.gram.tobytes() == eye.tobytes():
@@ -316,10 +320,11 @@ class IwasawaReport:
 
 
 def _min_norm_point(pts):
-    """Wolfe's algorithm: the point of least norm in the convex hull of the rows
-    of pts.  Each major step adds the row that most decreases <x, row>; each
-    minor step moves to the min-norm point of the affine hull of the active rows,
-    stopping at the hull's boundary and dropping a row when it would leave it."""
+    """Wolfe's algorithm (P. Wolfe, *Finding the nearest point in a polytope*,
+    Math. Programming 11, 1976): the point of least norm in the convex hull of
+    the rows of pts.  Each major step adds the row that most decreases <x, row>;
+    each minor step moves to the min-norm point of the affine hull of the active
+    rows, stopping at the hull's boundary and dropping a row when it would leave it."""
     sq = np.einsum("ij,ij->i", pts, pts)
     eps = 1e-15 * np.max(sq)
     act, lam = [int(np.argmin(sq))], np.ones(1)
@@ -517,7 +522,7 @@ def deserialize(text):
     left to `validate`."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:   # nested past the stack
         raise ValueError(f"malformed algebra document: {exc}") from exc
     if not isinstance(doc, dict) or "dim" not in doc:
         raise ValueError("malformed algebra document: missing 'dim'")

@@ -31,7 +31,6 @@ __all__ = [
     "build_solvmanifold",
     "einstein_conditions",
     "is_uniform",
-    "complement_uniform",
     "so4_split_basis",
     "so4_criterion",
     "search_uniform",
@@ -153,22 +152,6 @@ def is_uniform(mats):
     if mats.ndim == 2:
         mats = mats[None]
     return mats.shape[0] == 0 or _uniform_defect(mats) <= UNIFORM_TOL
-
-
-def complement_uniform(mats):
-    """Orthonormal basis of the (,)-orthogonal complement of span(mats) in so(r).
-
-    A subspace is uniform iff its complement is: the full basis sums to
-    -dim so(r) times the identity.
-    """
-    mats = np.asarray(mats, dtype=float)
-    s, r = mats.shape[0], mats.shape[1]
-    basis = so_basis(r)
-    coords = so_gram(mats, basis)  # (s, d)
-    _, sing, vt = np.linalg.svd(coords, full_matrices=True)
-    rank = int(np.sum(sing > 1e-8))
-    comp = vt[rank:]  # (d - rank, d) orthonormal rows
-    return np.einsum("cu,uij->cij", comp, basis)
 
 
 # --- so(4) ------------------------------------------------------------------

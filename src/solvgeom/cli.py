@@ -97,10 +97,11 @@ class Report:
 
     def emit(self, out_path=None):
         text = self.render()
-        sys.stdout.write(text)
+        # the file first: a path that cannot be written exits 2 before any report
         if out_path:
             with open(out_path, "w") as fh:
                 fh.write(text)
+        sys.stdout.write(text)
         return 1 if self.failed else 0
 
 

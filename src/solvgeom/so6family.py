@@ -75,7 +75,10 @@ def W_of(r, s, t):
     """Spanning matrices D_i = r A_i + s B_i + t C_i.
 
     (r, s, t) is renormalized to the unit sphere, where the D_i are
-    orthonormal under -(1/6) tr.
+    orthonormal under -(1/6) tr.  It is first divided by its largest |entry|
+    when its squared norm would overflow or fall to 1e-300 or below, so
+    (1e308, 1e308, 0) names (1, 1, 0)/sqrt(2) and (1e-200, 0, 0) names
+    (1, 0, 0); only (0, 0, 0) is refused.
     """
     if not all(map(math.isfinite, (r, s, t))):
         raise ValueError(f"need finite (r, s, t), got ({r}, {s}, {t})")

@@ -25,8 +25,10 @@ the README quotes); the exit-2 refusals; and, last, the `--out` writes of
 that prints the so4-criterion record, a structure constant given as a JSON
 string and `family margin` at W(1e-13,0,0); then `carnot classify-so4` at
 s = 2..5 with 300 trials and `carnot search` at (5, 1) and (5, 2) with 50
-trials, the descents at the sizes the family-scan benchmark runs; and a
-document whose labels are `false`, refused.  The temporary directory's path
+trials, the descents at the sizes the family-scan benchmark runs; a document
+whose labels are `false`, a document nested past the recursion limit and one
+with roots but no decoration, each refused; and a `verify --out` into a
+missing directory, refused before any report.  The temporary directory's path
 is written as TMP in argv, hashed output and hashed files, so the lines do
 not depend on where it is.
 pytest does not collect this file.
@@ -201,6 +203,10 @@ def battery(tmp):
              for s in (1, 2)]
     # a falsy field of the wrong type, refused rather than read as absent
     cmds.append((["verify", "TMP/labels-false.json"], []))
+    # a document nested past the recursion limit and roots without a decoration, each
+    # refused; and an --out path that cannot be written, refused before any report
+    cmds += [(["verify", "TMP/nested.json"], []), (["verify", "TMP/roots-undecorated.json"], []),
+             (["verify", "complex-hyperbolic", "--out", "TMP/missing/report.txt"], [])]
     return cmds
 
 
@@ -247,6 +253,9 @@ def main_battery():
         Path(f"{tmp}/string-constant.json").write_text(
             '{"dim": 2, "structure": [[0, 1, 1, "1.0"]]}')
         Path(f"{tmp}/labels-false.json").write_text('{"dim": 2, "labels": false}')
+        Path(f"{tmp}/nested.json").write_text("[" * 200000)
+        Path(f"{tmp}/roots-undecorated.json").write_text(
+            '{"dim": 3, "decoration": {"roots": [null, [1, -2], [3, 0]]}}')
         for argv, files in battery(tmp):
             print(run(argv, files, tmp), flush=True)
 

@@ -275,6 +275,19 @@ def so_basis(r):
     return np.array(mats)
 
 
+def complement_uniform(mats):
+    """Orthonormal basis of the (,)-orthogonal complement of span(mats) in so(r).
+
+    A subspace is uniform iff its complement is: the full basis sums to
+    -dim so(r) times the identity.
+    """
+    mats = np.asarray(mats, dtype=float)
+    basis = so_basis(mats.shape[1])
+    _, sing, vt = np.linalg.svd(so_gram(mats, basis), full_matrices=True)
+    rank = int(np.sum(sing > 1e-8))
+    return np.einsum("cu,uij->cij", vt[rank:], basis)
+
+
 def generic_weights(k):
     """The generic combination of k Iwasawa operators: a seeded normal draw."""
     return np.random.default_rng(0).standard_normal(k)

@@ -840,6 +840,9 @@ def test_deserialize_rejects_malformed():
         '{"dim": 2, "structure": {}}',
         '{"dim": 2, "decoration": 0}',
         '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": false}}',
+        # nested past the interpreter's recursion limit
+        "[" * 200000,
+        '{"dim": 2, "labels": ' + "[" * 200000 + "]" * 200000 + "}",
     ):
         with pytest.raises(ValueError):
             deserialize(doc)
@@ -848,7 +851,8 @@ def test_deserialize_rejects_malformed():
 def test_deserialize_reads_null_and_empty_optional_fields_as_absent():
     for doc in ('{"dim": 2, "labels": null, "decoration": null}',
                 '{"dim": 2, "labels": [], "structure": []}',
-                '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": []}}'):
+                '{"dim": 2, "decoration": {"a_indices": [0], "n_indices": [1], "roots": []}}',
+                '{"dim": 2, "decoration": {"roots": [null, null]}}'):
         alg = deserialize(doc)
         assert alg.labels == ("e0", "e1") and alg.roots == (None, None)
 
@@ -863,6 +867,9 @@ _REFUSED_FIELDS = (
      "'roots' entries must be null or lists of integers"),
     ({"roots": (None, 1, 2)}, '"decoration": {"roots": [null, 1, 2]}',
      "'roots' entries must be null or lists of integers"),
+    # a document carries roots only inside a decoration: these would read back as None
+    ({"roots": (None, (1, -2), (3, 0))}, '"decoration": {"roots": [null, [1, -2], [3, 0]]}',
+     "'roots' needs a decoration (a_indices and n_indices)"),
 )
 
 

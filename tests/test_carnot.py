@@ -15,7 +15,6 @@ from solvgeom.carnot import (
     build_solvmanifold,
     centralizer,
     classify_uniform_so4,
-    complement_uniform,
     complex_hyperbolic_triple,
     einstein_conditions,
     is_uniform,
@@ -44,6 +43,7 @@ from oracles import (
     build_solvmanifold_sparse,
     classes_greedy,
     commutator_map_einsum,
+    complement_uniform,
     defect_einsum,
     equivalence_invariants,
     j_from_brackets,

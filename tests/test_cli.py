@@ -175,6 +175,10 @@ def test_verify_corrupted_file_exits_2(tmp_path):
     '{"dim": 2, "structure": [], "decoration": 0}',
     '{"dim": 2, "structure": [[0, 1, 1, 1.0]], '
     '"decoration": {"a_indices": [0], "n_indices": [1], "roots": false}}',
+    # nested past the interpreter's recursion limit
+    "[" * 200000,
+    # roots without a decoration, which a document could not carry back
+    '{"dim": 3, "decoration": {"roots": [null, [1, -2], [3, 0]]}}',
 ], ids=["a-str", "a-float", "n-empty", "c-1e308", "c-1e200", "c-1e160", "c-1e160-decorated",
         "ad-zero", "c-rows-overflow", "c-tiny-gram", "gram-nonsymmetric",
         "gram-defect-overflow", "gram-indefinite", "row-float", "gram-upper-triangle",
@@ -182,7 +186,8 @@ def test_verify_corrupted_file_exits_2(tmp_path):
         "frame-overflow-decorated", "frame-above-bound", "frame-above-bound-dim3",
         "c-string", "c-bool", "gram-strings", "gram-bools", "c-huge-int", "gram-huge-int",
         "label-number", "gram-nested", "labels-false", "labels-empty-string",
-        "structure-object", "decoration-zero", "roots-false"])
+        "structure-object", "decoration-zero", "roots-false", "nested-deep",
+        "roots-undecorated"])
 @pytest.mark.filterwarnings("error::RuntimeWarning")  # a warning is a second stderr line
 def test_verify_bad_document_exits_2_with_one_error_line(tmp_path, text):
     path = tmp_path / "bad.json"
@@ -639,6 +644,21 @@ def test_family_report_without_samples_prints_empty_range():
     code, out, _ = run(["family", "report", "--grid", "2", "--samples", "0"])
     assert code == 0
     assert records(out)["sectional-range"][:2] == ("evidence", "inf:-inf")
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "complex-hyperbolic"],
+    ["carnot", "search", "--r", "3", "--s", "2", "--trials", "20"],
+    ["carnot", "classify-so4", "--s", "1", "--trials", "20"],
+    ["family", "margin", "--samples", "200", "--descents", "3"],
+    ["symmetric", "twist", "--space", "sl_nH", "--n", "3"],
+], ids=lambda argv: " ".join(argv[:2]))
+def test_unwritable_out_exits_2_before_any_report(tmp_path, argv):
+    path = tmp_path / "missing" / "report.txt"
+    code, out, err = run(argv + ["--out", str(path)])
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+    assert not path.parent.exists()
 
 
 def test_out_file_matches_stdout(tmp_path):

@@ -157,9 +157,9 @@ def _package_and_readers():
     return sources, readers
 
 
-# ROADMAP item 4 (the Carnot table by constructions) gives it its first caller:
-# the complement s <-> dim so(r) - s of a uniform family is uniform
-UNREAD_BUT_KEPT = [("carnot", "complement_uniform")]
+# public names kept although only the tests read them, each with its reason; a
+# name only the tests read lives in tests/oracles.py instead
+UNREAD_BUT_KEPT = []
 
 
 def test_every_public_name_is_read_outside_the_tests():
