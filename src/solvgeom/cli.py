@@ -11,7 +11,8 @@ the property being checked ("plumbing" for infrastructure records).
 Identical invocations with the same --seed produce byte-identical reports.
 
 Exit codes: 0 = every check passed, 1 = at least one check failed,
-2 = usage or input error.
+2 = usage or input error, which prints one `error:` line on stderr and no
+report. `--help` and `--version` print and exit 0.
 """
 
 import argparse
@@ -252,8 +253,7 @@ def _build_space(args):
 # --- commands -----------------------------------------------------------------
 
 
-def cmd_verify(args):
-    rep = Report(_echo(args), args.seed)
+def cmd_verify(args, rep):
     target = args.target
     if target == "complex-hyperbolic":
         n = args.n if args.n is not None else 2
@@ -276,8 +276,7 @@ def cmd_verify(args):
     return rep.emit(args.out)
 
 
-def cmd_carnot_search(args):
-    rep = Report(_echo(args), args.seed)
+def cmd_carnot_search(args, rep):
     cand = search_uniform(args.r, args.s, restarts=args.trials, seed=args.seed)
     found = cand.residual <= UNIFORM_TOL
     rep.add("best-residual", "pass" if found else "evidence",
@@ -290,8 +289,7 @@ def cmd_carnot_search(args):
     return rep.emit(args.out)
 
 
-def cmd_classify_so4(args):
-    rep = Report(_echo(args), args.seed)
+def cmd_classify_so4(args, rep):
     wanted = [args.s] if args.s is not None else list(range(1, 7))
     for s in wanted:
         classes = classify_uniform_so4(s, trials=args.trials, seed=args.seed)
@@ -301,8 +299,7 @@ def cmd_classify_so4(args):
     return rep.emit(args.out)
 
 
-def cmd_family_report(args):
-    rep = Report(_echo(args), args.seed)
+def cmd_family_report(args, rep):
     if args.grid is not None:
         points = family_grid(n_lat=args.grid, n_az=4 * args.grid)
     else:
@@ -348,8 +345,7 @@ def cmd_family_report(args):
     return rep.emit(None)
 
 
-def cmd_family_margin(args):
-    rep = Report(_echo(args), args.seed)
+def cmd_family_margin(args, rep):
     triple = induced_triple(args.r, args.s, args.t)
     margin = negative_curvature_margin(triple, samples=args.samples,
                                        descents=args.descents, seed=args.seed)
@@ -357,8 +353,7 @@ def cmd_family_margin(args):
     return rep.emit(args.out)
 
 
-def cmd_symmetric_build(args):
-    rep = Report(_echo(args), args.seed)
+def cmd_symmetric_build(args, rep):
     rda = _build_space(args)
     rep.add("space", "pass", rda.tag, None, "plumbing")
     rep.add("dim", "pass", rda.dim, None, "plumbing")
@@ -377,8 +372,7 @@ def cmd_symmetric_build(args):
     return rep.emit(None)
 
 
-def cmd_symmetric_twist(args):
-    rep = Report(_echo(args), args.seed)
+def cmd_symmetric_twist(args, rep):
     rda = _build_space(args)
     rep.add("space", "pass", rda.tag, None, "plumbing")
     assignment = _resolve_twist(rda, args.twist or "paper")
@@ -392,8 +386,7 @@ def cmd_symmetric_twist(args):
     return rep.emit(args.out)
 
 
-def cmd_symmetric_table(args):
-    rep = Report(_echo(args), args.seed)
+def cmd_symmetric_table(args, rep):
     rda = _build_space(args)
     assignment = _resolve_twist(rda, args.twist)
     if assignment == "enumerate":
@@ -411,25 +404,36 @@ def cmd_symmetric_table(args):
 # --- argument plumbing ----------------------------------------------------------
 
 
-def _echo(args):
-    return " ".join(args._argv)
+class _Parser(argparse.ArgumentParser):
+    """Refuses a bad command line by ValueError, so `main` prints its one error: line.
+    `add_subparsers` makes every subparser of this class too."""
 
-
-def _add_common(p):
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
-    p.add_argument("--out", default=None, help="also write the report/output here")
+    def error(self, message):
+        raise ValueError(message)
 
 
 def build_parser():
-    parser = argparse.ArgumentParser(
+    common = _Parser(add_help=False)
+    common.add_argument("--seed", type=int, default=DEFAULT_SEED)
+    common.add_argument("--out", default=None, help="also write the report/output here")
+    space = _Parser(add_help=False)
+    space.add_argument("--space", required=True, choices=SPACES)
+    space.add_argument("--p", type=int, default=None)
+    space.add_argument("--q", type=int, default=None)
+    space.add_argument("--n", type=int, default=None)
+    space.add_argument("--twist", default=None,
+                       help="paper | wa:A | rh:I,J | bits:MASK | enumerate")
+
+    parser = _Parser(
         prog="solvgeom",
         description="Constructions and curvature checks for metric solvable "
                     "Lie algebras.")
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pv = sub.add_parser("verify", help="validate an algebra and its Einstein "
-                                       "property (builtin name or JSON path)")
+    pv = sub.add_parser("verify", parents=[common],
+                        help="validate an algebra and its Einstein "
+                             "property (builtin name or JSON path)")
     pv.add_argument("target",
                     help="complex-hyperbolic | real-hyperbolic | carnot | path")
     pv.add_argument("--n", type=int, default=None)
@@ -437,69 +441,48 @@ def build_parser():
     pv.add_argument("--r", type=int, default=None)
     pv.add_argument("--s", type=int, default=None)
     pv.add_argument("--trials", type=int, default=200)
-    _add_common(pv)
     pv.set_defaults(func=cmd_verify)
 
     pc = sub.add_parser("carnot", help="uniform subspace search and so(4) classes")
     csub = pc.add_subparsers(dest="subcommand", required=True)
-    ps = csub.add_parser("search")
+    ps = csub.add_parser("search", parents=[common])
     ps.add_argument("--r", type=int, required=True)
     ps.add_argument("--s", type=int, required=True)
     ps.add_argument("--trials", type=int, default=200)
-    _add_common(ps)
     ps.set_defaults(func=cmd_carnot_search)
-    pk = csub.add_parser("classify-so4")
+    pk = csub.add_parser("classify-so4", parents=[common])
     pk.add_argument("--s", type=int, default=None, choices=range(1, 7))
     pk.add_argument("--trials", type=int, default=200)
-    _add_common(pk)
     pk.set_defaults(func=cmd_classify_so4)
-    pcv = csub.add_parser("verify")
+    pcv = csub.add_parser("verify", parents=[common])
     pcv.add_argument("--r", type=int, required=True)
     pcv.add_argument("--s", type=int, required=True)
     pcv.add_argument("--trials", type=int, default=200)
-    _add_common(pcv)
     pcv.set_defaults(func=cmd_verify, target="carnot", n=None, dim=None)
 
     pf = sub.add_parser("family", help="the so(6) two-parameter family")
     fsub = pf.add_subparsers(dest="subcommand", required=True)
-    pr = fsub.add_parser("report")
+    pr = fsub.add_parser("report", parents=[common])
     pr.add_argument("--grid", type=int, default=None)
     pr.add_argument("--samples", type=int, default=200)
-    _add_common(pr)
     pr.set_defaults(func=cmd_family_report)
-    pm = fsub.add_parser("margin")
+    pm = fsub.add_parser("margin", parents=[common])
     pm.add_argument("--r", type=float, default=1.0)
     pm.add_argument("--s", type=float, default=0.0)
     pm.add_argument("--t", type=float, default=0.0)
     pm.add_argument("--samples", type=int, default=10000)
     pm.add_argument("--descents", type=int, default=100)
-    _add_common(pm)
     pm.set_defaults(func=cmd_family_margin)
 
     py = sub.add_parser("symmetric", help="Iwasawa algebras and sign twists")
     ysub = py.add_subparsers(dest="subcommand", required=True)
-
-    def _space_args(p):
-        p.add_argument("--space", required=True, choices=SPACES)
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--q", type=int, default=None)
-        p.add_argument("--n", type=int, default=None)
-        p.add_argument("--twist", default=None,
-                       help="paper | wa:A | rh:I,J | bits:MASK | enumerate")
-
-    pb = ysub.add_parser("build")
-    _space_args(pb)
+    pb = ysub.add_parser("build", parents=[space, common])
     pb.add_argument("--golden", default=None)
-    _add_common(pb)
     pb.set_defaults(func=cmd_symmetric_build)
-    pt = ysub.add_parser("twist")
-    _space_args(pt)
-    _add_common(pt)
+    pt = ysub.add_parser("twist", parents=[space, common])
     pt.set_defaults(func=cmd_symmetric_twist)
-    pg = ysub.add_parser("table")
-    _space_args(pg)
+    pg = ysub.add_parser("table", parents=[space, common])
     pg.add_argument("--golden", default=None)
-    _add_common(pg)
     pg.set_defaults(func=cmd_symmetric_table)
 
     return parser
@@ -511,10 +494,9 @@ PARSER = build_parser()
 def main(argv=None):
     if argv is None:
         argv = sys.argv[1:]
-    args = PARSER.parse_args(argv)
-    args._argv = list(argv)
     try:
-        return args.func(args)
+        args = PARSER.parse_args(argv)
+        return args.func(args, Report(" ".join(argv), args.seed))
     except BrokenPipeError:
         return 0
     except (ValueError, OSError, KeyError) as exc:

@@ -220,10 +220,7 @@ def run(argv, files, tmp):
     out, err = io.StringIO(), io.StringIO()
     argv = [a.replace("TMP", tmp) for a in argv]
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exc:
-            code = exc.code
+        code = main(argv)
     digest = hashlib.sha256()
     for text in (out.getvalue(), err.getvalue()):
         digest.update(text.replace(tmp, "TMP").encode() + b"\0")

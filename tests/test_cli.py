@@ -336,28 +336,36 @@ def test_verify_missing_file_exits_2(tmp_path):
 
 
 def test_usage_error_exits_2():
-    with pytest.raises(SystemExit) as exc:
-        run(["carnot"])  # missing subcommand
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["symmetric", "build"])  # missing required --space
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        run(["no-such-command"])
-    assert exc.value.code == 2
-    # the tolerances are fixed: no subcommand takes --tol; nor --print-table
-    for argv in (["verify", "complex-hyperbolic", "--tol", "1e-3"],
+    # every refusal of the parser is one error: line on stderr, with no report
+    for argv in (["carnot"],  # missing subcommand
+                 ["symmetric", "build"],  # missing required --space
+                 ["verify"],  # missing target
+                 ["no-such-command"],
+                 # the tolerances are fixed: no subcommand takes --tol; nor --print-table
+                 ["verify", "complex-hyperbolic", "--tol", "1e-3"],
                  ["symmetric", "build", "--space", "sl_nH", "--n", "3", "--tol", "1"],
-                 ["symmetric", "table", "--space", "sl_nH", "--n", "3", "--print-table"]):
-        with pytest.raises(SystemExit) as exc:
-            run(argv)
-        assert exc.value.code == 2
+                 ["symmetric", "table", "--space", "sl_nH", "--n", "3", "--print-table"],
+                 ["verify", "complex-hyperbolic", "--n", "x"],
+                 ["family", "margin", "--r", "x"],
+                 ["symmetric", "build", "--space", "nope"]):
+        code, out, err = run(argv)
+        assert (code, out) == (2, ""), argv
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), (argv, err)
 
 
 def test_version_flag():
     with pytest.raises(SystemExit) as exc:
         run(["--version"])
     assert exc.value.code == 0
+
+
+def test_help_flag_prints_usage_and_exits_0():
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        with pytest.raises(SystemExit) as exc:
+            main(["symmetric", "build", "-h"])
+    assert exc.value.code == 0
+    assert out.getvalue().startswith("usage: solvgeom symmetric build") and not err.getvalue()
 
 
 def test_carnot_verify_matches_verify_carnot():
